@@ -20,7 +20,7 @@ from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
 from .linalg import DualMat3, DualVec3, exp_so3d, frame_translation, is_frame
-from .oracle import delassus_fit, line_distance_angle
+from .oracle import _fit_with_residual, line_distance_angle
 from .theorems import equilibrium_laws, petersen_morley, thales_check
 
 EXIT_OK = 0
@@ -52,15 +52,15 @@ def _load_documents(args, expected: int) -> list:
 
 
 def _parse_dual_value(obj) -> Dual:
-    if isinstance(obj, str):
-        try:
+    try:
+        if isinstance(obj, str):
             return parse_dual(obj)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-    if isinstance(obj, (int, float)):
-        return Dual(float(obj))
-    if isinstance(obj, dict) and set(obj) <= {"re", "du"}:
-        return Dual(float(obj.get("re", 0.0)), float(obj.get("du", 0.0)))
+        if isinstance(obj, (int, float)):
+            return Dual(float(obj))
+        if isinstance(obj, dict) and set(obj) <= {"re", "du"}:
+            return Dual(float(obj.get("re", 0.0)), float(obj.get("du", 0.0)))
+    except (ValueError, TypeError) as exc:
+        raise _InputError(f"cannot interpret {obj!r} as a dual number: {exc}") from exc
     raise _InputError(f"cannot interpret {obj!r} as a dual number")
 
 
@@ -359,19 +359,24 @@ def _cmd_fit(args, tol: float) -> int:
 
 
 def _fit_from_doc(doc, tol: float):
-    if not isinstance(doc, dict) or "samples" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise _InputError("fit expects {'samples': [{'point': [...], 'value': [...]}]}")
     samples = []
     for entry in doc["samples"]:
         if not isinstance(entry, dict) or "point" not in entry or "value" not in entry:
             raise _InputError("each sample needs point and value fields")
-        samples.append((entry["point"], entry["value"]))
-    fitted = delassus_fit(samples, tol=tol)
-    residual = max(
-        float(np.linalg.norm(fitted.field(np.asarray(p, dtype=float)) - np.asarray(v, dtype=float)))
-        for p, v in samples
-    )
-    return fitted, residual
+        samples.append((_parse_vec3(entry["point"]), _parse_vec3(entry["value"])))
+    return _fit_with_residual(samples, tol)
+
+
+def _parse_vec3(obj) -> np.ndarray:
+    try:
+        v = np.asarray(obj, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise _InputError(f"sample point or value is not 3 finite numbers: {obj!r}") from exc
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise _InputError(f"sample point or value is not 3 finite numbers: {obj!r}")
+    return v
 
 
 # -- driver ------------------------------------------------------------------

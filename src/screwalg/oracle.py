@@ -96,9 +96,11 @@ def oracle_comoment(c1: ClassicalScrew, c2: ClassicalScrew) -> float:
         float(c1.resultant @ c2.field(p) + c1.field(p) @ c2.resultant) for p in _PROBES
     ]
     spread = max(values) - min(values)
-    assert spread <= 1e-9 * max(1.0, max(abs(v) for v in values)), (
-        "comoment depends on the evaluation point; inputs are not screws"
-    )
+    if spread > 1e-9 * max(1.0, max(abs(v) for v in values)):
+        raise NotEquiprojective(
+            f"comoment depends on the evaluation point (spread {spread:g}); "
+            "inputs are not screws"
+        )
     return values[0]
 
 
@@ -110,9 +112,10 @@ def oracle_commutator(c1: ClassicalScrew, c2: ClassicalScrew) -> ClassicalScrew:
     ]
     result = ClassicalScrew(np.cross(c1.resultant, c2.resultant), values[0])
     for p, v in zip(_PROBES, values):
-        assert np.allclose(result.field(p), v, atol=1e-9), (
-            "commutator values do not transport as a screw field"
-        )
+        if not np.allclose(result.field(p), v, atol=1e-9):
+            raise NotEquiprojective(
+                "commutator values do not transport as a screw field; inputs are not screws"
+            )
     return result
 
 
@@ -150,7 +153,9 @@ def line_distance_angle(
     b = float(e1 @ e2)
     d0 = float(e1 @ -w)
     e0 = float(e2 @ -w)
-    denom = 1.0 - b * b
+    # Equal to 1 - b**2 for unit directions, without its cancellation when the
+    # lines are nearly parallel.
+    denom = n_len * n_len
     t1 = (b * e0 - d0) / denom
     t2 = (e0 - b * d0) / denom
     closest = (p1 + t1 * e1, p2 + t2 * e2)
@@ -162,12 +167,20 @@ def delassus_fit(
 ) -> ClassicalScrew:
     """Recover the screw behind sampled field values, or prove there is none.
 
-    Solves the constitutive equation value_j - value_i = s x (P_j - P_i) in
-    least squares over every sample pair, then averages the origin value.
+    Solves the constitutive equation value_i - mean(value) = s x (P_i - mean(P))
+    in least squares over the samples, then averages the origin value. Its
+    normal equations are n times those of the pairwise system
+    value_j - value_i = s x (P_j - P_i) over every sample pair, so the
+    resultant s is the same, from 3n rows instead of 3n(n-1)/2.
     The maximum per-sample residual is compared against ``tol`` scaled by
     the field magnitude; a genuine screw sampled without noise passes at
     machine precision, anything non-equiprojective fails loudly.
     """
+    return _fit_with_residual(samples, tol)[0]
+
+
+def _fit_with_residual(samples: Sequence[tuple], tol: float) -> "tuple[ClassicalScrew, float]":
+    """``delassus_fit`` together with its maximum per-sample residual."""
     if len(samples) < 3:
         raise DegenerateSamples(f"need at least 3 samples, got {len(samples)}")
     points = np.array([np.asarray(p, dtype=float) for p, _ in samples])
@@ -177,34 +190,25 @@ def delassus_fit(
     if svals[1] <= tol * max(1.0, svals[0]):
         raise DegenerateSamples("sample points are collinear")
 
-    rows = []
-    rhs = []
-    n = len(samples)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = points[j] - points[i]
-            rows.append(-_cross_matrix(d))
-            rhs.append(values[j] - values[i])
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
+    # -[d]x s = s x d, one 3x3 block per sample.
+    a = -_cross_matrix(centered).reshape(-1, 3)
+    b = (values - values.mean(axis=0)).reshape(-1)
     s, *_ = np.linalg.lstsq(a, b, rcond=None)
-    value_at_origin = (values - np.cross(s, points)).mean(axis=0)
-    fitted = ClassicalScrew(s, value_at_origin)
-    residual = max(
-        float(np.linalg.norm(fitted.field(p) - v)) for p, v in zip(points, values)
+    transported = np.cross(s, points)
+    value_at_origin = (values - transported).mean(axis=0)
+    residual = float(
+        np.linalg.norm(value_at_origin + transported - values, axis=1).max()
     )
     scale = max(1.0, float(np.abs(values).max()))
     if residual > tol * scale:
         raise NotEquiprojective(
             f"max fit residual {residual:g} exceeds {tol * scale:g}; field is not a screw"
         )
-    return fitted
+    return ClassicalScrew(s, value_at_origin), residual
 
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    """Column-action skew matrix: _cross_matrix(v) @ x == v x x."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """Column-action skew matrices, one per row: _cross_matrix(v)[i] @ x == v[i] x x."""
+    x, y, z = v.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3)

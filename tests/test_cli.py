@@ -53,6 +53,20 @@ class TestLineAngle:
         assert code == 3
         assert "oracle distance = 2" in err
 
+    def test_nearly_parallel_lines_refused_without_traceback(self, capsys):
+        # 2e-9 rad apart: past the oracle's parallel guard, and a crash there before.
+        a = 2e-9
+        other = {"point": [0.1, 0.4, -0.3], "direction": [math.cos(a), math.sin(a), 0.0]}
+        code, out, err = run(
+            capsys,
+            "line-angle",
+            "--json", json.dumps({"point": [0.3, -0.2, 0.5], "direction": [1, 0, 0]}),
+            "--json", json.dumps(other),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_check_mode_agrees_with_oracle(self, capsys):
         code, out, _ = run(
             capsys,
@@ -205,6 +219,13 @@ class TestCompose:
         code, _, _ = run(capsys, "compose", "--json", json.dumps([{"angle": 1.0}]))
         assert code == 2
 
+    def test_non_numeric_angle_exits_2(self, capsys):
+        joint = {"axis": X_AXIS, "angle": {"re": "abc"}}
+        code, _, err = run(capsys, "compose", "--json", json.dumps([joint]))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_non_frame_matrix_exits_3(self, capsys):
         bad = {"matrix": {"re": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}}
         code, _, _ = run(capsys, "compose", "--json", json.dumps([bad]))
@@ -316,6 +337,21 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--json", json.dumps({"samples": samples}))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"samples": 5},
+            {"samples": [{"point": [0, 0], "value": [0, 0, 0]}] * 3},
+            {"samples": [{"point": [0, 0, 0], "value": ["a", 0, 0]}] * 3},
+        ],
+        ids=["samples-not-a-list", "point-of-length-2", "value-not-a-number"],
+    )
+    def test_malformed_samples_exit_2(self, capsys, doc):
+        code, _, err = run(capsys, "fit", "--json", json.dumps(doc))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_collinear_points_exit_3(self, capsys):
         samples = [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_dual_close
@@ -12,6 +12,14 @@ from screwalg import Dual, acos_principal, cos, exp, extend, format_dual, parse_
 from screwalg.errors import BoundaryDualPart, DomainError, NotInvertible, OutOfRange
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k: the relative error bound after k roundings."""
+    u = EPS / 2
+    return k * u / (1 - k * u)
+
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 duals = st.builds(Dual, finite, finite)
@@ -60,20 +68,39 @@ class TestArithmetic:
 
     @settings(max_examples=200, deadline=None)
     @given(duals, duals, duals)
+    @example(
+        Dual(431.140625, 174.0),
+        Dual(410.15564083813024, 420.15564083813024),
+        Dual(-623.953125, -639.5),
+    )
     def test_ring_axioms_within_four_ulps(self, x, y, z):
-        # Error bound: a handful of ulps at the scale of the largest term.
-        scale = (
-            (1 + max(abs(x.re), abs(x.du)))
-            * (1 + max(abs(y.re), abs(y.du)))
-            * (1 + max(abs(z.re), abs(z.du)))
-        )
-        bound = 4 * EPS * scale
+        # Float error analysis, with x = a + b eps, y = c + d eps, z = e + f eps,
+        # unit roundoff u = EPS / 2 and gamma(k) = k u / (1 - k u). A monomial
+        # that passes through k roundings (products and sums) carries a relative
+        # error of at most gamma(k), and the error of a sum of monomials is
+        # bounded by gamma(k) times the sum of their absolute values.
+        # - (x y) z and x (y z) have the dual part acf + ade + bce. On either
+        #   side each monomial passes through at most 4 roundings (two products,
+        #   two sums), so each side is within gamma(4) (|acf| + |ade| + |bce|)
+        #   of it; the real part ace passes through 2. The difference of the two
+        #   sides is rounded once more: (1 + u) 2 gamma(4) <= 2 gamma(5).
+        # - x (y + z) and x y + x z have the dual part a(d + f) + b(c + e), whose
+        #   monomials pass through at most 3 roundings per side, summed over
+        #   |a|(|d| + |f|) + |b|(|c| + |e|); the real part through 2. With the
+        #   final subtraction, 2 gamma(4).
+        # Underflow adds an absolute error below 2**-1075 per product, scaled by
+        # at most one later factor of at most 1e3; TINY covers all of them.
+        a, b, c, d, e, f = x.re, x.du, y.re, y.du, z.re, z.du
         assoc = (x * y) * z - x * (y * z)
-        assert max(abs(assoc.re), abs(assoc.du)) <= bound
+        assert abs(assoc.re) <= 2 * _gamma(5) * abs(a * c * e) + TINY
+        assoc_terms = abs(a * c * f) + abs(a * d * e) + abs(b * c * e)
+        assert abs(assoc.du) <= 2 * _gamma(5) * assoc_terms + TINY
         comm = x * y - y * x
         assert comm == Dual(0, 0)
         distrib = x * (y + z) - (x * y + x * z)
-        assert max(abs(distrib.re), abs(distrib.du)) <= bound
+        assert abs(distrib.re) <= 2 * _gamma(4) * abs(a) * (abs(c) + abs(e)) + TINY
+        distrib_terms = abs(a) * (abs(d) + abs(f)) + abs(b) * (abs(c) + abs(e))
+        assert abs(distrib.du) <= 2 * _gamma(4) * distrib_terms + TINY
 
     @settings(max_examples=200, deadline=None)
     @given(duals)

@@ -65,6 +65,20 @@ class TestPairings:
         c = ClassicalScrew.from_line([3, -1, 2], X)
         assert abs(oracle_comoment(c, c)) <= 1e-12
 
+    def test_non_screw_field_raises(self):
+        # A real error, not an assert, so the check also holds under python -O.
+        class GrowingField(ClassicalScrew):
+            def field(self, point):
+                p = np.asarray(point, dtype=float)
+                return super().field(p) + (p @ p) * X
+
+        bad = GrowingField(Z, [1.0, 0.0, 0.0])
+        good = ClassicalScrew.from_line([0, 0, 0], (X + Y) / math.sqrt(2))
+        with pytest.raises(NotEquiprojective):
+            oracle_comoment(bad, good)
+        with pytest.raises(NotEquiprojective):
+            oracle_commutator(bad, good)
+
 
 class TestLineDistanceAngle:
     def test_perpendicular_offset(self):
@@ -85,6 +99,20 @@ class TestLineDistanceAngle:
         rel = line_distance_angle([0, 0, 0], X, [0, 1, 0], X)
         assert abs(rel.distance - 1.0) <= 1e-15
         assert rel.angle == 0.0
+
+    @pytest.mark.parametrize("angle", [2e-9, 4e-9, 6e-9, 8e-9])
+    def test_nearly_parallel_lines(self, angle):
+        # sin(angle) passes the parallel guard while 1 - cos(angle)**2 rounds to 0.
+        p1, p2 = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.3])
+        e2 = np.array([math.cos(angle), math.sin(angle), 0.0])
+        rel = line_distance_angle(p1, X, p2, e2)
+        assert abs(rel.distance - 0.8) <= 1e-15
+        a, b = rel.closest_points
+        # Both closest points project onto the crossing of the lines' shadows
+        # on the z = const planes.
+        x_cross = 0.1 - 0.6 * math.cos(angle) / math.sin(angle)
+        assert_vec_close(a, [x_cross, -0.2, 0.5], tol=1e-6, scale=abs(x_cross))
+        assert_vec_close(b, [x_cross, -0.2, -0.3], tol=1e-6, scale=abs(x_cross))
 
     def test_agrees_with_dual_angle(self):
         rng = np.random.default_rng(0)
@@ -173,6 +201,45 @@ class TestDelassusFit:
         points = [t * X for t in (0.0, 1.0, 2.0, 3.0)]
         with pytest.raises(DegenerateSamples):
             delassus_fit(self._samples(truth, points))
+
+    def test_matches_pairwise_least_squares(self):
+        # Noisy samples that no screw fits exactly, under a tolerance loose
+        # enough to accept them: the resultant is a true least-squares
+        # solution, which must equal the one over every sample pair.
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(4, 40))
+            points = rng.uniform(-2.0, 2.0, size=(n, 3))
+            truth = ClassicalScrew(2.0 * rand_vec(rng), rand_vec(rng))
+            values = truth.value_at_origin + np.cross(truth.resultant, points)
+            values += 0.05 * rng.normal(size=(n, 3))
+            rows, rhs = [], []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    # Columns e_k x d, so that block @ s == s x d.
+                    rows.append(np.cross(np.eye(3), points[j] - points[i]).T)
+                    rhs.append(values[j] - values[i])
+            pairwise, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+            fitted = delassus_fit(list(zip(points, values)), tol=0.2)
+            assert np.linalg.norm(pairwise - truth.resultant) > 1e-4
+            assert_vec_close(fitted.resultant, pairwise, tol=1e-12, scale=np.linalg.norm(pairwise))
+            origin = (values - np.cross(pairwise, points)).mean(axis=0)
+            assert_vec_close(fitted.value_at_origin, origin, tol=1e-12, scale=10.0)
+
+    def test_solves_three_rows_per_sample(self, monkeypatch):
+        rows = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        truth = ClassicalScrew(Z, [1.0, 2.0, 3.0])
+        rng = np.random.default_rng(5)
+        points = [rand_vec(rng) for _ in range(48)]
+        delassus_fit(self._samples(truth, points))
+        assert rows == [3 * 48]
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(DegenerateSamples):
