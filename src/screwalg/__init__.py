@@ -23,7 +23,6 @@ from .geometry import (
     line_from_point_direction,
     motor_reduce,
     motor_unreduce,
-    point_from_frame,
 )
 from .linalg import (
     DualMat3,
@@ -51,7 +50,6 @@ from .oracle import (
     line_distance_angle,
     oracle_comoment,
     oracle_commutator,
-    oracle_field,
 )
 from .theorems import (
     EquilibriumReport,

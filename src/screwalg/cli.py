@@ -9,6 +9,7 @@ overridable by the SCREWALG_TOL environment variable and then by ``--tol``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
-from .linalg import DualMat3, DualVec3, exp_so3d, frame_translation, is_frame
+from .linalg import DualMat3, DualVec3, _parallel, _vec, exp_so3d, frame_translation, is_frame
 from .oracle import _fit_with_residual, line_distance_angle
 from .theorems import equilibrium_laws, petersen_morley, thales_check
 
@@ -155,7 +156,7 @@ def _cmd_line_angle(args, tol: float) -> int:
     l2 = _parse_line(docs[1], tol)
     e1, e2 = l1.direction, l2.direction
     rel = line_distance_angle(l1.point, e1, l2.point, e2, tol=tol)
-    if float(np.linalg.norm(np.cross(e1, e2))) <= tol:
+    if _parallel(e1, e2, tol):
         if rel.distance > tol:
             print(
                 "parallel lines: the dual angle cannot represent their distance; "
@@ -269,15 +270,14 @@ def _cmd_compose(args, tol: float) -> int:
 
 
 def _cmd_verify(args, tol: float) -> int:
-    docs = _load_documents(args, 1)
-    doc = docs[0]
+    doc = _load_documents(args, 1)[0]
     if not isinstance(doc, dict):
         raise _InputError("verify expects a JSON object")
     theorem = args.theorem
 
     if theorem in ("cosines", "sines", "anglesum"):
-        x_doc, y_doc = _require(doc, "x", "y")
-        report = equilibrium_laws(_parse_screw(x_doc), _parse_screw(y_doc), tol=tol)
+        x, y = (_parse_screw(d) for d in _require(doc, "x", "y"))
+        report = equilibrium_laws(x, y, tol=tol)
         family = {
             "cosines": report.cosine_residuals,
             "sines": report.sine_ratio_residuals,
@@ -285,57 +285,29 @@ def _cmd_verify(args, tol: float) -> int:
         }[theorem]
         bound = tol * max(1.0, report.scale)
         passed = all(max(abs(r.re), abs(r.du)) <= bound for r in family)
-        out = report.to_dict()
-        out["theorem"] = theorem
-        out["passed"] = passed
-        print(_json_text(out))
-        return EXIT_OK if passed else EXIT_RESIDUAL
-
-    if theorem == "petersen-morley":
-        x_doc, y_doc, z_doc = _require(doc, "x", "y", "z")
-        report = petersen_morley(
-            _parse_screw(x_doc), _parse_screw(y_doc), _parse_screw(z_doc), tol=tol
-        )
+        out = {**report.to_dict(), "theorem": theorem}
+    elif theorem == "petersen-morley":
+        report = petersen_morley(*(_parse_screw(d) for d in _require(doc, "x", "y", "z")), tol=tol)
         passed = report.ok(tol)
-        out = report.to_dict()
-        out["theorem"] = theorem
-        out["passed"] = passed
-        print(_json_text(out))
-        return EXIT_OK if passed else EXIT_RESIDUAL
-
-    if theorem == "thales":
-        x_doc, y_doc, z_doc, r_doc = _require(doc, "x", "y", "z", "r")
+        out = {**report.to_dict(), "theorem": theorem}
+    elif theorem == "thales":
+        *screws, r_doc = _require(doc, "x", "y", "z", "r")
         radius = _parse_dual_value(r_doc)
-        residual = thales_check(
-            _parse_screw(x_doc),
-            _parse_screw(y_doc),
-            _parse_screw(z_doc),
-            radius,
-            tol=tol,
-        )
-        bound = tol * max(1.0, radius.re * radius.re)
-        passed = max(abs(residual.re), abs(residual.du)) <= bound
-        print(
-            _json_text({"theorem": theorem, "residual": residual, "passed": passed})
-        )
-        return EXIT_OK if passed else EXIT_RESIDUAL
-
-    if theorem == "delassus":
+        residual = thales_check(*(_parse_screw(d) for d in screws), radius, tol=tol)
+        passed = max(abs(residual.re), abs(residual.du)) <= tol * max(1.0, radius.re * radius.re)
+        out = {"theorem": theorem, "residual": residual}
+    else:  # delassus
         fitted, residual = _fit_from_doc(doc, tol)
-        print(
-            _json_text(
-                {
-                    "theorem": theorem,
-                    "resultant": fitted.resultant,
-                    "value_at_origin": fitted.value_at_origin,
-                    "max_residual": residual,
-                    "passed": True,
-                }
-            )
-        )
-        return EXIT_OK
-
-    raise _InputError(f"unknown theorem {theorem!r}")
+        passed = True
+        out = {
+            "theorem": theorem,
+            "resultant": fitted.resultant,
+            "value_at_origin": fitted.value_at_origin,
+            "max_residual": residual,
+        }
+    out["passed"] = passed
+    print(_json_text(out))
+    return EXIT_OK if passed else EXIT_RESIDUAL
 
 
 def _cmd_fit(args, tol: float) -> int:
@@ -371,12 +343,9 @@ def _fit_from_doc(doc, tol: float):
 
 def _parse_vec3(obj) -> np.ndarray:
     try:
-        v = np.asarray(obj, dtype=float)
+        return _vec(obj)
     except (ValueError, TypeError) as exc:
         raise _InputError(f"sample point or value is not 3 finite numbers: {obj!r}") from exc
-    if v.shape != (3,) or not np.isfinite(v).all():
-        raise _InputError(f"sample point or value is not 3 finite numbers: {obj!r}")
-    return v
 
 
 # -- driver ------------------------------------------------------------------
@@ -391,23 +360,17 @@ def _env_tol() -> float:
         raise _InputError(f"SCREWALG_TOL is not a number: {raw!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("files", nargs="*", help="input JSON files")
-    parser.add_argument(
-        "--json",
-        action="append",
-        metavar="STRING",
-        help="inline JSON document (repeatable; appended after files)",
-    )
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
+_COMMANDS = (
+    ("line-angle", "dual angle (angle + distance) of two lines", _cmd_line_angle),
+    ("common-normal", "common normal line of two screw axes", _cmd_common_normal),
+    ("screw-axis", "axis, magnitude and pitch of a screw", _cmd_screw_axis),
+    ("compose", "compose a chain of joint transforms", _cmd_compose),
+    ("verify", "verify a theorem on user data", _cmd_verify),
+    ("fit", "fit a screw to sampled field values", _cmd_fit),
+)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="screwalg",
@@ -415,45 +378,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "over the dual numbers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("line-angle", help="dual angle (angle + distance) of two lines")
-    _add_common(p)
-    p.add_argument("--check", action="store_true", help="cross-check against the classical oracle")
-    p.set_defaults(func=_cmd_line_angle)
-
-    p = sub.add_parser("common-normal", help="common normal line of two screw axes")
-    _add_common(p)
-    p.set_defaults(func=_cmd_common_normal)
-
-    p = sub.add_parser("screw-axis", help="axis, magnitude and pitch of a screw")
-    _add_common(p)
-    p.set_defaults(func=_cmd_screw_axis)
-
-    p = sub.add_parser("compose", help="compose a chain of joint transforms")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("verify", help="verify a theorem on user data")
-    p.add_argument("theorem", choices=_THEOREMS)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("fit", help="fit a screw to sampled field values")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fit)
-
+    for name, help_text, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if func is _cmd_verify:
+            p.add_argument("theorem", choices=_THEOREMS)
+        p.add_argument("files", nargs="*", help="input JSON files")
+        p.add_argument(
+            "--json",
+            action="append",
+            metavar="STRING",
+            help="inline JSON document (repeatable; appended after files)",
+        )
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default="text",
+            help="output format (default text)",
+        )
+        if func is _cmd_line_angle:
+            p.add_argument(
+                "--check", action="store_true", help="cross-check against the classical oracle"
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         tol = args.tol if args.tol is not None else _env_tol()
-        return args.func(args, tol)
+        # Overflow surfaces as NotFinite from the values it spoils, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, tol)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -13,7 +13,7 @@ import re as _regex
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import BoundaryDualPart, DomainError, NotInvertible, OutOfRange
+from .errors import BoundaryDualPart, DomainError, NotFinite, NotInvertible, OutOfRange
 
 DEFAULT_TOL = 1e-9
 
@@ -36,7 +36,7 @@ class Dual:
         object.__setattr__(self, "re", float(self.re))
         object.__setattr__(self, "du", float(self.du))
         if not (math.isfinite(self.re) and math.isfinite(self.du)):
-            raise ValueError(f"dual components must be finite, got {self.re}, {self.du}")
+            raise NotFinite(f"dual components must be finite, got {self.re}, {self.du}")
 
     # -- ring structure ------------------------------------------------------
 

@@ -14,6 +14,10 @@ class ScrewAlgError(ValueError):
 
 # -- dual scalars ------------------------------------------------------------
 
+class NotFinite(ScrewAlgError):
+    """A component is infinite or NaN, as when a magnitude overflows."""
+
+
 class NotInvertible(ScrewAlgError):
     """Dual number with zero real part has no inverse."""
 

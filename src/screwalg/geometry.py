@@ -14,25 +14,7 @@ import numpy as np
 
 from .dual import DEFAULT_TOL, Dual, acos_principal
 from .errors import NotALine, NotUnit, NullVector, ParallelResultants
-from .linalg import (
-    DualMat3,
-    DualVec3,
-    _cross3,
-    axial_matrix,
-    cross,
-    dot,
-    frame_translation,
-    norm,
-)
-
-
-def _point(p) -> np.ndarray:
-    a = np.asarray(p, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a point as a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("point coordinates must be finite")
-    return a
+from .linalg import DualMat3, DualVec3, _cross3, _parallel, _vec, axial_matrix, cross, dot, norm
 
 
 class Line:
@@ -40,7 +22,8 @@ class Line:
 
     Construction canonicalizes the motor: the resultant is renormalized to
     unit length and the residual pitch component of the moment (which must be
-    below ``tol``) is projected away, so equal lines compare stably.
+    below ``tol`` times the moment's length, at least 1) is projected away, so
+    equal lines compare stably.
     """
 
     __slots__ = ("screw",)
@@ -53,8 +36,10 @@ class Line:
         e = e / length
         m = screw.du / length
         pitch_component = float(m @ e)
-        if abs(pitch_component) > tol:
-            raise NotALine(f"pitch {pitch_component} exceeds tolerance {tol}")
+        # The bound is tol * max(1, |m|); |m| is needed only past tol.
+        pitch = abs(pitch_component)
+        if pitch > tol and pitch > tol * float(np.linalg.norm(m)):
+            raise NotALine(f"pitch {pitch_component} exceeds {tol} times max(1, |moment|)")
         object.__setattr__(self, "screw", DualVec3(e, m - pitch_component * e))
 
     def __setattr__(self, name, value):
@@ -79,7 +64,7 @@ class Line:
 
 def line_from_point_direction(point, direction, tol: float = DEFAULT_TOL) -> Line:
     """The oriented line through ``point`` with unit direction ``direction``."""
-    p = _point(point)
+    p = _vec(point)
     e = np.asarray(direction, dtype=float)
     if abs(float(np.linalg.norm(e)) - 1.0) > tol:
         raise NotUnit(f"direction {e.tolist()} is not unit length within {tol}")
@@ -88,7 +73,7 @@ def line_from_point_direction(point, direction, tol: float = DEFAULT_TOL) -> Lin
 
 def field_at(z: DualVec3, point) -> np.ndarray:
     """Value at ``point`` of the screw field induced by z."""
-    p = _point(point)
+    p = _vec(point)
     return z.du + _cross3(z.re, p)
 
 
@@ -150,11 +135,9 @@ def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
     It is the axis of x cross y, oriented along the cross product of the
     resultants; both full dual products dot(u, x) and dot(u, y) vanish on it.
     """
-    s1, s2 = x.re, y.re
-    scale = float(np.linalg.norm(s1) * np.linalg.norm(s2))
-    if scale == 0.0:
+    if x.is_pure_dual or y.is_pure_dual:
         raise NullVector("common normal requires proper screws")
-    if float(np.linalg.norm(_cross3(s1, s2))) <= tol * scale:
+    if _parallel(x.re, y.re, tol):
         raise ParallelResultants("resultants are parallel; no unique common normal")
     # The axis of the cross product, built from point + direction, is the
     # same line as normalized(cross(x, y)) but has exactly zero pitch.
@@ -176,18 +159,13 @@ def motor_reduce(z: DualVec3, point) -> tuple[np.ndarray, np.ndarray]:
 
 def motor_unreduce(point, resultant, value) -> DualVec3:
     """Rebuild the dual vector from a motor reduced at ``point``."""
-    p = _point(point)
+    p = _vec(point)
     s = np.asarray(resultant, dtype=float)
     v = np.asarray(value, dtype=float)
     return DualVec3(s, v - _cross3(s, p))
 
 
-def point_from_frame(u: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The point a frame is anchored at; see frame_translation for coordinates."""
-    return frame_translation(u, tol=tol)
-
-
 def frame_from_point(point) -> DualMat3:
     """The translation-only frame at ``point``: rows are its three axis lines."""
-    p = _point(point)
+    p = _vec(point)
     return DualMat3(np.eye(3), axial_matrix(p))

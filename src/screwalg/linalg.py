@@ -15,11 +15,12 @@ import math
 
 import numpy as np
 
-from .dual import DEFAULT_TOL, Dual
+from .dual import DEFAULT_TOL, Dual, sqrt
 from .errors import (
     DegenerateBasis,
     NotAFrame,
     NotAntisymmetric,
+    NotFinite,
     NotPureDual,
     NullVector,
     ProjectionMismatch,
@@ -33,7 +34,7 @@ def _vec(x) -> np.ndarray:
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("vector components must be finite")
+        raise NotFinite("vector components must be finite")
     return a
 
 
@@ -42,7 +43,7 @@ def _mat(x) -> np.ndarray:
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite("matrix entries must be finite")
     return a
 
 
@@ -56,6 +57,15 @@ def axial_matrix(v) -> np.ndarray:
     ])
 
 
+def _axial_vector(a: np.ndarray) -> np.ndarray:
+    """Inverse of axial_matrix on the antisymmetric part: v_k = (1/2) eps_kij a_ij."""
+    return 0.5 * np.array([
+        a[1, 2] - a[2, 1],
+        a[2, 0] - a[0, 2],
+        a[0, 1] - a[1, 0],
+    ])
+
+
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # np.cross pays ~20x overhead on single 3-vectors; this is the hot path.
     return np.array([
@@ -63,6 +73,12 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     ])
+
+
+def _parallel(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """Whether real 3-vectors are parallel: |u x v| <= tol |u| |v|."""
+    c = _cross3(u, v)
+    return math.sqrt(c @ c) <= tol * math.sqrt(u @ u) * math.sqrt(v @ v)
 
 
 class DualVec3:
@@ -192,14 +208,8 @@ def gram_schmidt(
             raise DegenerateBasis(
                 f"pivot {cc.re} below tolerance {threshold}; inputs are not a basis"
             )
-        out.append(c * sqrt_inv(cc))
+        out.append(c * sqrt(cc).inv())
     return out[0], out[1], out[2]
-
-
-def sqrt_inv(x: Dual) -> Dual:
-    """1 / sqrt(x) for x with positive real part."""
-    root = math.sqrt(x.re)
-    return Dual(1.0 / root, -x.du / (2.0 * x.re * root))
 
 
 class DualMat3:
@@ -273,9 +283,8 @@ def hat(b: DualVec3) -> DualMat3:
 def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
     """Invert hat: the unique b with ``b cross == m``.
 
-    Antisymmetric operators are exactly those of the form ``b cross``; the
-    extraction b = (1/2) sum_i e_i cross m(e_i) works in any orthonormal
-    basis, here the canonical one where m(e_i) is row i.
+    Antisymmetric operators are exactly those of the form ``b cross``, and
+    hat(b) holds b in the entries of axial_matrix on both parts.
     """
     scale = max(1.0, float(np.abs(m.re).max()), float(np.abs(m.du).max()))
     if (
@@ -283,9 +292,7 @@ def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
         or float(np.abs(m.du + m.du.T).max()) > tol * scale
     ):
         raise NotAntisymmetric("matrix is not antisymmetric within tolerance")
-    e1, e2, e3 = basis()
-    total = cross(e1, m.row(0)) + cross(e2, m.row(1)) + cross(e3, m.row(2))
-    return 0.5 * total
+    return DualVec3._raw(_axial_vector(m.re), _axial_vector(m.du))
 
 
 def _sin_over(t: float) -> float:
@@ -337,11 +344,16 @@ def exp_so3d(b: DualVec3) -> DualMat3:
 
 
 def is_frame(u: DualMat3, tol: float = DEFAULT_TOL) -> bool:
-    """Orthogonal over the duals with positively oriented real part."""
+    """Orthogonal over the duals with positively oriented real part.
+
+    The dual Gram block is compared against ``tol`` times the largest dual
+    entry (at least 1), since it grows with the frame's translation.
+    """
     gram = u @ u.T
     if float(np.abs(gram.re - np.eye(3)).max()) > tol:
         return False
-    if float(np.abs(gram.du).max()) > tol:
+    du_error = float(np.abs(gram.du).max())
+    if du_error > tol and du_error > tol * float(np.abs(u.du).max()):
         return False
     return float(np.linalg.det(u.re)) > 0.0
 
@@ -361,12 +373,7 @@ def frame_translation(u: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
     frame_translation(U) + re(U) @ frame_translation(V).
     """
     _require_frame(u, tol)
-    s = u.du @ u.re.T
-    return 0.5 * np.array([
-        s[1, 2] - s[2, 1],
-        s[2, 0] - s[0, 2],
-        s[0, 1] - s[1, 0],
-    ])
+    return _axial_vector(u.du @ u.re.T)
 
 
 def displacement(

@@ -9,13 +9,14 @@ share code paths. Only the motor converters at the boundary touch DualVec3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dual import DEFAULT_TOL, Dual
-from .errors import DegenerateSamples, NotEquiprojective
+from .errors import DegenerateSamples, NotEquiprojective, NotFinite
 from .linalg import DualVec3
 
 # Fixed, non-collinear probe points used to assert reduction-point
@@ -84,10 +85,6 @@ class ClassicalScrew:
         return (
             f"ClassicalScrew({self.resultant.tolist()}, {self.value_at_origin.tolist()})"
         )
-
-
-def oracle_field(c: ClassicalScrew, point) -> np.ndarray:
-    return c.field(point)
 
 
 def oracle_comoment(c1: ClassicalScrew, c2: ClassicalScrew) -> float:
@@ -174,7 +171,8 @@ def delassus_fit(
     resultant s is the same, from 3n rows instead of 3n(n-1)/2.
     The maximum per-sample residual is compared against ``tol`` scaled by
     the field magnitude; a genuine screw sampled without noise passes at
-    machine precision, anything non-equiprojective fails loudly.
+    machine precision, anything non-equiprojective fails loudly. Samples so
+    large that the fit overflows raise NotFinite.
     """
     return _fit_with_residual(samples, tol)[0]
 
@@ -194,11 +192,14 @@ def _fit_with_residual(samples: Sequence[tuple], tol: float) -> "tuple[Classical
     a = -_cross_matrix(centered).reshape(-1, 3)
     b = (values - values.mean(axis=0)).reshape(-1)
     s, *_ = np.linalg.lstsq(a, b, rcond=None)
-    transported = np.cross(s, points)
-    value_at_origin = (values - transported).mean(axis=0)
-    residual = float(
-        np.linalg.norm(value_at_origin + transported - values, axis=1).max()
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        transported = np.cross(s, points)
+        value_at_origin = (values - transported).mean(axis=0)
+        residual = float(
+            np.linalg.norm(value_at_origin + transported - values, axis=1).max()
+        )
+    if not math.isfinite(residual):
+        raise NotFinite("the fit overflows double precision; sample magnitudes are out of range")
     scale = max(1.0, float(np.abs(values).max()))
     if residual > tol * scale:
         raise NotEquiprojective(

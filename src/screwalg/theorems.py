@@ -27,8 +27,7 @@ from .errors import (
     NullVector,
 )
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
-from .linalg import DualVec3, _cross3, cross, dot, magnitude, mixed, norm, normalized
-from .oracle import line_distance_angle
+from .linalg import DualVec3, _cross3, _parallel, cross, dot, magnitude, mixed, norm, normalized
 
 
 def _require_proper(zs) -> None:
@@ -100,12 +99,9 @@ def classify_triple(
     _require_proper(zs)
     res = [z.re for z in zs]
     rnorm = [float(np.linalg.norm(r)) for r in res]
-    pair_parallel = {
-        (i, j): float(np.linalg.norm(_cross3(res[i], res[j]))) <= tol * rnorm[i] * rnorm[j]
-        for i, j in ((0, 1), (1, 2), (2, 0))
-    }
+    pair_parallel = [_parallel(res[i], res[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))]
 
-    if all(pair_parallel.values()):
+    if all(pair_parallel):
         decs = [axis_decompose(z, tol=tol) for z in zs]
         e = res[0] / rnorm[0]
         off1 = decs[1].axis.point - decs[0].axis.point
@@ -120,7 +116,7 @@ def classify_triple(
     if abs(m.re) > tol * rnorm[0] * rnorm[1] * rnorm[2]:
         return TripleClassification(TripleTag.INDEPENDENT_BASIS)
 
-    none_parallel = not any(pair_parallel.values())
+    none_parallel = not any(pair_parallel)
 
     if none_parallel and _concurrent_sliding(zs, tol):
         return TripleClassification(TripleTag.CONCURRENT_COPLANAR)
@@ -141,24 +137,21 @@ def classify_triple(
 
 
 def _concurrent_sliding(zs, tol: float) -> bool:
-    """All three have zero pitch and their (pairwise non-parallel) axes meet."""
-    decs = []
+    """All three have zero pitch and their (pairwise non-parallel) axes meet.
+
+    Lines through one point form a pencil: the third unit line is the real
+    combination a*l0 + b*l1 of the first two, and its moment differs from
+    that combination's by the distance from the meeting point to its axis.
+    """
+    lines = []
     for z in zs:
         n = norm(z)
         if abs(n.du / n.re) > tol:
             return False
-        decs.append(axis_decompose(z, tol=tol))
-    rel = line_distance_angle(
-        decs[0].axis.point, decs[0].axis.direction,
-        decs[1].axis.point, decs[1].axis.direction,
-        tol=tol,
-    )
-    if rel.closest_points is None or rel.distance > tol:
-        return False
-    meet = 0.5 * (rel.closest_points[0] + rel.closest_points[1])
-    offset = meet - decs[2].axis.point
-    perp = offset - (offset @ decs[2].axis.direction) * decs[2].axis.direction
-    return float(np.linalg.norm(perp)) <= tol
+        lines.append(z * n.inv())
+    l0, l1, l2 = lines
+    (a, b), *_ = np.linalg.lstsq(np.column_stack([l0.re, l1.re]), l2.re, rcond=None)
+    return float(np.linalg.norm(l2.du - a * l0.du - b * l1.du)) <= tol
 
 
 @dataclass(frozen=True)
@@ -225,12 +218,8 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     z = -(x + y)
     if z.is_pure_dual:
         raise NullVector("x + y has zero resultant; the triple leaves the module basis")
-    triple = (x, y, z)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        ri, rj = triple[i].re, triple[j].re
-        if float(np.linalg.norm(_cross3(ri, rj))) <= tol * float(
-            np.linalg.norm(ri) * np.linalg.norm(rj)
-        ):
+    for u, v in ((x, y), (y, z), (z, x)):
+        if _parallel(u.re, v.re, tol):
             raise DegenerateTriangle("a pair of the triple has proportional resultants")
 
     nx, ny, nz = norm(x), norm(y), norm(z)
@@ -333,20 +322,13 @@ def petersen_morley(
     triple = (x, y, z)
     _require_proper(triple)
     mags = [magnitude(w) for w in triple]
-    rnorms = [float(np.linalg.norm(w.re)) for w in triple]
-
-    crosses = {
-        "x,y": cross(x, y),
-        "y,z": cross(y, z),
-        "z,x": cross(z, x),
-    }
-    for (i, j), key in (((0, 1), "x,y"), ((1, 2), "y,z"), ((2, 0), "z,x")):
-        if float(np.linalg.norm(crosses[key].re)) <= tol * rnorms[i] * rnorms[j]:
+    for (u, v), key in (((x, y), "x,y"), ((y, z), "y,z"), ((z, x), "z,x")):
+        if _parallel(u.re, v.re, tol):
             raise NonGeneric(f"resultants of {key} are parallel")
 
-    a = cross(x, crosses["y,z"])
-    b = cross(z, crosses["x,y"])
-    c = cross(y, crosses["z,x"])
+    a = cross(x, cross(y, z))
+    b = cross(z, cross(x, y))
+    c = cross(y, cross(z, x))
     scale = mags[0] * mags[1] * mags[2]
     for name, w in (("a", a), ("b", b), ("c", c)):
         if magnitude(w) <= tol * scale:
@@ -357,9 +339,7 @@ def petersen_morley(
     proper = [float(np.linalg.norm(w.re)) > tol * magnitude(w) for w in (a, b, c)]
     if all(proper):
         for u, v in ((a, b), (b, c), (c, a)):
-            if float(np.linalg.norm(_cross3(u.re, v.re))) <= tol * float(
-                np.linalg.norm(u.re) * np.linalg.norm(v.re)
-            ):
+            if _parallel(u.re, v.re, tol):
                 raise NonGeneric("derived screws have pairwise parallel resultants")
         normal = common_normal(a, b, tol=tol)
         residuals = tuple(dot(normal.screw, normalized(w)) for w in (a, b, c))

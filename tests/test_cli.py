@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import screwalg
 from screwalg.cli import main
 
 X_AXIS = {"point": [0, 0, 0], "direction": [1, 0, 0]}
@@ -380,3 +385,74 @@ class TestTolerancePlumbing:
         monkeypatch.setenv("SCREWALG_TOL", "soon")
         code, _, _ = run(capsys, "line-angle", "--json", json.dumps(X_AXIS), "--json", json.dumps(X_AXIS))
         assert code == 2
+
+
+class TestParserReuse:
+    def test_successive_calls_do_not_leak_state(self, capsys):
+        doc = json.dumps({"x": X_AXIS, "y": Y_AXIS_OFFSET})
+        lines = ("--json", json.dumps(X_AXIS), "--json", json.dumps(Y_AXIS_OFFSET))
+        code, _, _ = run(capsys, "verify", "cosines", "--tol", "1e-30", "--json", doc)
+        assert code == 1
+        code, _, _ = run(capsys, "verify", "cosines", "--json", doc)
+        assert code == 0
+        code, out, _ = run(capsys, "line-angle", "--check", "--format", "json", *lines)
+        assert code == 0
+        assert json.loads(out)["d"] == pytest.approx(1.0, abs=1e-15)
+        code, out, _ = run(capsys, "line-angle", *lines)
+        assert code == 0
+        assert out == "Theta = 1.5707963267948966 + 1ε\ntheta = 1.5707963267948966\nd = 1\n"
+        # One --json document: none left over from the calls before.
+        code, out, _ = run(capsys, "screw-axis", "--json", json.dumps({"re": [2, 0, 0], "du": [3, 2, 0]}))
+        assert code == 0
+        assert out.startswith("axis point = (0, 0, 1)\n")
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so that warnings reach stderr as a user sees them."""
+    src = str(Path(screwalg.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "screwalg.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestOverflow:
+    def test_screw_whose_modulus_overflows_exits_3(self):
+        motor = {"re": [1e200, 0, 0], "du": [0, 1e200, 0]}
+        code, out, err = run_process("screw-axis", "--json", json.dumps(motor))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
+
+    def test_fit_whose_residual_overflows_exits_3(self):
+        samples = [
+            {"point": [1e200, 0, 0], "value": [1e200, 0, 0]},
+            {"point": [0, 1e200, 0], "value": [0, 0, 1e200]},
+            {"point": [0, 0, 1e200], "value": [0, 1e200, 0]},
+        ]
+        code, out, err = run_process("fit", "--json", json.dumps({"samples": samples}))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["screw-axis", "--json", '{"re": [NaN, 0, 0], "du": [0, 0, 0]}'],
+            ["fit", "--json", '{"samples": [{"point": [NaN, 0, 0], "value": [0, 0, 0]}]}'],
+            ["compose", "--json", '[{"axis": {"point": [0, 0, 0], "direction": [1, 0, 0]},'
+                                  ' "angle": {"re": NaN}}]'],
+        ],
+        ids=["screw", "sample", "dual-value"],
+    )
+    def test_nan_in_a_document_still_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")

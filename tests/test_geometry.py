@@ -32,12 +32,12 @@ from screwalg import (
     dual_angle,
     field_at,
     frame_from_point,
+    frame_translation,
     line_from_point_direction,
     magnitude,
     motor_reduce,
     motor_unreduce,
     norm,
-    point_from_frame,
     sin,
 )
 from screwalg.errors import NotALine, NotUnit, NullVector, ParallelResultants
@@ -76,6 +76,14 @@ class TestLines:
     def test_canonicalization_removes_stray_pitch(self):
         l = Line(DualVec3(X, [1e-12, 1.0, 0.0]))
         assert abs(l.moment @ l.direction) == 0.0
+
+    def test_line_far_from_origin_is_a_line(self):
+        # The moment's rounding leaves a stray pitch that grows with |p|.
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            p, e = 1e8 * rand_unit(rng), rand_unit(rng)
+            l = line_from_point_direction(p, e)
+            assert_vec_close(l.point, p - (p @ e) * e, tol=1e-12, scale=1e8)
 
     def test_closest_point_to_origin(self):
         rng = np.random.default_rng(0)
@@ -332,19 +340,19 @@ class TestMotorReduction:
 
 class TestPointsAndFrames:
     def test_identity_frame_is_origin(self):
-        assert_vec_close(point_from_frame(DualMat3.identity()), [0, 0, 0])
+        assert_vec_close(frame_translation(DualMat3.identity()), [0, 0, 0])
 
     def test_translation_frame_round_trip(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
             p = rand_vec(rng)
-            assert_vec_close(point_from_frame(frame_from_point(p)), p, tol=1e-12, scale=4.0)
+            assert_vec_close(frame_translation(frame_from_point(p)), p, tol=1e-12, scale=4.0)
 
     def test_rotation_only_frame_fixes_origin(self):
         rng = np.random.default_rng(16)
         from helpers import rand_rotation_frame
 
-        assert_vec_close(point_from_frame(rand_rotation_frame(rng)), [0, 0, 0], tol=1e-12)
+        assert_vec_close(frame_translation(rand_rotation_frame(rng)), [0, 0, 0], tol=1e-12)
 
     def test_affine_axioms_on_point_frames(self):
         from screwalg import displacement

@@ -12,6 +12,7 @@ from helpers import (
     rand_dualvec,
     rand_frame,
     rand_rotation_frame,
+    rand_unit,
     rand_vec,
 )
 from screwalg import (
@@ -275,6 +276,15 @@ class TestFrames:
     def test_translation_of_lifted_point(self):
         s = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         assert_vec_close(frame_translation(DualMat3(np.eye(3), s)), [0, 0, 1])
+
+    def test_frames_far_from_origin_pass_the_frame_check(self):
+        # The dual Gram block grows with the translation; its rounding too.
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            u = frame_from_point(1e8 * rand_unit(rng)) @ exp_so3d(rand_dualvec(rng))
+            assert is_frame(u)
+            spoiled = DualMat3(u.re, u.du + 1e3 * np.eye(3))
+            assert not is_frame(spoiled)
 
     def test_translation_rejects_reflections(self):
         flipped = np.diag([1.0, 1.0, -1.0])

@@ -37,6 +37,7 @@ from screwalg.errors import (
     DegenerateTriangle,
     NonGeneric,
     NotAntipodal,
+    NotClassifiable,
     NotOnSphere,
     NullVector,
 )
@@ -158,6 +159,41 @@ class TestClassifyTriple:
         dirs = [X, Y, (X + Y) / math.sqrt(2)]
         zs = [line_from_point_direction(p, e).screw for e in dirs]
         assert classify_triple(*zs).tag is TripleTag.CONCURRENT_COPLANAR
+
+    @staticmethod
+    def _pencil(centre, moved=None, offset=(0.0, 0.0, 0.0)):
+        """Lines at 0, 60 and 120 degrees in a plane through ``centre``;
+        the line numbered ``moved`` is shifted by ``offset``."""
+        zs = []
+        for i, a in enumerate((0.0, math.pi / 3, 2 * math.pi / 3)):
+            p = np.asarray(centre, dtype=float) + (np.asarray(offset) if i == moved else 0.0)
+            zs.append(line_from_point_direction(p, [math.cos(a), math.sin(a), 0.0]).screw)
+        return zs
+
+    FAR_CENTRE = 1e3 * np.array([0.48, -0.6, 0.64])
+
+    def test_concurrent_triple_far_from_origin(self):
+        zs = self._pencil(self.FAR_CENTRE)
+        assert classify_triple(*zs).tag is TripleTag.CONCURRENT_COPLANAR
+
+    @pytest.mark.parametrize("centre", [np.zeros(3), FAR_CENTRE], ids=["origin", "far"])
+    @pytest.mark.parametrize(
+        "moved, offset",
+        [
+            # In the plane, normal to the third line: it misses the meeting point.
+            (2, 1e-8 * np.array([-math.sin(2 * math.pi / 3), math.cos(2 * math.pi / 3), 0.0])),
+            # Out of the plane: the first two lines are skew.
+            (1, 1e-8 * Z),
+        ],
+        ids=["third-axis-off-meeting-point", "first-two-skew"],
+    )
+    def test_near_miss_by_ten_tol_is_not_concurrent(self, centre, moved, offset):
+        zs = self._pencil(centre, moved, offset)
+        try:
+            tag = classify_triple(*zs, tol=1e-9).tag
+        except NotClassifiable:
+            return
+        assert tag is not TripleTag.CONCURRENT_COPLANAR
 
     def test_random_module_combinations(self):
         rng = np.random.default_rng(3)
