@@ -9,8 +9,10 @@ overridable by the SCREWALG_TOL environment variable and then by ``--tol``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,7 +22,9 @@ import numpy as np
 from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
-from .linalg import DualMat3, DualVec3, _parallel, _vec, exp_so3d, frame_translation, is_frame
+from .linalg import (
+    DualMat3, DualVec3, _cross3, _parallel, _vec, exp_so3d, frame_translation, is_frame,
+)
 from .oracle import _fit_with_residual, line_distance_angle
 from .theorems import equilibrium_laws, petersen_morley, thales_check
 
@@ -73,9 +77,9 @@ def _parse_screw(obj) -> DualVec3:
         if "re" in obj:
             return DualVec3(obj["re"], obj.get("du"))
         if "point" in obj and "direction" in obj:
-            p = np.asarray(obj["point"], dtype=float)
-            e = np.asarray(obj["direction"], dtype=float)
-            return DualVec3(e, np.cross(p, e))
+            p = _vec(obj["point"])
+            e = _vec(obj["direction"])
+            return DualVec3(e, _cross3(p, e))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad screw document: {exc}") from exc
     raise _InputError("screw document needs re/du or point/direction fields")
@@ -116,8 +120,12 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(_fmt(c) for c in v) + ")"
 
 
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _json_text(obj) -> str:
-    """Serialize with floats at 17 significant digits for reproducibility."""
+    """The one JSON form of library values, with floats at 17 significant digits."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int,)):
@@ -135,8 +143,12 @@ def _json_text(obj) -> str:
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _json_text(obj.tolist())
-    if isinstance(obj, Dual):
+    if isinstance(obj, (DualVec3, DualMat3)):
         return _json_text({"re": obj.re, "du": obj.du})
+    if isinstance(obj, Line):
+        return _json_text({"point": obj.point, "direction": obj.direction})
+    if dataclasses.is_dataclass(obj):
+        return _json_text(_fields(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -221,7 +233,7 @@ def _cmd_screw_axis(args, tol: float) -> int:
             f"pitch = {_fmt(dec.pitch)}",
         ],
         {
-            "axis": {"point": dec.axis.point, "direction": dec.axis.direction},
+            "axis": dec.axis,
             "magnitude": dec.magnitude,
             "pitch": dec.pitch,
         },
@@ -261,7 +273,7 @@ def _cmd_compose(args, tol: float) -> int:
             f"translation = {_fmt_vec(translation)}",
         ],
         {
-            "matrix": {"re": frame.re, "du": frame.du},
+            "matrix": frame,
             "rotation": frame.re,
             "translation": translation,
         },
@@ -285,11 +297,15 @@ def _cmd_verify(args, tol: float) -> int:
         }[theorem]
         bound = tol * max(1.0, report.scale)
         passed = all(max(abs(r.re), abs(r.du)) <= bound for r in family)
-        out = {**report.to_dict(), "theorem": theorem}
+        out = {
+            **_fields(report),
+            "max_scaled_residual": report.max_scaled_residual(),
+            "theorem": theorem,
+        }
     elif theorem == "petersen-morley":
         report = petersen_morley(*(_parse_screw(d) for d in _require(doc, "x", "y", "z")), tol=tol)
         passed = report.ok(tol)
-        out = {**report.to_dict(), "theorem": theorem}
+        out = {**_fields(report), "theorem": theorem}
     elif theorem == "thales":
         *screws, r_doc = _require(doc, "x", "y", "z", "r")
         radius = _parse_dual_value(r_doc)
@@ -411,6 +427,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         tol = args.tol if args.tol is not None else _env_tol()
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise _InputError(f"tolerance must be finite and non-negative, got {tol}")
         # Overflow surfaces as NotFinite from the values it spoils, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args, tol)

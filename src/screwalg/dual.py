@@ -176,10 +176,10 @@ _FULL = _regex.compile(rf"^\s*({_NUM})\s*(?:([+-])\s*({_NUM})\s*(?:ε|eps))?\s*$
 _PURE = _regex.compile(rf"^\s*({_NUM})\s*(?:ε|eps)\s*$")
 
 
-def format_dual(x: Dual, sig: int = 17) -> str:
-    """Render as ``a + b<eps>`` with ``sig`` significant digits (round-trip safe at 17)."""
+def format_dual(x: Dual) -> str:
+    """Render as ``a + b<eps>`` with 17 significant digits, so it round-trips."""
     sign = "-" if (x.du < 0.0 or (x.du == 0.0 and math.copysign(1.0, x.du) < 0.0)) else "+"
-    return f"{x.re:.{sig}g} {sign} {abs(x.du):.{sig}g}ε"
+    return f"{x.re:.17g} {sign} {abs(x.du):.17g}ε"
 
 
 def parse_dual(text: str) -> Dual:

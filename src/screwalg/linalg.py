@@ -177,8 +177,7 @@ def norm(x: DualVec3) -> Dual:
     ss = dot(x, x)
     if ss.re == 0.0:
         raise NullVector("modulus undefined for a pure-dual vector")
-    a = math.sqrt(ss.re)
-    return Dual(a, ss.du / (2.0 * a))
+    return sqrt(ss)
 
 
 def normalized(x: DualVec3) -> DualVec3:
@@ -186,18 +185,16 @@ def normalized(x: DualVec3) -> DualVec3:
     return x * norm(x).inv()
 
 
-def gram_schmidt(
-    b1: DualVec3, b2: DualVec3, b3: DualVec3, pivot_tol: float = PIVOT_TOL
-) -> tuple[DualVec3, DualVec3, DualVec3]:
+def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, DualVec3, DualVec3]:
     """Orthonormalize a module basis, preserving span flags and orientation.
 
     The projection coefficients are dual numbers, so the usual real-vector
     procedure applies verbatim; it only ever divides by pivots c_i o c_i with
     invertible real part. Pivots are compared against
-    ``pivot_tol * scale**2`` where ``scale`` is the largest resultant length.
+    ``PIVOT_TOL * scale**2`` where ``scale`` is the largest resultant length.
     """
     scale = max(float(np.linalg.norm(b.re)) for b in (b1, b2, b3))
-    threshold = pivot_tol * scale * scale
+    threshold = PIVOT_TOL * scale * scale
     out: list[DualVec3] = []
     for b in (b1, b2, b3):
         c = b

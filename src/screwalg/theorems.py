@@ -4,7 +4,8 @@ Each entry point evaluates one classical statement numerically and returns
 the residuals instead of a bare boolean, so callers (and the CLI verify
 subcommand) can report how far an input set is from satisfying the claim.
 All tolerances are relative to the size of the inputs; see the individual
-reports for the exact scaling.
+reports for the exact scaling. Reports hold library values only; their JSON
+form belongs to the CLI.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ def _require_proper(zs) -> None:
     for z in zs:
         if z.is_pure_dual:
             raise NullVector("operation undefined for pure-dual screws")
-
-
-def _dual_dict(x: Dual) -> dict:
-    return {"re": x.re, "du": x.du}
 
 
 def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
@@ -72,15 +69,6 @@ class TripleClassification:
     tag: TripleTag
     witness: "Line | None" = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"tag": self.tag.value}
-        if self.witness is not None:
-            out["witness"] = {
-                "point": self.witness.point.tolist(),
-                "direction": self.witness.direction.tolist(),
-            }
-        return out
-
 
 def classify_triple(
     z1: DualVec3, z2: DualVec3, z3: DualVec3, tol: float = DEFAULT_TOL
@@ -112,8 +100,11 @@ def classify_triple(
             return TripleClassification(TripleTag.PARALLEL_COPLANAR)
         return TripleClassification(TripleTag.PARALLEL_NON_COPLANAR)
 
+    # A rigid motion changes neither part of the mixed product, so both parts
+    # are bounded by the resultant lengths alone.
     m = mixed(z1, z2, z3)
-    if abs(m.re) > tol * rnorm[0] * rnorm[1] * rnorm[2]:
+    bound = tol * rnorm[0] * rnorm[1] * rnorm[2]
+    if abs(m.re) > bound:
         return TripleClassification(TripleTag.INDEPENDENT_BASIS)
 
     none_parallel = not any(pair_parallel)
@@ -121,8 +112,7 @@ def classify_triple(
     if none_parallel and _concurrent_sliding(zs, tol):
         return TripleClassification(TripleTag.CONCURRENT_COPLANAR)
 
-    mag3 = magnitude(z1) * magnitude(z2) * magnitude(z3)
-    if none_parallel and abs(m.du) <= tol * mag3:
+    if none_parallel and abs(m.du) <= bound:
         witness = common_normal(z1, z2, tol=tol)
         check_tol = max(tol, 1e-7)
         for z in zs:
@@ -186,22 +176,6 @@ class EquilibriumReport:
 
     def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_scaled_residual() <= tol
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha_xy": _dual_dict(self.alpha_xy),
-            "alpha_yz": _dual_dict(self.alpha_yz),
-            "alpha_zx": _dual_dict(self.alpha_zx),
-            "cosine_residuals": [_dual_dict(r) for r in self.cosine_residuals],
-            "sine_ratio_residuals": [_dual_dict(r) for r in self.sine_ratio_residuals],
-            "four_r_squared_residuals": [
-                _dual_dict(r) for r in self.four_r_squared_residuals
-            ],
-            "angle_sum_residual": _dual_dict(self.angle_sum_residual),
-            "two_r": _dual_dict(self.two_r),
-            "scale": self.scale,
-            "max_scaled_residual": self.max_scaled_residual(),
-        }
 
 
 def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> EquilibriumReport:
@@ -289,20 +263,6 @@ class PetersenMorleyReport:
 
     def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_residual() <= tol and self.jacobi_residual <= tol
-
-    def to_dict(self) -> dict:
-        return {
-            "a": {"re": self.a.re.tolist(), "du": self.a.du.tolist()},
-            "b": {"re": self.b.re.tolist(), "du": self.b.du.tolist()},
-            "c": {"re": self.c.re.tolist(), "du": self.c.du.tolist()},
-            "jacobi_residual": self.jacobi_residual,
-            "normal": {
-                "point": self.normal.point.tolist(),
-                "direction": self.normal.direction.tolist(),
-            },
-            "incidence_residuals": [_dual_dict(r) for r in self.incidence_residuals],
-            "parallel_degenerate": self.parallel_degenerate,
-        }
 
 
 def petersen_morley(

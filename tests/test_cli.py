@@ -386,6 +386,32 @@ class TestTolerancePlumbing:
         code, _, _ = run(capsys, "line-angle", "--json", json.dumps(X_AXIS), "--json", json.dumps(X_AXIS))
         assert code == 2
 
+    PARALLEL_LINES = (
+        "--json", json.dumps(X_AXIS),
+        "--json", json.dumps({"point": [0, 2, 0], "direction": [1, 0, 0]}),
+    )
+    SAMPLES = [{"point": p, "value": [0, 0, 0]} for p in ([0, 0, 0], [1, 0, 0], [0, 1, 0])]
+    FIT_DOC = ("--json", json.dumps({"samples": SAMPLES}))
+
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            (None, ["line-angle", "--tol", "nan", *PARALLEL_LINES]),
+            (None, ["fit", "--tol", "inf", *FIT_DOC]),
+            (None, ["line-angle", "--tol", "-1", *PARALLEL_LINES]),
+            ("nan", ["line-angle", *PARALLEL_LINES]),
+        ],
+        ids=["flag-nan", "flag-inf", "flag-negative", "env-nan"],
+    )
+    def test_non_finite_or_negative_tolerance_exits_2(self, capsys, monkeypatch, env, argv):
+        if env is not None:
+            monkeypatch.setenv("SCREWALG_TOL", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and non-negative")
+        assert "Traceback" not in err
+
 
 class TestParserReuse:
     def test_successive_calls_do_not_leak_state(self, capsys):
@@ -456,3 +482,22 @@ class TestOverflow:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:")
+
+
+SHORT_POINT = {"point": [1, 2], "direction": [1, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screw-axis", "--json", json.dumps(SHORT_POINT)],
+        ["common-normal", "--json", json.dumps(SHORT_POINT), "--json", json.dumps(Y_AXIS_OFFSET)],
+        ["verify", "cosines", "--json", json.dumps({"x": SHORT_POINT, "y": Y_AXIS_OFFSET})],
+    ],
+    ids=["screw-axis", "common-normal", "verify-cosines"],
+)
+def test_screw_point_that_is_not_a_3_vector_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad screw document")

@@ -195,6 +195,24 @@ class TestClassifyTriple:
             return
         assert tag is not TripleTag.CONCURRENT_COPLANAR
 
+    @staticmethod
+    def _verdict(zs):
+        try:
+            return classify_triple(*zs, tol=1e-9).tag
+        except NotClassifiable:
+            return NotClassifiable
+
+    @pytest.mark.parametrize(
+        "centre",
+        [[1e3, -2e3, 5e2], [1e3, 0.0, 0.0], [0.0, 0.0, 1e3]],
+        ids=["oblique", "x", "z"],
+    )
+    def test_verdict_does_not_depend_on_where_the_triple_sits(self, centre):
+        # The third line misses the meeting point by 1e-8 within the plane.
+        offset = 1e-8 * np.array([-math.sin(2 * math.pi / 3), math.cos(2 * math.pi / 3), 0.0])
+        at_origin = self._verdict(self._pencil(np.zeros(3), 2, offset))
+        assert self._verdict(self._pencil(centre, 2, offset)) is at_origin
+
     def test_random_module_combinations(self):
         rng = np.random.default_rng(3)
         produced = 0
