@@ -61,9 +61,9 @@ def _parse_dual_value(obj) -> Dual:
         if isinstance(obj, str):
             return parse_dual(obj)
         if isinstance(obj, (int, float)):
-            return Dual(float(obj))
+            return Dual(obj)
         if isinstance(obj, dict) and set(obj) <= {"re", "du"}:
-            return Dual(float(obj.get("re", 0.0)), float(obj.get("du", 0.0)))
+            return Dual(obj.get("re", 0.0), obj.get("du", 0.0))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"cannot interpret {obj!r} as a dual number: {exc}") from exc
     raise _InputError(f"cannot interpret {obj!r} as a dual number")

@@ -20,39 +20,51 @@ DEFAULT_TOL = 1e-9
 Real = Union[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dual:
     """Immutable dual number ``re + du*eps``.
 
     Components must be finite; arithmetic mixes freely with ints and floats.
     Equality is exact componentwise comparison, intended for bookkeeping.
     Numerical comparisons belong in the caller with an explicit tolerance.
+
+    Validation: input is checked where it enters, by this constructor (which
+    coerces to float and refuses non-finite components), by the
+    ``DualVec3``/``DualMat3`` constructors, by ``line_from_point_direction``
+    and by the CLI parsers. Results the library computes from checked values
+    skip coercion and re-validation, but every ``Dual`` result is still
+    tested finite, so an overflow raises ``NotFinite`` (CLI exit 3).
     """
 
     re: float
     du: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "du", float(self.du))
+        try:
+            object.__setattr__(self, "re", float(self.re))
+            object.__setattr__(self, "du", float(self.du))
+        except OverflowError as exc:
+            raise NotFinite(f"dual component does not fit a float: {exc}") from exc
         if not (math.isfinite(self.re) and math.isfinite(self.du)):
             raise NotFinite(f"dual components must be finite, got {self.re}, {self.du}")
 
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other: "Dual | Real") -> "Dual":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dual(self.re + other.re, self.du + other.du)
+        if type(other) is not Dual:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _dual(self.re + other.re, self.du + other.du)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Dual | Real") -> "Dual":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dual(self.re - other.re, self.du - other.du)
+        if type(other) is not Dual:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _dual(self.re - other.re, self.du - other.du)
 
     def __rsub__(self, other: "Dual | Real") -> "Dual":
         other = _coerce(other)
@@ -61,20 +73,22 @@ class Dual:
         return other - self
 
     def __neg__(self) -> "Dual":
-        return Dual(-self.re, -self.du)
+        return _dual(-self.re, -self.du)
 
     def __mul__(self, other: "Dual | Real") -> "Dual":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dual(self.re * other.re, self.re * other.du + self.du * other.re)
+        if type(other) is not Dual:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _dual(self.re * other.re, self.re * other.du + self.du * other.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Dual | Real") -> "Dual":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Dual:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return self * other.inv()
 
     def __rtruediv__(self, other: "Dual | Real") -> "Dual":
@@ -87,17 +101,22 @@ class Dual:
 
     def conj(self) -> "Dual":
         """Conjugate: flips the sign of the dual part."""
-        return Dual(self.re, -self.du)
+        return _dual(self.re, -self.du)
 
     def inv(self) -> "Dual":
         """Multiplicative inverse, (re - du*eps)/re**2.
 
         The real part is tested exactly: a pure dual number has no inverse,
-        and silently treating a tiny resultant as zero would hide bugs.
+        and silently treating a tiny resultant as zero would hide bugs. A real
+        part whose square underflows to 0 has an inverse that floats cannot
+        hold, which is refused as an overflow.
         """
         if self.re == 0.0:
             raise NotInvertible(f"pure dual number {self} has no inverse")
-        return Dual(1.0 / self.re, -self.du / (self.re * self.re))
+        re2 = self.re * self.re
+        if re2 == 0.0:
+            raise NotFinite(f"inverse of {self} overflows: its real part squared underflows to 0")
+        return _dual(1.0 / self.re, -self.du / re2)
 
     @property
     def is_pure_dual(self) -> bool:
@@ -118,11 +137,13 @@ def extend(f: Callable[[float], float], fprime: Callable[[float], float], x: Dua
     try:
         value = f(x.re)
         slope = fprime(x.re)
+    except OverflowError as exc:
+        raise NotFinite(f"extended function overflows at {x.re}") from exc
     except ValueError as exc:
         raise DomainError(f"{x.re} outside the domain of the extended function") from exc
     if not (math.isfinite(value) and math.isfinite(slope)):
         raise DomainError(f"extended function not finite at {x.re}")
-    return Dual(value, x.du * slope)
+    return _dual(float(value), float(x.du * slope))
 
 
 def sqrt(x: Dual) -> Dual:
@@ -130,20 +151,23 @@ def sqrt(x: Dual) -> Dual:
     if x.re <= 0.0:
         raise DomainError(f"sqrt requires a positive real part, got {x.re}")
     root = math.sqrt(x.re)
-    return Dual(root, x.du / (2.0 * root))
+    return _dual(root, x.du / (2.0 * root))
 
 
 def sin(x: Dual) -> Dual:
-    return Dual(math.sin(x.re), x.du * math.cos(x.re))
+    return _dual(math.sin(x.re), x.du * math.cos(x.re))
 
 
 def cos(x: Dual) -> Dual:
-    return Dual(math.cos(x.re), -x.du * math.sin(x.re))
+    return _dual(math.cos(x.re), -x.du * math.sin(x.re))
 
 
 def exp(x: Dual) -> Dual:
-    e = math.exp(x.re)
-    return Dual(e, x.du * e)
+    try:
+        e = math.exp(x.re)
+    except OverflowError as exc:
+        raise NotFinite(f"exp overflows at {x.re}") from exc
+    return _dual(e, x.du * e)
 
 
 def acos_principal(c: Dual, tol: float = DEFAULT_TOL) -> Dual:
@@ -164,9 +188,9 @@ def acos_principal(c: Dual, tol: float = DEFAULT_TOL) -> Dual:
             raise BoundaryDualPart(
                 f"cos value {c} is at an endpoint but has dual part beyond tolerance {tol}"
             )
-        return Dual(0.0 if a > 0.0 else math.pi)
+        return _dual(0.0 if a > 0.0 else math.pi, 0.0)
     theta = math.acos(a)
-    return Dual(theta, -c.du / math.sin(theta))
+    return _dual(theta, -c.du / math.sin(theta))
 
 
 # -- text form ---------------------------------------------------------------
@@ -197,6 +221,27 @@ def parse_dual(text: str) -> Dual:
     if m.group(2) == "-":
         du_part = -du_part
     return Dual(re_part, du_part)
+
+
+# A frozen dataclass refuses attribute assignment; the slots' own descriptors
+# fill them without the lookup that object.__setattr__ pays.
+_new = object.__new__
+_set_re = Dual.re.__set__
+_set_du = Dual.du.__set__
+
+
+def _dual(re: float, du: float) -> Dual:
+    """The constructor for floats the library computed from checked values.
+
+    It skips coercion and ``__post_init__`` but keeps the finiteness test, so
+    an overflow still raises NotFinite at the result it spoils.
+    """
+    if not (math.isfinite(re) and math.isfinite(du)):
+        raise NotFinite(f"dual components must be finite, got {re}, {du}")
+    x = _new(Dual)
+    _set_re(x, re)
+    _set_du(x, du)
+    return x
 
 
 def _coerce(value: "Dual | Real | object") -> "Dual | None":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dual import DEFAULT_TOL, Dual, acos_principal
 from .errors import NotALine, NotUnit, NullVector, ParallelResultants
-from .linalg import DualMat3, DualVec3, _cross3, _parallel, _vec, axial_matrix, cross, dot, norm
+from .linalg import DualMat3, DualVec3, _axial_matrix, _cross3, _parallel, _vec, cross, dot, norm
 
 
 class Line:
@@ -65,10 +65,10 @@ class Line:
 def line_from_point_direction(point, direction, tol: float = DEFAULT_TOL) -> Line:
     """The oriented line through ``point`` with unit direction ``direction``."""
     p = _vec(point)
-    e = np.asarray(direction, dtype=float)
+    e = _vec(direction)
     if abs(float(np.linalg.norm(e)) - 1.0) > tol:
         raise NotUnit(f"direction {e.tolist()} is not unit length within {tol}")
-    return Line(DualVec3(e, _cross3(p, e)), tol=tol)
+    return Line(DualVec3._raw(e, _cross3(p, e)), tol=tol)
 
 
 def field_at(z: DualVec3, point) -> np.ndarray:
@@ -160,12 +160,11 @@ def motor_reduce(z: DualVec3, point) -> tuple[np.ndarray, np.ndarray]:
 def motor_unreduce(point, resultant, value) -> DualVec3:
     """Rebuild the dual vector from a motor reduced at ``point``."""
     p = _vec(point)
-    s = np.asarray(resultant, dtype=float)
-    v = np.asarray(value, dtype=float)
-    return DualVec3(s, v - _cross3(s, p))
+    s = _vec(resultant)
+    return DualVec3(s, _vec(value) - _cross3(s, p))
 
 
 def frame_from_point(point) -> DualMat3:
     """The translation-only frame at ``point``: rows are its three axis lines."""
     p = _vec(point)
-    return DualMat3(np.eye(3), axial_matrix(p))
+    return DualMat3._raw(np.eye(3), _axial_matrix(p))

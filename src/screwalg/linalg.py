@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .dual import DEFAULT_TOL, Dual, sqrt
+from .dual import DEFAULT_TOL, Dual, _dual, sqrt
 from .errors import (
     DegenerateBasis,
     NotAFrame,
@@ -30,26 +30,33 @@ PIVOT_TOL = 1e-12
 
 
 def _vec(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    """A fresh float copy of a finite 3-vector; the check for vector input."""
+    try:
+        a = np.array(x, dtype=float)
+    except OverflowError as exc:
+        raise NotFinite("vector components must be finite") from exc
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotFinite("vector components must be finite")
     return a
 
 
 def _mat(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    """A fresh float copy of a finite 3x3 matrix; the check for matrix input."""
+    try:
+        a = np.array(x, dtype=float)
+    except OverflowError as exc:
+        raise NotFinite("matrix entries must be finite") from exc
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotFinite("matrix entries must be finite")
     return a
 
 
-def axial_matrix(v) -> np.ndarray:
+def _axial_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix A with row action x @ A = v x x, i.e. A_ij = eps_aij v_a."""
-    v = _vec(v)
     return np.array([
         [0.0, v[2], -v[1]],
         [-v[2], 0.0, v[0]],
@@ -58,7 +65,7 @@ def axial_matrix(v) -> np.ndarray:
 
 
 def _axial_vector(a: np.ndarray) -> np.ndarray:
-    """Inverse of axial_matrix on the antisymmetric part: v_k = (1/2) eps_kij a_ij."""
+    """Inverse of _axial_matrix on the antisymmetric part: v_k = (1/2) eps_kij a_ij."""
     return 0.5 * np.array([
         a[1, 2] - a[2, 1],
         a[2, 0] - a[0, 2],
@@ -87,8 +94,8 @@ class DualVec3:
     __slots__ = ("re", "du")
 
     def __init__(self, re, du=None):
-        object.__setattr__(self, "re", _vec(re).copy())
-        object.__setattr__(self, "du", np.zeros(3) if du is None else _vec(du).copy())
+        object.__setattr__(self, "re", _vec(re))
+        object.__setattr__(self, "du", np.zeros(3) if du is None else _vec(du))
         self.re.setflags(write=False)
         self.du.setflags(write=False)
 
@@ -111,7 +118,7 @@ class DualVec3:
         return not self.re.any()
 
     def component(self, i: int) -> Dual:
-        return Dual(self.re[i], self.du[i])
+        return _dual(float(self.re[i]), float(self.du[i]))
 
     def __add__(self, other: "DualVec3") -> "DualVec3":
         return DualVec3._raw(self.re + other.re, self.du + other.du)
@@ -152,7 +159,7 @@ def dot(x: DualVec3, y: DualVec3) -> Dual:
     The real part is the dot product of the resultants; the dual part is the
     screw scalar product (comoment), which no reduction point can change.
     """
-    return Dual(float(x.re @ y.re), float(x.re @ y.du + x.du @ y.re))
+    return _dual(float(x.re @ y.re), float(x.re @ y.du + x.du @ y.re))
 
 
 def cross(x: DualVec3, y: DualVec3) -> DualVec3:
@@ -219,8 +226,8 @@ class DualMat3:
     __slots__ = ("re", "du")
 
     def __init__(self, re, du=None):
-        object.__setattr__(self, "re", _mat(re).copy())
-        object.__setattr__(self, "du", np.zeros((3, 3)) if du is None else _mat(du).copy())
+        object.__setattr__(self, "re", _mat(re))
+        object.__setattr__(self, "du", np.zeros((3, 3)) if du is None else _mat(du))
         self.re.setflags(write=False)
         self.du.setflags(write=False)
 
@@ -274,14 +281,14 @@ def mat_apply(m: DualMat3, x: DualVec3) -> DualVec3:
 
 def hat(b: DualVec3) -> DualMat3:
     """The operator ``b cross``: mat_apply(hat(b), x) == cross(b, x)."""
-    return DualMat3(axial_matrix(b.re), axial_matrix(b.du))
+    return DualMat3._raw(_axial_matrix(b.re), _axial_matrix(b.du))
 
 
 def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
     """Invert hat: the unique b with ``b cross == m``.
 
     Antisymmetric operators are exactly those of the form ``b cross``, and
-    hat(b) holds b in the entries of axial_matrix on both parts.
+    hat(b) holds b in the entries of _axial_matrix on both parts.
     """
     scale = max(1.0, float(np.abs(m.re).max()), float(np.abs(m.du).max()))
     if (
@@ -292,29 +299,58 @@ def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
     return DualVec3._raw(_axial_vector(m.re), _axial_vector(m.du))
 
 
+# Near t = 0 the closed forms below cancel: 1 - cos t alone carries an absolute
+# error of about eps/2, a relative error of ~12 eps / t**4 in
+# _versin_over_prime. Below _SERIES_BELOW all four are summed from their Taylor
+# series in t**2, up to the first term that is below eps/4 of the value there.
+# The cut-off stays below 0.7, a joint angle whose bytes tests/cli_golden.json
+# pins, so that results above it are unchanged.
+_SERIES_BELOW = 0.5
+
+
+def _series(denominators: list) -> tuple:
+    """Horner coefficients, highest first, of f = sum (-1)**k t**2k / d_k and of f'/t.
+
+    Each is one correctly rounded int/int division.
+    """
+    terms = list(enumerate(denominators))[::-1]
+    value = tuple((-1) ** k / d for k, d in terms)
+    slope = tuple((-1) ** k * 2 * k / d for k, d in terms if k)
+    return value, slope
+
+
+_SIN_OVER, _SIN_OVER_SLOPE = _series([math.factorial(2 * k + 1) for k in range(8)])
+_VERSIN_OVER, _VERSIN_OVER_SLOPE = _series([math.factorial(2 * k + 2) for k in range(8)])
+
+
+def _horner(coefficients: tuple, x: float) -> float:
+    acc = 0.0
+    for c in coefficients:
+        acc = acc * x + c
+    return acc
+
+
 def _sin_over(t: float) -> float:
-    if abs(t) < 1e-4:
-        t2 = t * t
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    if abs(t) < _SERIES_BELOW:
+        return _horner(_SIN_OVER, t * t)
     return math.sin(t) / t
 
 
 def _sin_over_prime(t: float) -> float:
-    if abs(t) < 1e-4:
-        return -t / 3.0 + t * t * t / 30.0
+    if abs(t) < _SERIES_BELOW:
+        return t * _horner(_SIN_OVER_SLOPE, t * t)
     return (t * math.cos(t) - math.sin(t)) / (t * t)
 
 
 def _versin_over(t: float) -> float:
-    if abs(t) < 1e-4:
-        t2 = t * t
-        return 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    if abs(t) < _SERIES_BELOW:
+        return _horner(_VERSIN_OVER, t * t)
     return (1.0 - math.cos(t)) / (t * t)
 
 
 def _versin_over_prime(t: float) -> float:
-    if abs(t) < 1e-4:
-        return -t / 12.0 + t * t * t / 180.0
+    if abs(t) < _SERIES_BELOW:
+        return t * _horner(_VERSIN_OVER_SLOPE, t * t)
     return (t * t * math.sin(t) - 2.0 * t * (1.0 - math.cos(t))) / (t ** 4)
 
 
@@ -329,15 +365,16 @@ def exp_so3d(b: DualVec3) -> DualMat3:
     """
     h = hat(b)
     if b.is_pure_dual:
-        return DualMat3(np.eye(3)) + h
+        return DualMat3._raw(np.eye(3), np.zeros((3, 3))) + h
     phi = norm(b)
-    c1 = Dual(_sin_over(phi.re), phi.du * _sin_over_prime(phi.re))
-    c2 = Dual(_versin_over(phi.re), phi.du * _versin_over_prime(phi.re))
+    c1 = _dual(_sin_over(phi.re), phi.du * _sin_over_prime(phi.re))
+    c2 = _dual(_versin_over(phi.re), phi.du * _versin_over_prime(phi.re))
     h2 = h @ h
-    return DualMat3(
-        np.eye(3) + c1.re * h.re + c2.re * h2.re,
-        c1.re * h.du + c1.du * h.re + c2.re * h2.du + c2.du * h2.re,
-    )
+    re = np.eye(3) + c1.re * h.re + c2.re * h2.re
+    du = c1.re * h.du + c1.du * h.re + c2.re * h2.du + c2.du * h2.re
+    if not (np.isfinite(re).all() and np.isfinite(du).all()):
+        raise NotFinite("exponential overflows")
+    return DualMat3._raw(re, du)
 
 
 def is_frame(u: DualMat3, tol: float = DEFAULT_TOL) -> bool:
@@ -393,10 +430,10 @@ def displacement(
         if not prerotate:
             raise ProjectionMismatch("frames project to different real bases")
         q = frame_a.re @ frame_b.re.T
-        frame_b = DualMat3(q @ frame_b.re, q @ frame_b.du)
+        frame_b = DualMat3._raw(q @ frame_b.re, q @ frame_b.du)
         if float(np.abs(frame_a.re - frame_b.re).max()) > tol:
             raise ProjectionMismatch("projections still differ after pre-rotation")
-    total = DualVec3(np.zeros(3))
+    total = DualVec3._raw(np.zeros(3), np.zeros(3))
     for i in range(3):
         total = total + cross(frame_a.row(i), frame_b.row(i))
     half = 0.5 * total

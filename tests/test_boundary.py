@@ -31,3 +31,16 @@ def test_dual_path_does_not_import_the_oracle(module):
     assert names, "no imports found; the parser is not looking at the module"
     offending = [n for n in names if "oracle" in n.split(".")]
     assert not offending, f"{module}.py imports {offending}"
+
+
+def test_no_check_is_an_assert():
+    """``python -O`` strips ``assert``, so no check in the library may be one."""
+    modules = sorted(SOURCE.rglob("*.py"))
+    assert modules, "no modules found; the test is not looking at the package"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the library: {found}"

@@ -433,13 +433,16 @@ class TestParserReuse:
         assert out.startswith("axis point = (0, 0, 1)\n")
 
 
-def run_process(*argv):
-    """The CLI in a fresh interpreter, so that warnings reach stderr as a user sees them."""
+def run_process(*argv, flags=()):
+    """The CLI in a fresh interpreter, so that warnings reach stderr as a user sees them.
+
+    ``flags`` go to the interpreter, e.g. ``("-O",)`` to strip ``assert``s.
+    """
     src = str(Path(screwalg.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
-        [sys.executable, "-m", "screwalg.cli", *argv],
+        [sys.executable, *flags, "-m", "screwalg.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -454,6 +457,15 @@ class TestOverflow:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert "RuntimeWarning" not in err
+
+    def test_screw_whose_modulus_overflows_exits_3_under_optimize(self):
+        # The finiteness tests are code, not asserts, so -O keeps them.
+        motor = {"re": [1e200, 0, 0], "du": [0, 1e200, 0]}
+        code, out, err = run_process("screw-axis", "--json", json.dumps(motor), flags=("-O",))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_fit_whose_residual_overflows_exits_3(self):
         samples = [
@@ -501,3 +513,46 @@ def test_screw_point_that_is_not_a_3_vector_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad screw document")
+
+
+LINE_AXIS = {"point": [0, 0, 0], "direction": [0, 0, 1]}
+
+
+@pytest.mark.parametrize("direction", [[1, 0], [0.6, 0.8], [[1, 0, 0]], None],
+                         ids=["2-vector", "unit-2-vector", "nested", "null"])
+@pytest.mark.parametrize("command", ["line-angle", "compose"])
+def test_line_direction_that_is_not_a_3_vector_exits_2(capsys, command, direction):
+    line = {"point": [0, 0, 0], "direction": direction}
+    if command == "line-angle":
+        argv = ["line-angle", "--json", json.dumps(line), "--json", json.dumps(Y_AXIS_OFFSET)]
+    else:
+        argv = ["compose", "--json", json.dumps([{"axis": line, "angle": 1.0}])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad line document")
+
+
+TOO_BIG = 10**400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screw-axis", "--json", json.dumps({"re": [TOO_BIG, 0, 0], "du": [0, 0, 0]})],
+        ["line-angle", "--json", json.dumps({"point": [TOO_BIG, 0, 0], "direction": [1, 0, 0]}),
+         "--json", json.dumps(Y_AXIS_OFFSET)],
+        ["compose", "--json", json.dumps([{"axis": LINE_AXIS, "angle": TOO_BIG}])],
+        ["compose", "--json", json.dumps([{"axis": LINE_AXIS, "angle": {"du": TOO_BIG}}])],
+        ["compose", "--json", json.dumps([{"matrix": {"re": [[TOO_BIG, 0, 0], [0, 1, 0],
+                                                             [0, 0, 1]]}}])],
+        ["fit", "--json", json.dumps({"samples": [{"point": [TOO_BIG, 0, 0],
+                                                  "value": [0, 0, 0]}]})],
+    ],
+    ids=["screw", "line", "angle", "angle-object", "matrix", "sample"],
+)
+def test_integer_too_large_for_a_float_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_dual_close
-from screwalg import Dual, acos_principal, cos, exp, extend, format_dual, parse_dual, sin, sqrt
-from screwalg.errors import BoundaryDualPart, DomainError, NotInvertible, OutOfRange
+from screwalg import (
+    Dual, DualVec3, acos_principal, cos, dot, exp, extend, format_dual, parse_dual, sin, sqrt,
+)
+from screwalg.errors import BoundaryDualPart, DomainError, NotFinite, NotInvertible, OutOfRange
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -209,3 +211,42 @@ class TestTextForm:
         for _ in range(500):
             x = Dual(rng.uniform(-1e6, 1e6), rng.uniform(-1e-6, 1e-6))
             assert parse_dual(format_dual(x)) == x
+
+
+BIG = DualVec3([1e200, 1e200, 1e200], [1e200, 1e200, 1e200])
+
+
+class TestOverflow:
+    """Finite operands whose result overflows raise NotFinite, never a builtin error."""
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda: Dual(1e200, 1.0) * Dual(1e200, 1.0),
+            lambda: Dual(1.0, 1e200) * Dual(1e200, 1.0),
+            lambda: Dual(1.7e308) + Dual(1.7e308),
+            lambda: Dual(0.0, -1.7e308) - Dual(0.0, 1.7e308),
+            lambda: sqrt(Dual(1e-300, 1e300)),
+            lambda: dot(BIG, BIG),
+            lambda: exp(Dual(800.0)),
+            lambda: exp(Dual(700.0, 1e300)),
+            lambda: extend(math.exp, math.exp, Dual(800.0)),
+            lambda: Dual(1e-200, 1.0).inv(),
+            lambda: Dual(1.0) / Dual(1e-200, 1.0),
+            lambda: Dual(10**400),
+        ],
+        ids=[
+            "mul", "mul-dual-part", "add", "sub", "sqrt", "dot", "exp", "exp-dual-part",
+            "extend", "inv-underflow", "div-underflow", "int-too-large",
+        ],
+    )
+    def test_overflow_raises_not_finite(self, operation):
+        # numpy also warns when an array product overflows; as in the CLI, the
+        # warning is silenced and the refusal is what counts.
+        with np.errstate(over="ignore"), pytest.raises(NotFinite):
+            operation()
+
+    def test_results_next_to_the_edge_are_unchanged(self):
+        assert exp(Dual(709.0, 1.0)) == Dual(math.exp(709.0), math.exp(709.0))
+        assert Dual(1e-150, 1.0).inv() == Dual(1e150, -1.0 / (1e-150 * 1e-150))
+        assert Dual(1e154, 1.0) * Dual(1e154, 1.0) == Dual(1e308, 2e154)

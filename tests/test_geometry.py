@@ -40,7 +40,7 @@ from screwalg import (
     norm,
     sin,
 )
-from screwalg.errors import NotALine, NotUnit, NullVector, ParallelResultants
+from screwalg.errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
 from screwalg.oracle import line_distance_angle
 
 X = np.array([1.0, 0.0, 0.0])
@@ -68,6 +68,15 @@ class TestLines:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(NotUnit):
             line_from_point_direction([0, 0, 0], 2 * X)
+
+    @pytest.mark.parametrize("direction", [[1, 0], [0.6, 0.8], [[1, 0, 0]], None])
+    def test_direction_that_is_not_a_3_vector_rejected(self, direction):
+        with pytest.raises(ValueError, match="3-vector"):
+            line_from_point_direction([0, 0, 0], direction)
+
+    def test_non_finite_direction_rejected(self):
+        with pytest.raises(NotFinite):
+            line_from_point_direction([0, 0, 0], [math.nan, 0, 0])
 
     def test_pitched_screw_rejected(self):
         with pytest.raises(NotALine):
@@ -328,6 +337,12 @@ class TestMotorReduction:
         s, v = motor_reduce(DualVec3([2, 0, 0], [3, 2, 0]), [0, 0, 1])
         assert_vec_close(s, [2, 0, 0])
         assert_vec_close(v, [3, 0, 0])
+
+    @pytest.mark.parametrize("which", ["point", "resultant", "value"])
+    def test_unreduce_rejects_a_part_that_is_not_a_3_vector(self, which):
+        parts = {"point": [0, 0, 1], "resultant": [2, 0, 0], "value": [3, 0, 0], which: [1, 0]}
+        with pytest.raises(ValueError, match="3-vector"):
+            motor_unreduce(parts["point"], parts["resultant"], parts["value"])
 
     def test_unreduce_inverts_reduce(self):
         rng = np.random.default_rng(14)
