@@ -14,7 +14,19 @@ import numpy as np
 
 from .dual import DEFAULT_TOL, Dual, acos_principal
 from .errors import NotALine, NotUnit, NullVector, ParallelResultants
-from .linalg import DualMat3, DualVec3, _axial_matrix, _cross3, _parallel, _vec, cross, dot, norm
+from .linalg import (
+    _EYE,
+    DualMat3,
+    DualVec3,
+    _axial_matrix,
+    _cross3,
+    _length,
+    _parallel,
+    _vec,
+    cross,
+    dot,
+    norm,
+)
 
 
 class Line:
@@ -30,17 +42,17 @@ class Line:
 
     def __init__(self, screw: DualVec3, tol: float = DEFAULT_TOL):
         e = screw.re
-        length = float(np.linalg.norm(e))
+        length = _length(e)
         if abs(length - 1.0) > tol:
             raise NotALine(f"resultant length {length} is not 1 within {tol}")
         e = e / length
         m = screw.du / length
-        pitch_component = float(m @ e)
+        pitch_component = float(m.dot(e))
         # The bound is tol * max(1, |m|); |m| is needed only past tol.
         pitch = abs(pitch_component)
-        if pitch > tol and pitch > tol * float(np.linalg.norm(m)):
+        if pitch > tol and pitch > tol * _length(m):
             raise NotALine(f"pitch {pitch_component} exceeds {tol} times max(1, |moment|)")
-        object.__setattr__(self, "screw", DualVec3(e, m - pitch_component * e))
+        object.__setattr__(self, "screw", DualVec3._raw(e, m - pitch_component * e))
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
@@ -64,9 +76,12 @@ class Line:
 
 def line_from_point_direction(point, direction, tol: float = DEFAULT_TOL) -> Line:
     """The oriented line through ``point`` with unit direction ``direction``."""
-    p = _vec(point)
-    e = _vec(direction)
-    if abs(float(np.linalg.norm(e)) - 1.0) > tol:
+    return _line_through(_vec(point), _vec(direction), tol)
+
+
+def _line_through(p: np.ndarray, e: np.ndarray, tol: float) -> Line:
+    """line_from_point_direction on finite 3-vectors the library already holds."""
+    if abs(_length(e) - 1.0) > tol:
         raise NotUnit(f"direction {e.tolist()} is not unit length within {tol}")
     return Line(DualVec3._raw(e, _cross3(p, e)), tol=tol)
 
@@ -109,12 +124,11 @@ def axis_decompose(z: DualVec3, tol: float = DEFAULT_TOL) -> AxisDecomposition:
     resultant, which is the characterization tests verify.
     """
     n = norm(z)
-    a = n.re
-    pitch = n.du / a
+    a = n.re  # |s|, the square root of s o s
     s = z.re
-    point = _cross3(s, z.du) / float(s @ s)
-    axis = line_from_point_direction(point, s / float(np.linalg.norm(s)), tol=tol)
-    return AxisDecomposition(magnitude=a, pitch=pitch, axis=axis)
+    point = _cross3(s, z.du) / float(s.dot(s))
+    axis = _line_through(point, s / a, tol)
+    return AxisDecomposition(magnitude=a, pitch=n.du / a, axis=axis)
 
 
 def dual_angle(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Dual:
@@ -161,10 +175,10 @@ def motor_unreduce(point, resultant, value) -> DualVec3:
     """Rebuild the dual vector from a motor reduced at ``point``."""
     p = _vec(point)
     s = _vec(resultant)
-    return DualVec3(s, _vec(value) - _cross3(s, p))
+    return DualVec3._raw(s, _vec(value) - _cross3(s, p))
 
 
 def frame_from_point(point) -> DualMat3:
     """The translation-only frame at ``point``: rows are its three axis lines."""
     p = _vec(point)
-    return DualMat3._raw(np.eye(3), _axial_matrix(p))
+    return DualMat3._raw(_EYE, _axial_matrix(p))

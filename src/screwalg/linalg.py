@@ -29,6 +29,37 @@ from .errors import (
 PIVOT_TOL = 1e-12
 
 
+def _constant(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Built once: np.eye and np.zeros cost more per call than the 3x3 sums using them.
+_EYE = _constant(np.eye(3))
+_ZERO3 = _constant(np.zeros(3))
+_ZERO33 = _constant(np.zeros((3, 3)))
+
+
+# On 3-vectors and 3x3 matrices numpy's generic entry points (np.isfinite,
+# np.linalg.norm, np.abs(...).max(), the @ operator) cost several times the
+# arithmetic they wrap. The helpers below do the same work on Python floats
+# or through ndarray.dot, which runs the same BLAS routine as @.
+
+def _finite(values: list) -> bool:
+    """Whether every float in the list (an array's tolist()) is finite."""
+    return all(map(math.isfinite, values))
+
+
+def _length(v: np.ndarray) -> float:
+    """Euclidean length of a real 3-vector; bit for bit np.linalg.norm(v)."""
+    return math.sqrt(v.dot(v))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """Largest absolute entry; np.abs(a).max() without the temporary array."""
+    return max(map(abs, a.ravel().tolist()))
+
+
 def _vec(x) -> np.ndarray:
     """A fresh float copy of a finite 3-vector; the check for vector input."""
     try:
@@ -37,7 +68,7 @@ def _vec(x) -> np.ndarray:
         raise NotFinite("vector components must be finite") from exc
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not _finite(a.tolist()):
         raise NotFinite("vector components must be finite")
     return a
 
@@ -50,52 +81,54 @@ def _mat(x) -> np.ndarray:
         raise NotFinite("matrix entries must be finite") from exc
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not _finite(a.ravel().tolist()):
         raise NotFinite("matrix entries must be finite")
     return a
 
 
 def _axial_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix A with row action x @ A = v x x, i.e. A_ij = eps_aij v_a."""
+    x, y, z = v.tolist()
     return np.array([
-        [0.0, v[2], -v[1]],
-        [-v[2], 0.0, v[0]],
-        [v[1], -v[0], 0.0],
+        [0.0, z, -y],
+        [-z, 0.0, x],
+        [y, -x, 0.0],
     ])
 
 
 def _axial_vector(a: np.ndarray) -> np.ndarray:
     """Inverse of _axial_matrix on the antisymmetric part: v_k = (1/2) eps_kij a_ij."""
-    return 0.5 * np.array([
-        a[1, 2] - a[2, 1],
-        a[2, 0] - a[0, 2],
-        a[0, 1] - a[1, 0],
-    ])
+    (_, a01, a02), (a10, _, a12), (a20, a21, _) = a.tolist()
+    return np.array([0.5 * (a12 - a21), 0.5 * (a20 - a02), 0.5 * (a01 - a10)])
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # np.cross pays ~20x overhead on single 3-vectors; this is the hot path.
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _parallel(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     """Whether real 3-vectors are parallel: |u x v| <= tol |u| |v|."""
-    c = _cross3(u, v)
-    return math.sqrt(c @ c) <= tol * math.sqrt(u @ u) * math.sqrt(v @ v)
+    return _length(_cross3(u, v)) <= tol * _length(u) * _length(v)
 
 
 class DualVec3:
-    """Element of the dual module: a screw as its motor at the canonical origin."""
+    """Element of the dual module: a screw as its motor at the canonical origin.
+
+    Validation: the constructor copies its input once and refuses anything
+    that is not a finite 3-vector. Every result the library builds (``+``,
+    ``-``, ``*``, ``cross``, ``mat_apply``, rows of a ``DualMat3``, ...) goes
+    through ``_raw``, which skips the copy but still tests the arrays finite,
+    so an overflow raises NotFinite (CLI exit 3) at the result it spoils.
+    """
 
     __slots__ = ("re", "du")
 
     def __init__(self, re, du=None):
         object.__setattr__(self, "re", _vec(re))
-        object.__setattr__(self, "du", np.zeros(3) if du is None else _vec(du))
+        object.__setattr__(self, "du", _ZERO3 if du is None else _vec(du))
         self.re.setflags(write=False)
         self.du.setflags(write=False)
 
@@ -104,7 +137,9 @@ class DualVec3:
 
     @classmethod
     def _raw(cls, re: np.ndarray, du: np.ndarray) -> "DualVec3":
-        # Fast path for freshly computed arrays; skips validation and copy.
+        # For arrays the library computed: no copy, but still tested finite.
+        if not _finite(re.tolist() + du.tolist()):
+            raise NotFinite("vector result overflows")
         self = object.__new__(cls)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "du", du)
@@ -115,7 +150,7 @@ class DualVec3:
     @property
     def is_pure_dual(self) -> bool:
         """True when the resultant vanishes exactly (element of eps*M)."""
-        return not self.re.any()
+        return not any(self.re.tolist())
 
     def component(self, i: int) -> Dual:
         return _dual(float(self.re[i]), float(self.du[i]))
@@ -144,13 +179,12 @@ class DualVec3:
 
 def basis() -> tuple[DualVec3, DualVec3, DualVec3]:
     """The canonical positive orthonormal basis e1, e2, e3."""
-    eye = np.eye(3)
-    return DualVec3(eye[0]), DualVec3(eye[1]), DualVec3(eye[2])
+    return DualVec3(_EYE[0]), DualVec3(_EYE[1]), DualVec3(_EYE[2])
 
 
 def magnitude(x: DualVec3) -> float:
     """Euclidean length of the underlying 6 real components; for tolerances."""
-    return math.sqrt(float(x.re @ x.re + x.du @ x.du))
+    return math.sqrt(float(x.re.dot(x.re) + x.du.dot(x.du)))
 
 
 def dot(x: DualVec3, y: DualVec3) -> Dual:
@@ -159,7 +193,7 @@ def dot(x: DualVec3, y: DualVec3) -> Dual:
     The real part is the dot product of the resultants; the dual part is the
     screw scalar product (comoment), which no reduction point can change.
     """
-    return _dual(float(x.re @ y.re), float(x.re @ y.du + x.du @ y.re))
+    return _dual(float(x.re.dot(y.re)), float(x.re.dot(y.du) + x.du.dot(y.re)))
 
 
 def cross(x: DualVec3, y: DualVec3) -> DualVec3:
@@ -200,7 +234,7 @@ def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, Du
     invertible real part. Pivots are compared against
     ``PIVOT_TOL * scale**2`` where ``scale`` is the largest resultant length.
     """
-    scale = max(float(np.linalg.norm(b.re)) for b in (b1, b2, b3))
+    scale = max(_length(b.re) for b in (b1, b2, b3))
     threshold = PIVOT_TOL * scale * scale
     out: list[DualVec3] = []
     for b in (b1, b2, b3):
@@ -227,7 +261,7 @@ class DualMat3:
 
     def __init__(self, re, du=None):
         object.__setattr__(self, "re", _mat(re))
-        object.__setattr__(self, "du", np.zeros((3, 3)) if du is None else _mat(du))
+        object.__setattr__(self, "du", _ZERO33 if du is None else _mat(du))
         self.re.setflags(write=False)
         self.du.setflags(write=False)
 
@@ -236,6 +270,9 @@ class DualMat3:
 
     @classmethod
     def _raw(cls, re: np.ndarray, du: np.ndarray) -> "DualMat3":
+        # For arrays the library computed: no copy, but still tested finite.
+        if not _finite(re.ravel().tolist() + du.ravel().tolist()):
+            raise NotFinite("matrix result overflows")
         self = object.__new__(cls)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "du", du)
@@ -245,11 +282,11 @@ class DualMat3:
 
     @classmethod
     def identity(cls) -> "DualMat3":
-        return cls(np.eye(3))
+        return cls._raw(_EYE, _ZERO33)
 
     @classmethod
     def from_rows(cls, r1: DualVec3, r2: DualVec3, r3: DualVec3) -> "DualMat3":
-        return cls(np.vstack([r1.re, r2.re, r3.re]), np.vstack([r1.du, r2.du, r3.du]))
+        return cls._raw(np.vstack([r1.re, r2.re, r3.re]), np.vstack([r1.du, r2.du, r3.du]))
 
     def row(self, i: int) -> DualVec3:
         return DualVec3._raw(self.re[i], self.du[i])
@@ -262,7 +299,7 @@ class DualMat3:
         return DualMat3._raw(self.re.T.copy(), self.du.T.copy())
 
     def __matmul__(self, other: "DualMat3") -> "DualMat3":
-        return DualMat3._raw(self.re @ other.re, self.re @ other.du + self.du @ other.re)
+        return DualMat3._raw(self.re.dot(other.re), self.re.dot(other.du) + self.du.dot(other.re))
 
     def __add__(self, other: "DualMat3") -> "DualMat3":
         return DualMat3._raw(self.re + other.re, self.du + other.du)
@@ -276,7 +313,7 @@ class DualMat3:
 
 def mat_apply(m: DualMat3, x: DualVec3) -> DualVec3:
     """Row action of a dual matrix on a dual vector."""
-    return DualVec3._raw(x.re @ m.re, x.re @ m.du + x.du @ m.re)
+    return DualVec3._raw(x.re.dot(m.re), x.re.dot(m.du) + x.du.dot(m.re))
 
 
 def hat(b: DualVec3) -> DualMat3:
@@ -290,11 +327,8 @@ def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
     Antisymmetric operators are exactly those of the form ``b cross``, and
     hat(b) holds b in the entries of _axial_matrix on both parts.
     """
-    scale = max(1.0, float(np.abs(m.re).max()), float(np.abs(m.du).max()))
-    if (
-        float(np.abs(m.re + m.re.T).max()) > tol * scale
-        or float(np.abs(m.du + m.du.T).max()) > tol * scale
-    ):
+    scale = max(1.0, _max_abs(m.re), _max_abs(m.du))
+    if _max_abs(m.re + m.re.T) > tol * scale or _max_abs(m.du + m.du.T) > tol * scale:
         raise NotAntisymmetric("matrix is not antisymmetric within tolerance")
     return DualVec3._raw(_axial_vector(m.re), _axial_vector(m.du))
 
@@ -363,17 +397,17 @@ def exp_so3d(b: DualVec3) -> DualMat3:
     extended to the dual modulus phi = |b| (series-evaluated near zero real
     angle to avoid cancellation).
     """
-    h = hat(b)
+    h_re, h_du = _axial_matrix(b.re), _axial_matrix(b.du)
     if b.is_pure_dual:
-        return DualMat3._raw(np.eye(3), np.zeros((3, 3))) + h
+        # Adding zeros turns the -0.0 entries of hat(b) into 0.0, as I + hat(b) does.
+        return DualMat3._raw(_EYE + h_re, _ZERO33 + h_du)
     phi = norm(b)
     c1 = _dual(_sin_over(phi.re), phi.du * _sin_over_prime(phi.re))
     c2 = _dual(_versin_over(phi.re), phi.du * _versin_over_prime(phi.re))
-    h2 = h @ h
-    re = np.eye(3) + c1.re * h.re + c2.re * h2.re
-    du = c1.re * h.du + c1.du * h.re + c2.re * h2.du + c2.du * h2.re
-    if not (np.isfinite(re).all() and np.isfinite(du).all()):
-        raise NotFinite("exponential overflows")
+    h2_re = h_re.dot(h_re)
+    h2_du = h_re.dot(h_du) + h_du.dot(h_re)
+    re = _EYE + c1.re * h_re + c2.re * h2_re
+    du = c1.re * h_du + c1.du * h_re + c2.re * h2_du + c2.du * h2_re
     return DualMat3._raw(re, du)
 
 
@@ -381,15 +415,20 @@ def is_frame(u: DualMat3, tol: float = DEFAULT_TOL) -> bool:
     """Orthogonal over the duals with positively oriented real part.
 
     The dual Gram block is compared against ``tol`` times the largest dual
-    entry (at least 1), since it grows with the frame's translation.
+    entry (at least 1), since it grows with the frame's translation. Once
+    the real part is orthogonal its determinant is +-1, so the sign of the
+    triple product of its rows is the orientation.
     """
-    gram = u @ u.T
-    if float(np.abs(gram.re - np.eye(3)).max()) > tol:
+    re, du = u.re, u.du
+    if _max_abs(re.dot(re.T) - _EYE) > tol:
         return False
-    du_error = float(np.abs(gram.du).max())
-    if du_error > tol and du_error > tol * float(np.abs(u.du).max()):
+    # The dual Gram block re du^T + du re^T is y + y^T.
+    y = re.dot(du.T)
+    du_error = _max_abs(y + y.T)
+    if du_error > tol and du_error > tol * _max_abs(du):
         return False
-    return float(np.linalg.det(u.re)) > 0.0
+    (a, b, c), (d, e, f), (g, h, i) = re.tolist()
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) > 0.0
 
 
 def _require_frame(u: DualMat3, tol: float) -> None:
@@ -407,7 +446,7 @@ def frame_translation(u: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
     frame_translation(U) + re(U) @ frame_translation(V).
     """
     _require_frame(u, tol)
-    return _axial_vector(u.du @ u.re.T)
+    return _axial_vector(u.du.dot(u.re.T))
 
 
 def displacement(
@@ -426,17 +465,17 @@ def displacement(
     """
     _require_frame(frame_a, tol)
     _require_frame(frame_b, tol)
-    if float(np.abs(frame_a.re - frame_b.re).max()) > tol:
+    if _max_abs(frame_a.re - frame_b.re) > tol:
         if not prerotate:
             raise ProjectionMismatch("frames project to different real bases")
-        q = frame_a.re @ frame_b.re.T
-        frame_b = DualMat3._raw(q @ frame_b.re, q @ frame_b.du)
-        if float(np.abs(frame_a.re - frame_b.re).max()) > tol:
+        q = frame_a.re.dot(frame_b.re.T)
+        frame_b = DualMat3._raw(q.dot(frame_b.re), q.dot(frame_b.du))
+        if _max_abs(frame_a.re - frame_b.re) > tol:
             raise ProjectionMismatch("projections still differ after pre-rotation")
-    total = DualVec3._raw(np.zeros(3), np.zeros(3))
+    total = DualVec3._raw(_ZERO3, _ZERO3)
     for i in range(3):
         total = total + cross(frame_a.row(i), frame_b.row(i))
     half = 0.5 * total
-    if float(np.abs(half.re).max()) > tol:
+    if _max_abs(half.re) > tol:
         raise NotPureDual("half-sum of row crosses has a residual resultant")
     return half.du.copy()

@@ -11,6 +11,7 @@ form belongs to the CLI.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +29,23 @@ from .errors import (
     NullVector,
 )
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
-from .linalg import DualVec3, _cross3, _parallel, cross, dot, magnitude, mixed, norm, normalized
+from .linalg import (
+    _EYE,
+    DualVec3,
+    _cross3,
+    _length,
+    _parallel,
+    cross,
+    dot,
+    magnitude,
+    mixed,
+    norm,
+    normalized,
+)
+
+# Moments are known to about eps times their length, wherever the triple sits;
+# a distance or pitch below this many of those roundings cannot be told from 0.
+_ROUNDINGS = 16
 
 
 def _require_proper(zs) -> None:
@@ -86,7 +103,7 @@ def classify_triple(
     zs = (z1, z2, z3)
     _require_proper(zs)
     res = [z.re for z in zs]
-    rnorm = [float(np.linalg.norm(r)) for r in res]
+    rnorm = [_length(r) for r in res]
     pair_parallel = [_parallel(res[i], res[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))]
 
     if all(pair_parallel):
@@ -94,8 +111,8 @@ def classify_triple(
         e = res[0] / rnorm[0]
         off1 = decs[1].axis.point - decs[0].axis.point
         off2 = decs[2].axis.point - decs[0].axis.point
-        vol = abs(float(_cross3(off1, off2) @ e))
-        scale = max(1.0, float(np.linalg.norm(off1)) * float(np.linalg.norm(off2)))
+        vol = abs(float(_cross3(off1, off2).dot(e)))
+        scale = max(1.0, _length(off1) * _length(off2))
         if vol <= tol * scale:
             return TripleClassification(TripleTag.PARALLEL_COPLANAR)
         return TripleClassification(TripleTag.PARALLEL_NON_COPLANAR)
@@ -132,16 +149,21 @@ def _concurrent_sliding(zs, tol: float) -> bool:
     Lines through one point form a pencil: the third unit line is the real
     combination a*l0 + b*l1 of the first two, and its moment differs from
     that combination's by the distance from the meeting point to its axis.
+    Pitch and distance are compared with ``tol``, or with the rounding of
+    the moments where that is larger, so that moving the triple away from
+    the origin does not change the verdict.
     """
+    rounding = _ROUNDINGS * sys.float_info.epsilon
     lines = []
     for z in zs:
         n = norm(z)
-        if abs(n.du / n.re) > tol:
+        if abs(n.du / n.re) > max(tol, rounding * _length(z.du) / n.re):
             return False
         lines.append(z * n.inv())
     l0, l1, l2 = lines
     (a, b), *_ = np.linalg.lstsq(np.column_stack([l0.re, l1.re]), l2.re, rcond=None)
-    return float(np.linalg.norm(l2.du - a * l0.du - b * l1.du)) <= tol
+    terms = _length(l2.du) + abs(a) * _length(l0.du) + abs(b) * _length(l1.du)
+    return _length(l2.du - a * l0.du - b * l1.du) <= max(tol, rounding * float(terms))
 
 
 @dataclass(frozen=True)
@@ -296,7 +318,7 @@ def petersen_morley(
 
     jacobi_residual = magnitude(a + b + c)
 
-    proper = [float(np.linalg.norm(w.re)) > tol * magnitude(w) for w in (a, b, c)]
+    proper = [_length(w.re) > tol * magnitude(w) for w in (a, b, c)]
     if all(proper):
         for u, v in ((a, b), (b, c), (c, a)):
             if _parallel(u.re, v.re, tol):
@@ -307,7 +329,7 @@ def petersen_morley(
     elif not any(proper):
         normal = _direction_certificate((a, b, c))
         residuals = tuple(
-            dot(normal.screw, DualVec3(np.zeros(3), w.du / np.linalg.norm(w.du)))
+            dot(normal.screw, DualVec3._raw(np.zeros(3), w.du / _length(w.du)))
             for w in (a, b, c)
         )
         degenerate = True
@@ -327,20 +349,20 @@ def petersen_morley(
 
 def _direction_certificate(ws) -> Line:
     """A line through the origin orthogonal to every moment of pure-dual screws."""
-    moments = [w.du / np.linalg.norm(w.du) for w in ws]
+    moments = [w.du / _length(w.du) for w in ws]
     best = None
     best_len = -1.0
     for i in range(len(moments)):
         for j in range(i + 1, len(moments)):
             n = _cross3(moments[i], moments[j])
-            if float(np.linalg.norm(n)) > best_len:
-                best_len = float(np.linalg.norm(n))
+            if _length(n) > best_len:
+                best_len = _length(n)
                 best = n
     if best is None or best_len < 1e-12:
         # All moments share one direction; any perpendicular will do.
-        seed = np.eye(3)[int(np.argmin(np.abs(moments[0])))]
+        seed = _EYE[int(np.argmin(np.abs(moments[0])))]
         best = _cross3(moments[0], seed)
-    direction = best / np.linalg.norm(best)
+    direction = best / _length(best)
     return line_from_point_direction(np.zeros(3), direction)
 
 

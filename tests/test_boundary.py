@@ -44,3 +44,74 @@ def test_no_check_is_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the library: {found}"
+
+
+# On a 3-vector or a 3x3 matrix each of these costs several times the
+# arithmetic it does; the kernels use linalg's _length, a triple product and
+# the _EYE constant instead. Module-level constants may still use them.
+SLOW_ENTRY_POINTS = {"numpy.linalg.norm", "numpy.linalg.det", "numpy.eye"}
+
+
+def _aliases(tree: ast.AST) -> dict:
+    """Local name -> dotted origin, for every import in the module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def _dotted(node: ast.AST):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _slow_calls(tree: ast.AST) -> list:
+    """Line numbers of calls to a slow entry point inside a function body."""
+    aliases = _aliases(tree)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for call in ast.walk(fn):
+            name = _dotted(call.func) if isinstance(call, ast.Call) else None
+            if name is None:
+                continue
+            head, _, rest = name.partition(".")
+            origin = aliases.get(head, head) + ("." + rest if rest else "")
+            if origin in SLOW_ENTRY_POINTS:
+                found.add(call.lineno)
+    return sorted(found)
+
+
+def test_slow_call_detector_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import det as d\n"
+        "import numpy\n"
+        "EYE = np.eye(3)\n"
+        "def f(v):\n"
+        "    return np.linalg.norm(v) + d(v) + numpy.eye(3) + np.linalg.lstsq(v, v)\n"
+        "g = lambda m: np.linalg.det(m)\n"
+    )
+    assert _slow_calls(ast.parse(source)) == [6, 7]
+
+
+@pytest.mark.parametrize("module", ["linalg", "geometry", "theorems"])
+def test_kernels_call_no_slow_numpy_entry_point(module):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    assert _aliases(tree).get("np") == "numpy", "the parser is not looking at the module"
+    lines = _slow_calls(tree)
+    assert not lines, f"{module}.py calls np.linalg.norm, np.linalg.det or np.eye at lines {lines}"

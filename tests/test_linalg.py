@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_dual_close,
@@ -39,9 +41,11 @@ from screwalg.errors import (
     DegenerateBasis,
     NotAFrame,
     NotAntisymmetric,
+    NotFinite,
     NullVector,
     ProjectionMismatch,
 )
+from screwalg.linalg import _length, _mat, _vec
 
 E1, E2, E3 = basis()
 
@@ -358,3 +362,131 @@ class TestDisplacement:
                 tol=1e-12,
                 scale=10.0,
             )
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestInputChecks:
+    """_vec and _mat are where vectors and matrices enter; each refuses non-finite input."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("position", range(3))
+    def test_vec_refuses_non_finite_component(self, bad, position):
+        x = [1.0, 2.0, 3.0]
+        x[position] = bad
+        with pytest.raises(NotFinite):
+            _vec(x)
+        with pytest.raises(NotFinite):
+            DualVec3([0.0, 0.0, 1.0], x)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("position", range(9))
+    def test_mat_refuses_non_finite_entry(self, bad, position):
+        a = np.arange(9.0)
+        a[position] = bad
+        with pytest.raises(NotFinite):
+            _mat(a.reshape(3, 3))
+        with pytest.raises(NotFinite):
+            DualMat3(np.eye(3), a.reshape(3, 3))
+
+    def test_vec_refuses_overflow(self):
+        with pytest.raises(NotFinite):
+            _vec([10**400, 0, 0])
+
+    def test_mat_refuses_overflow(self):
+        with pytest.raises(NotFinite):
+            _mat([[1, 0, 0], [0, 10**400, 0], [0, 0, 1]])
+
+    def test_largest_finite_values_pass(self):
+        big = np.finfo(float).max
+        assert _vec([big, -big, 0.0]).tolist() == [big, -big, 0.0]
+        assert _mat(np.full((3, 3), -big)).min() == -big
+
+
+HUGE = DualVec3([1e200, 0, 0])
+
+
+class TestResultsAreTestedFinite:
+    """Arithmetic on finite vectors and matrices that overflows raises NotFinite."""
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda: cross(HUGE, DualVec3([0, 1e200, 0])),
+            lambda: HUGE * 1e200,
+            lambda: HUGE * Dual(1.0, 1e200) * 1e200,
+            lambda: mat_apply(DualMat3(1e200 * np.eye(3)), HUGE),
+            lambda: DualVec3([1.7e308, 0, 0]) + DualVec3([1.7e308, 0, 0]),
+            lambda: DualVec3([0, 0, 0], [-1.7e308, 0, 0]) - DualVec3([0, 0, 0], [1.7e308, 0, 0]),
+            lambda: DualMat3(1e200 * np.eye(3)) @ DualMat3(1e200 * np.eye(3)),
+            lambda: DualMat3(1.7e308 * np.eye(3)) + DualMat3(1.7e308 * np.eye(3)),
+            lambda: DualMat3(np.eye(3), -1.7e308 * np.eye(3)) - DualMat3(np.eye(3), 1.7e308 * np.eye(3)),
+        ],
+        ids=[
+            "cross", "vec-times-float", "vec-times-dual", "mat_apply", "vec-add", "vec-sub",
+            "matmul", "mat-add", "mat-sub",
+        ],
+    )
+    def test_overflow_raises_not_finite(self, operation):
+        # numpy warns when an array operation overflows; the refusal is what counts.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotFinite):
+            operation()
+
+    def test_results_next_to_the_edge_are_kept(self):
+        big = DualVec3([1e154, 0, 0])
+        assert (big * 1e154).re.tolist() == [1e308, 0.0, 0.0]
+        assert cross(big, DualVec3([0, 1e154, 0])).re.tolist() == [0.0, 0.0, 1e308]
+
+
+def _rotation(q) -> np.ndarray:
+    """Rotation matrix of the unit quaternion q = (w, x, y, z)."""
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+unit_quaternions = (
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .map(np.array)
+    .filter(lambda q: np.linalg.norm(q) > 0.1)
+    .map(lambda q: q / np.linalg.norm(q))
+)
+translations = st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3)
+REFLECT = np.diag([1.0, 1.0, -1.0])
+
+
+class TestFrameCheck:
+    def test_reflection_is_not_a_frame(self):
+        assert not is_frame(DualMat3(REFLECT))
+        assert not is_frame(DualMat3(-np.eye(3)))
+
+    def test_random_frames_are_frames(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            assert is_frame(rand_frame(rng, span=1e3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_quaternions, translations, st.booleans())
+    def test_orientation_agrees_with_the_determinant(self, q, t, reflect):
+        # A reflected frame is still orthogonal over the duals; only the
+        # orientation test can refuse it.
+        u = frame_from_point(t) @ DualMat3(_rotation(q))
+        if reflect:
+            u = DualMat3(REFLECT @ u.re, REFLECT @ u.du)
+        assert is_frame(u) == (np.linalg.det(u.re) > 0.0)
+        assert is_frame(u) is not reflect
+
+
+vectors = st.lists(
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False), min_size=3, max_size=3
+).map(np.array)
+
+
+@settings(max_examples=500, deadline=None)
+@given(vectors)
+def test_length_is_bit_for_bit_numpy_norm(v):
+    assert _length(v) == np.linalg.norm(v)

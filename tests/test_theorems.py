@@ -195,6 +195,23 @@ class TestClassifyTriple:
             return
         assert tag is not TripleTag.CONCURRENT_COPLANAR
 
+    @pytest.mark.parametrize("distance", [1e6, 1e7, 1e8])
+    def test_concurrent_triple_keeps_its_verdict_far_away(self, distance):
+        # The moments' rounding, about eps * distance, passes tol past ~1e6.
+        zs = self._pencil(distance * np.array([0.48, -0.6, 0.64]))
+        assert classify_triple(*zs, tol=1e-9).tag is TripleTag.CONCURRENT_COPLANAR
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e6])
+    def test_concurrent_triple_keeps_its_verdict_when_scaled(self, factor):
+        zs = self._pencil(factor * np.array([0.3, -1.2, 0.7]))
+        assert classify_triple(*zs, tol=1e-9).tag is TripleTag.CONCURRENT_COPLANAR
+
+    def test_scaled_up_near_miss_is_still_not_concurrent(self):
+        # The third line misses the meeting point by 1e-2 at 1e6 from the origin.
+        offset = 1e-2 * np.array([-math.sin(2 * math.pi / 3), math.cos(2 * math.pi / 3), 0.0])
+        zs = self._pencil(1e6 * np.array([0.3, -1.2, 0.7]), 2, offset)
+        assert self._verdict(zs) is not TripleTag.CONCURRENT_COPLANAR
+
     @staticmethod
     def _verdict(zs):
         try:
