@@ -16,7 +16,6 @@ from .geometry import (
     axis_decompose,
     comoment,
     common_normal,
-    commutator,
     dual_angle,
     field_at,
     frame_from_point,
@@ -37,7 +36,6 @@ from .linalg import (
     hat,
     is_frame,
     magnitude,
-    mat_apply,
     mixed,
     norm,
     normalized,

@@ -23,7 +23,8 @@ from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
 from .linalg import (
-    DualMat3, DualVec3, _cross3, _parallel, _vec, exp_so3d, frame_translation, is_frame,
+    DualMat3, DualVec3, _cross3, _DualArray, _parallel, _vec, exp_so3d, frame_translation,
+    is_frame,
 )
 from .oracle import _fit_with_residual, line_distance_angle
 from .theorems import equilibrium_laws, petersen_morley, thales_check
@@ -143,7 +144,7 @@ def _json_text(obj) -> str:
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _json_text(obj.tolist())
-    if isinstance(obj, (DualVec3, DualMat3)):
+    if isinstance(obj, _DualArray):
         return _json_text({"re": obj.re, "du": obj.du})
     if isinstance(obj, Line):
         return _json_text({"point": obj.point, "direction": obj.direction})

@@ -30,11 +30,11 @@ class Dual:
 
     Validation: input is checked where it enters, by this constructor (which
     coerces to float and refuses non-finite components), by the
-    ``DualVec3``/``DualMat3`` constructors (through ``linalg._vec`` and
-    ``linalg._mat``), by ``line_from_point_direction`` and by the CLI
-    parsers. Results the library computes from checked values skip coercion
-    and re-validation, but every result is still tested finite: a ``Dual``
-    in ``_dual``, a ``DualVec3`` or ``DualMat3`` in its ``_raw``. So an
+    ``DualVec3``/``DualMat3`` constructors (through the one array checker
+    ``linalg._DualArray._checked``), by ``line_from_point_direction`` and by
+    the CLI parsers. Results computed from checked values skip coercion and
+    re-validation, but every result is still tested finite: a ``Dual`` in
+    ``_dual``, a ``DualVec3`` or ``DualMat3`` in the shared ``_raw``. So an
     overflow raises ``NotFinite`` (CLI exit 3) at the result it spoils.
     """
 

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DEFAULT_TOL, Dual, acos_principal
-from .errors import NotALine, NotUnit, NullVector, ParallelResultants
+from .errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
 from .linalg import (
     _EYE,
     DualMat3,
     DualVec3,
     _axial_matrix,
     _cross3,
+    _finite,
     _length,
     _parallel,
     _vec,
@@ -41,12 +42,15 @@ class Line:
     __slots__ = ("screw",)
 
     def __init__(self, screw: DualVec3, tol: float = DEFAULT_TOL):
-        e = screw.re
+        self._canonicalize(screw.re, screw.du, tol)
+
+    def _canonicalize(self, e: np.ndarray, m: np.ndarray, tol: float) -> None:
+        """Set the screw from its finite resultant e and moment m; the one path."""
         length = _length(e)
         if abs(length - 1.0) > tol:
             raise NotALine(f"resultant length {length} is not 1 within {tol}")
         e = e / length
-        m = screw.du / length
+        m = m / length
         pitch_component = float(m.dot(e))
         # The bound is tol * max(1, |m|); |m| is needed only past tol.
         pitch = abs(pitch_component)
@@ -83,7 +87,12 @@ def _line_through(p: np.ndarray, e: np.ndarray, tol: float) -> Line:
     """line_from_point_direction on finite 3-vectors the library already holds."""
     if abs(_length(e) - 1.0) > tol:
         raise NotUnit(f"direction {e.tolist()} is not unit length within {tol}")
-    return Line(DualVec3._raw(e, _cross3(p, e)), tol=tol)
+    m = _cross3(p, e)
+    if not _finite(m.tolist()):
+        raise NotFinite(f"moment of the line through {p.tolist()} overflows")
+    line = object.__new__(Line)
+    line._canonicalize(e, m, tol)
+    return line
 
 
 def field_at(z: DualVec3, point) -> np.ndarray:
@@ -95,11 +104,6 @@ def field_at(z: DualVec3, point) -> np.ndarray:
 def comoment(z1: DualVec3, z2: DualVec3) -> float:
     """Reduction-point-independent screw pairing; the dual part of dot."""
     return dot(z1, z2).du
-
-
-def commutator(z1: DualVec3, z2: DualVec3) -> DualVec3:
-    """Negative Lie bracket of the fields; as motors it is just the cross product."""
-    return cross(z1, z2)
 
 
 @dataclass(frozen=True)

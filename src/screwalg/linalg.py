@@ -5,8 +5,8 @@ basis, the *canonical frame*. Under that convention a dual vector
 ``re + eps*du`` is exactly the motor of a screw reduced at the canonical
 origin: ``re`` is the resultant, ``du`` is the field value at the origin.
 Dual matrices hold frames as rows (row i is the image of the i-th canonical
-basis element) and act on vectors from the left of a row vector,
-``apply(M, x)_j = sum_i x_i M_ij``.
+basis element) and act on row vectors from the right,
+``(x @ M)_j = sum_i x_i M_ij``.
 """
 
 from __future__ import annotations
@@ -60,32 +60,6 @@ def _max_abs(a: np.ndarray) -> float:
     return max(map(abs, a.ravel().tolist()))
 
 
-def _vec(x) -> np.ndarray:
-    """A fresh float copy of a finite 3-vector; the check for vector input."""
-    try:
-        a = np.array(x, dtype=float)
-    except OverflowError as exc:
-        raise NotFinite("vector components must be finite") from exc
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not _finite(a.tolist()):
-        raise NotFinite("vector components must be finite")
-    return a
-
-
-def _mat(x) -> np.ndarray:
-    """A fresh float copy of a finite 3x3 matrix; the check for matrix input."""
-    try:
-        a = np.array(x, dtype=float)
-    except OverflowError as exc:
-        raise NotFinite("matrix entries must be finite") from exc
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not _finite(a.ravel().tolist()):
-        raise NotFinite("matrix entries must be finite")
-    return a
-
-
 def _axial_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix A with row action x @ A = v x x, i.e. A_ij = eps_aij v_a."""
     x, y, z = v.tolist()
@@ -114,38 +88,103 @@ def _parallel(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     return _length(_cross3(u, v)) <= tol * _length(u) * _length(v)
 
 
-class DualVec3:
-    """Element of the dual module: a screw as its motor at the canonical origin.
+class _DualArray:
+    """A pair ``re + eps*du`` of immutable real arrays of one fixed shape.
+
+    By the transference principle a real vector or matrix formula holds over
+    the duals unchanged, so module elements (DualVec3) and module maps
+    (DualMat3) share everything here. A subclass declares its ``_shape``,
+    the ``_kind`` its errors name, its ``_zero`` and its own accessors.
 
     Validation: the constructor copies its input once and refuses anything
-    that is not a finite 3-vector. Every result the library builds (``+``,
-    ``-``, ``*``, ``cross``, ``mat_apply``, rows of a ``DualMat3``, ...) goes
-    through ``_raw``, which skips the copy but still tests the arrays finite,
-    so an overflow raises NotFinite (CLI exit 3) at the result it spoils.
+    that is not finite or not of the subclass's shape. Every result the
+    library builds (``+``, ``-``, ``*``, ``@``, ``cross``, rows of a
+    ``DualMat3``, ...) goes through ``_raw``, which skips the copy but still
+    tests the arrays finite, so an overflow raises NotFinite (CLI exit 3) at
+    the result it spoils.
     """
 
     __slots__ = ("re", "du")
 
     def __init__(self, re, du=None):
-        object.__setattr__(self, "re", _vec(re))
-        object.__setattr__(self, "du", _ZERO3 if du is None else _vec(du))
-        self.re.setflags(write=False)
-        self.du.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualVec3 is immutable")
+        re = self._checked(re)
+        du = self._zero if du is None else self._checked(du)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "du", du)
+        re.setflags(write=False)
+        du.setflags(write=False)
 
     @classmethod
-    def _raw(cls, re: np.ndarray, du: np.ndarray) -> "DualVec3":
+    def _checked(cls, x) -> np.ndarray:
+        """A fresh float copy of finite input of this shape; the one check for array input."""
+        try:
+            a = np.array(x, dtype=float)
+        except OverflowError as exc:
+            raise NotFinite(f"{cls._kind} entries must be finite") from exc
+        if a.shape != cls._shape:
+            raise ValueError(f"expected a {cls._kind}, got shape {a.shape}")
+        if not _finite(a.tolist() if a.ndim == 1 else a.ravel().tolist()):
+            raise NotFinite(f"{cls._kind} entries must be finite")
+        return a
+
+    @classmethod
+    def _raw(cls, re: np.ndarray, du: np.ndarray):
         # For arrays the library computed: no copy, but still tested finite.
-        if not _finite(re.tolist() + du.tolist()):
-            raise NotFinite("vector result overflows")
+        if re.ndim == 1:
+            values = re.tolist() + du.tolist()
+        else:
+            values = re.ravel().tolist() + du.ravel().tolist()
+        if not _finite(values):
+            raise NotFinite(f"{cls._kind} result overflows")
         self = object.__new__(cls)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "du", du)
         re.setflags(write=False)
         du.setflags(write=False)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._raw(self.re + other.re, self.du + other.du)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._raw(self.re - other.re, self.du - other.du)
+
+    def __neg__(self):
+        return self._raw(-self.re, -self.du)
+
+    def __mul__(self, k):
+        if isinstance(k, Dual):
+            return self._raw(k.re * self.re, k.re * self.du + k.du * self.re)
+        if isinstance(k, (int, float)):
+            return self._raw(k * self.re, k * self.du)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, m):
+        """Row action ``(x @ m)_j = sum_i x_i m_ij``; ``n @ m`` composes; ``m @ x`` fails."""
+        if not isinstance(m, DualMat3):
+            return NotImplemented
+        return self._raw(self.re.dot(m.re), self.re.dot(m.du) + self.du.dot(m.re))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.re.tolist()}, {self.du.tolist()})"
+
+
+class DualVec3(_DualArray):
+    """Element of the dual module: a screw as its motor at the canonical origin."""
+
+    __slots__ = ()
+    _shape = (3,)
+    _kind = "3-vector"
+    _zero = _ZERO3
 
     @property
     def is_pure_dual(self) -> bool:
@@ -154,27 +193,6 @@ class DualVec3:
 
     def component(self, i: int) -> Dual:
         return _dual(float(self.re[i]), float(self.du[i]))
-
-    def __add__(self, other: "DualVec3") -> "DualVec3":
-        return DualVec3._raw(self.re + other.re, self.du + other.du)
-
-    def __sub__(self, other: "DualVec3") -> "DualVec3":
-        return DualVec3._raw(self.re - other.re, self.du - other.du)
-
-    def __neg__(self) -> "DualVec3":
-        return DualVec3._raw(-self.re, -self.du)
-
-    def __mul__(self, k) -> "DualVec3":
-        if isinstance(k, Dual):
-            return DualVec3._raw(k.re * self.re, k.re * self.du + k.du * self.re)
-        if isinstance(k, (int, float)):
-            return DualVec3._raw(k * self.re, k * self.du)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"DualVec3({self.re.tolist()}, {self.du.tolist()})"
 
 
 def basis() -> tuple[DualVec3, DualVec3, DualVec3]:
@@ -250,35 +268,17 @@ def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, Du
     return out[0], out[1], out[2]
 
 
-class DualMat3:
+class DualMat3(_DualArray):
     """3x3 dual matrix; orthogonal positive ones are frames of Euclidean space.
 
     Rows are the images of the canonical basis elements, so a frame's rows
     are the motors of its three axis lines.
     """
 
-    __slots__ = ("re", "du")
-
-    def __init__(self, re, du=None):
-        object.__setattr__(self, "re", _mat(re))
-        object.__setattr__(self, "du", _ZERO33 if du is None else _mat(du))
-        self.re.setflags(write=False)
-        self.du.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualMat3 is immutable")
-
-    @classmethod
-    def _raw(cls, re: np.ndarray, du: np.ndarray) -> "DualMat3":
-        # For arrays the library computed: no copy, but still tested finite.
-        if not _finite(re.ravel().tolist() + du.ravel().tolist()):
-            raise NotFinite("matrix result overflows")
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "du", du)
-        re.setflags(write=False)
-        du.setflags(write=False)
-        return self
+    __slots__ = ()
+    _shape = (3, 3)
+    _kind = "3x3 matrix"
+    _zero = _ZERO33
 
     @classmethod
     def identity(cls) -> "DualMat3":
@@ -298,26 +298,13 @@ class DualMat3:
     def T(self) -> "DualMat3":
         return DualMat3._raw(self.re.T.copy(), self.du.T.copy())
 
-    def __matmul__(self, other: "DualMat3") -> "DualMat3":
-        return DualMat3._raw(self.re.dot(other.re), self.re.dot(other.du) + self.du.dot(other.re))
 
-    def __add__(self, other: "DualMat3") -> "DualMat3":
-        return DualMat3._raw(self.re + other.re, self.du + other.du)
-
-    def __sub__(self, other: "DualMat3") -> "DualMat3":
-        return DualMat3._raw(self.re - other.re, self.du - other.du)
-
-    def __repr__(self) -> str:
-        return f"DualMat3({self.re.tolist()}, {self.du.tolist()})"
-
-
-def mat_apply(m: DualMat3, x: DualVec3) -> DualVec3:
-    """Row action of a dual matrix on a dual vector."""
-    return DualVec3._raw(x.re.dot(m.re), x.re.dot(m.du) + x.du.dot(m.re))
+_vec = DualVec3._checked
+_mat = DualMat3._checked
 
 
 def hat(b: DualVec3) -> DualMat3:
-    """The operator ``b cross``: mat_apply(hat(b), x) == cross(b, x)."""
+    """The operator ``b cross`` under the row action: ``x @ hat(b) == cross(b, x)``."""
     return DualMat3._raw(_axial_matrix(b.re), _axial_matrix(b.du))
 
 

@@ -515,6 +515,21 @@ def test_screw_point_that_is_not_a_3_vector_exits_2(capsys, argv):
     assert err.startswith("error: bad screw document")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screw-axis", "--json", json.dumps({"re": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})],
+        ["compose", "--json", json.dumps([{"matrix": {"re": [1, 0, 0]}}])],
+    ],
+    ids=["screw-given-matrix", "matrix-given-vector"],
+)
+def test_value_of_the_other_shape_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "got shape" in err
+
+
 LINE_AXIS = {"point": [0, 0, 0], "direction": [0, 0, 1]}
 
 

@@ -25,7 +25,6 @@ from screwalg import (
     axis_decompose,
     comoment,
     common_normal,
-    commutator,
     cos,
     cross,
     dot,
@@ -94,6 +93,11 @@ class TestLines:
             l = line_from_point_direction(p, e)
             assert_vec_close(l.point, p - (p @ e) * e, tol=1e-12, scale=1e8)
 
+    def test_moment_that_overflows_raises_not_finite(self):
+        # Point and direction are finite; their cross product is not.
+        with pytest.raises(NotFinite):
+            line_from_point_direction([0, 1.7e308, -1.7e308], [0, 0.6, 0.8])
+
     def test_closest_point_to_origin(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -157,16 +161,16 @@ class TestPairings:
     def test_commutator_of_concurrent_lines(self):
         lx = line_from_point_direction([0, 0, 0], X)
         ly = line_from_point_direction([0, 0, 0], Y)
-        assert_dualvec_close(commutator(lx.screw, ly.screw), DualVec3(Z))
+        assert_dualvec_close(cross(lx.screw, ly.screw), DualVec3(Z))
 
     def test_commutator_of_skew_lines_is_common_normal_motor(self):
-        out = commutator(x_axis().screw, y_axis_offset().screw)
+        out = cross(x_axis().screw, y_axis_offset().screw)
         assert_dualvec_close(out, DualVec3(Z))
 
     def test_commutator_of_equal_arguments(self):
         rng = np.random.default_rng(5)
         z = rand_dualvec(rng)
-        assert_dualvec_close(commutator(z, z), DualVec3([0, 0, 0]))
+        assert_dualvec_close(cross(z, z), DualVec3([0, 0, 0]))
 
 
 class TestAxis:

@@ -32,7 +32,6 @@ from screwalg import (
     hat,
     is_frame,
     magnitude,
-    mat_apply,
     mixed,
     norm,
     vee,
@@ -195,7 +194,7 @@ class TestGramSchmidt:
 
 class TestHatVee:
     def test_hat_rotation_generator(self):
-        assert_dualvec_close(mat_apply(hat(E3), E1), E2)
+        assert_dualvec_close(E1 @ hat(E3), E2)
 
     def test_hat_of_zero(self):
         h = hat(DualVec3([0, 0, 0]))
@@ -203,21 +202,21 @@ class TestHatVee:
 
     def test_hat_with_dual_component(self):
         b = DualVec3([1, 0, 0], [0, 0, 1])
-        assert_dualvec_close(mat_apply(hat(b), E2), DualVec3([0, 0, 1], [-1, 0, 0]))
+        assert_dualvec_close(E2 @ hat(b), DualVec3([0, 0, 1], [-1, 0, 0]))
 
     def test_hat_matches_cross(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             b, x = rand_dualvec(rng), rand_dualvec(rng)
             assert_dualvec_close(
-                mat_apply(hat(b), x), cross(b, x), tol=1e-13, scale=magnitude(b) * magnitude(x)
+                x @ hat(b), cross(b, x), tol=1e-13, scale=magnitude(b) * magnitude(x)
             )
 
     def test_hat_is_pairing_antisymmetric(self):
         rng = np.random.default_rng(10)
         b, v, w = (rand_dualvec(rng) for _ in range(3))
         h = hat(b)
-        total = dot(mat_apply(h, v), w) + dot(v, mat_apply(h, w))
+        total = dot(v @ h, w) + dot(v, w @ h)
         assert_dual_close(total, Dual(0, 0), tol=1e-12, scale=100.0)
 
     def test_vee_round_trips(self):
@@ -416,7 +415,7 @@ class TestResultsAreTestedFinite:
             lambda: cross(HUGE, DualVec3([0, 1e200, 0])),
             lambda: HUGE * 1e200,
             lambda: HUGE * Dual(1.0, 1e200) * 1e200,
-            lambda: mat_apply(DualMat3(1e200 * np.eye(3)), HUGE),
+            lambda: HUGE @ DualMat3(1e200 * np.eye(3)),
             lambda: DualVec3([1.7e308, 0, 0]) + DualVec3([1.7e308, 0, 0]),
             lambda: DualVec3([0, 0, 0], [-1.7e308, 0, 0]) - DualVec3([0, 0, 0], [1.7e308, 0, 0]),
             lambda: DualMat3(1e200 * np.eye(3)) @ DualMat3(1e200 * np.eye(3)),
@@ -424,7 +423,7 @@ class TestResultsAreTestedFinite:
             lambda: DualMat3(np.eye(3), -1.7e308 * np.eye(3)) - DualMat3(np.eye(3), 1.7e308 * np.eye(3)),
         ],
         ids=[
-            "cross", "vec-times-float", "vec-times-dual", "mat_apply", "vec-add", "vec-sub",
+            "cross", "vec-times-float", "vec-times-dual", "vec-at-mat", "vec-add", "vec-sub",
             "matmul", "mat-add", "mat-sub",
         ],
     )
@@ -490,3 +489,63 @@ vectors = st.lists(
 @given(vectors)
 def test_length_is_bit_for_bit_numpy_norm(v):
     assert _length(v) == np.linalg.norm(v)
+
+
+IDENTITY_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+class TestVectorAndMatrixContract:
+    """The behaviour DualVec3 and DualMat3 share, and the one product @ between them."""
+
+    @pytest.mark.parametrize("cls, wrong", [(DualVec3, IDENTITY_ROWS), (DualMat3, [1, 2, 3])],
+                             ids=["vector-given-matrix", "matrix-given-vector"])
+    def test_input_of_the_other_shape_is_refused(self, cls, wrong):
+        with pytest.raises(ValueError, match="got shape"):
+            cls(wrong)
+        right = [0, 0, 1] if cls is DualVec3 else IDENTITY_ROWS
+        with pytest.raises(ValueError, match="got shape"):
+            cls(right, wrong)
+
+    @pytest.mark.parametrize("value", [DualVec3([1, 2, 3], [4, 5, 6]), DualMat3(np.eye(3))],
+                             ids=["vector", "matrix"])
+    def test_values_are_immutable(self, value):
+        for name in ("re", "du", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, value.re)
+        for part in (value.re, value.du, (value + value).re, (value - value).du):
+            with pytest.raises(ValueError):
+                part[0] = 7.0
+
+    def test_repr_names_the_class(self):
+        assert repr(DualVec3([1, 2, 3])) == "DualVec3([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])"
+        assert repr(DualMat3(np.eye(3), 2 * np.eye(3))) == (
+            "DualMat3([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "
+            "[[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])"
+        )
+
+    def test_matrices_scale_and_negate_row_by_row(self):
+        rng = np.random.default_rng(41)
+        m = DualMat3(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+        k = Dual(rng.normal(), rng.normal())
+        for scaled, row_op in [
+            (k * m, lambda r: k * r), (m * k, lambda r: r * k),
+            (2.5 * m, lambda r: 2.5 * r), (m * 2.5, lambda r: r * 2.5),
+            (-m, lambda r: -r),
+        ]:
+            assert type(scaled) is DualMat3
+            for got, row in zip(scaled.rows(), m.rows()):
+                assert repr(got) == repr(row_op(row))
+
+    def test_vectors_and_matrices_do_not_add(self):
+        x, m = DualVec3([1, 2, 3]), DualMat3.identity()
+        with pytest.raises(TypeError):
+            x + m
+        with pytest.raises(TypeError):
+            m - x
+
+    def test_at_acts_on_rows_only(self):
+        x, m = DualVec3([1, 2, 3]), DualMat3.identity()
+        with pytest.raises(TypeError):
+            m @ x
+        with pytest.raises(TypeError):
+            x @ x

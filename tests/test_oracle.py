@@ -17,7 +17,7 @@ from screwalg import (
     ClassicalScrew,
     Dual,
     comoment,
-    commutator,
+    cross,
     delassus_fit,
     dot,
     dual_angle,
@@ -145,7 +145,7 @@ class TestMotorIsomorphism:
             assert abs(oracle_comoment(c1, c2) - comoment(z1, z2)) <= 1e-12 * max(1.0, scale)
             assert_dualvec_close(
                 oracle_commutator(c1, c2).to_motor(),
-                commutator(z1, z2),
+                cross(z1, z2),
                 tol=1e-12,
                 scale=scale,
             )
