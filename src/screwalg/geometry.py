@@ -61,6 +61,9 @@ class Line:
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Line is immutable")
+
     @property
     def direction(self) -> np.ndarray:
         return self.screw.re

@@ -146,6 +146,9 @@ class _DualArray:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented

@@ -5,6 +5,12 @@ real vectors, no dual arithmetic anywhere in the computations. It exists to
 cross-check the dual-module formulation: every identity the library claims
 is verified against these brute-force formulas, so the two sides must not
 share code paths. Only the motor converters at the boundary touch DualVec3.
+
+``delassus_fit`` converts its samples once and works on whole arrays, with
+no per-sample numpy call and none of numpy's generic per-call entry points
+(``np.cross``, ``ndarray.mean``, ``np.stack``, ``np.linalg.norm``). It takes
+the same products, sums and divisions as the centered least-squares fit
+written with them, so its results are the same to the last bit.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 from .dual import DEFAULT_TOL, Dual
 from .errors import DegenerateSamples, NotEquiprojective, NotFinite
 from .linalg import DualVec3
+
+_OVERFLOW = "the fit overflows double precision; sample magnitudes are out of range"
 
 # Fixed, non-collinear probe points used to assert reduction-point
 # independence of the pairings below.
@@ -140,11 +148,12 @@ def line_distance_angle(
     cos_theta = float(np.clip(e1 @ e2, -1.0, 1.0))
     theta = float(np.arccos(cos_theta))
     n = np.cross(e1, e2)
-    n_len = float(np.linalg.norm(n))
+    # numpy's own norm of a 1-D array, sqrt(x.dot(x)), without its dispatch.
+    n_len = math.sqrt(n.dot(n))
     w = p2 - p1
     if n_len <= tol:
         offset = w - (w @ e1) * e1
-        return LineRelation(float(np.linalg.norm(offset)), theta, None)
+        return LineRelation(math.sqrt(offset.dot(offset)), theta, None)
     distance = abs(float(w @ n)) / n_len
     # Minimize |p1 + t1 e1 - p2 - t2 e2| with unit directions.
     b = float(e1 @ e2)
@@ -164,6 +173,9 @@ def delassus_fit(
 ) -> ClassicalScrew:
     """Recover the screw behind sampled field values, or prove there is none.
 
+    ``samples`` is a sequence of at least 3 ``(point, value)`` pairs of real
+    3-vectors, lists or arrays alike: the field takes ``value`` at ``point``.
+
     Solves the constitutive equation value_i - mean(value) = s x (P_i - mean(P))
     in least squares over the samples, then averages the origin value. Its
     normal equations are n times those of the pairwise system
@@ -171,45 +183,75 @@ def delassus_fit(
     resultant s is the same, from 3n rows instead of 3n(n-1)/2.
     The maximum per-sample residual is compared against ``tol`` scaled by
     the field magnitude; a genuine screw sampled without noise passes at
-    machine precision, anything non-equiprojective fails loudly. Samples so
-    large that the fit overflows raise NotFinite.
+    machine precision, anything non-equiprojective fails loudly.
+
+    It raises ValueError when the samples do not form an array of shape
+    (n, 2, 3), NotFinite when a sample is infinite or NaN or the fit
+    overflows, DegenerateSamples for fewer than 3 samples or collinear
+    points, and NotEquiprojective when the residual exceeds ``tol`` times the
+    field magnitude, so that no screw fits the samples.
     """
     return _fit_with_residual(samples, tol)[0]
 
 
 def _fit_with_residual(samples: Sequence[tuple], tol: float) -> "tuple[ClassicalScrew, float]":
-    """``delassus_fit`` together with its maximum per-sample residual."""
+    """``delassus_fit`` together with its maximum per-sample residual.
+
+    One whole-array numpy call per step, none per sample; no @ or dot, whose
+    BLAS kernels may fuse a multiply and an add and so change the last bits.
+    """
     if len(samples) < 3:
         raise DegenerateSamples(f"need at least 3 samples, got {len(samples)}")
-    points = np.array([np.asarray(p, dtype=float) for p, _ in samples])
-    values = np.array([np.asarray(v, dtype=float) for _, v in samples])
-    centered = points - points.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[1] <= tol * max(1.0, svals[0]):
-        raise DegenerateSamples("sample points are collinear")
-
-    # -[d]x s = s x d, one 3x3 block per sample.
-    a = -_cross_matrix(centered).reshape(-1, 3)
-    b = (values - values.mean(axis=0)).reshape(-1)
-    s, *_ = np.linalg.lstsq(a, b, rcond=None)
+    try:
+        x = np.array(samples, dtype=float)
+    except OverflowError as exc:
+        raise NotFinite("samples must be finite") from exc
+    except ValueError as exc:
+        raise ValueError(f"expected samples of shape (n, 2, 3): {exc}") from exc
+    n = len(x)
+    if x.shape != (n, 2, 3):
+        raise ValueError(f"expected samples of shape (n, 2, 3), got shape {x.shape}")
+    points, values = x[:, 0], x[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        transported = np.cross(s, points)
-        value_at_origin = (values - transported).mean(axis=0)
-        residual = float(
-            np.linalg.norm(value_at_origin + transported - values, axis=1).max()
-        )
+        # The mean is a sum and one division by n, exactly as ndarray.mean.
+        centered = x - x.sum(axis=0) / n
+        if not np.isfinite(centered).all():
+            if not np.isfinite(x).all():
+                raise NotFinite("samples must be finite")
+            raise NotFinite(_OVERFLOW)
+        offsets = centered[:, 0]
+        svals = np.linalg.svd(offsets, compute_uv=False)
+        if svals[1] <= tol * max(1.0, svals[0]):
+            raise DegenerateSamples("sample points are collinear")
+
+        # One 3x3 block per sample offset d, -[d]x, so that block @ s == s x d;
+        # its zeros are the -0.0 that negating the skew matrix gives.
+        dx, dy, dz = offsets.T
+        a = np.full((n, 3, 3), -0.0)
+        a[:, 0, 1] = dz
+        a[:, 0, 2] = -dy
+        a[:, 1, 0] = -dz
+        a[:, 1, 2] = dx
+        a[:, 2, 0] = dy
+        a[:, 2, 1] = -dx
+        s, *_ = np.linalg.lstsq(a.reshape(-1, 3), centered[:, 1].reshape(-1), rcond=None)
+
+        # s x P column by column, the products and differences np.cross takes.
+        (s0, s1, s2), (px, py, pz) = s, points.T
+        transported = np.empty((n, 3))
+        transported[:, 0] = s1 * pz - s2 * py
+        transported[:, 1] = s2 * px - s0 * pz
+        transported[:, 2] = s0 * py - s1 * px
+        value_at_origin = (values - transported).sum(axis=0) / n
+        r = value_at_origin + transported - values
+        # sqrt is correctly rounded and monotone: the root of the largest
+        # squared row norm is the largest row norm, bit for bit.
+        residual = math.sqrt((r * r).sum(axis=1).max())
     if not math.isfinite(residual):
-        raise NotFinite("the fit overflows double precision; sample magnitudes are out of range")
+        raise NotFinite(_OVERFLOW)
     scale = max(1.0, float(np.abs(values).max()))
     if residual > tol * scale:
         raise NotEquiprojective(
             f"max fit residual {residual:g} exceeds {tol * scale:g}; field is not a screw"
         )
     return ClassicalScrew(s, value_at_origin), residual
-
-
-def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    """Column-action skew matrices, one per row: _cross_matrix(v)[i] @ x == v[i] x x."""
-    x, y, z = v.T
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3)

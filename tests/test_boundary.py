@@ -109,7 +109,7 @@ def test_slow_call_detector_sees_every_spelling():
     assert _slow_calls(ast.parse(source)) == [6, 7]
 
 
-@pytest.mark.parametrize("module", ["linalg", "geometry", "theorems"])
+@pytest.mark.parametrize("module", ["linalg", "geometry", "theorems", "oracle"])
 def test_kernels_call_no_slow_numpy_entry_point(module):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
     assert _aliases(tree).get("np") == "numpy", "the parser is not looking at the module"

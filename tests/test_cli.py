@@ -1,5 +1,7 @@
 """Golden tests for the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import screwalg
 from screwalg.cli import main
@@ -480,6 +484,20 @@ class TestOverflow:
         assert "Traceback" not in err
         assert "RuntimeWarning" not in err
 
+    def test_fit_whose_mean_overflows_exits_3(self):
+        # The mean of these finite points overflows. The SVD of the centered
+        # points, which held infinities, never returned; in a process of its
+        # own a regression fails on the timeout instead of hanging the suite.
+        samples = [
+            {"point": [0, 0, 1e308], "value": [0, 0, 0]},
+            {"point": [1, 0, 1e308], "value": [0, 0, 0]},
+            {"point": [0, 1, 1e308], "value": [0, 0, 0]},
+        ]
+        code, out, err = run_process("verify", "delassus", "--json", json.dumps({"samples": samples}))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the fit overflows")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -571,3 +589,78 @@ def test_integer_too_large_for_a_float_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+# -- fuzzed fit documents ------------------------------------------------------
+
+# JSON numbers as json.loads may return them: any float, NaN and the
+# infinities included, and integers too large for a float.
+_json_numbers = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+)
+_json_scalars = st.one_of(_json_numbers, st.booleans(), st.none(), st.text(max_size=3))
+# Finite, but huge and tiny ones often enough that sums and products overflow.
+_finite_numbers = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0, 1, -1, 5e-324, 1e308, -1e308, 1.7e308]),
+)
+_vec3 = st.lists(_finite_numbers, min_size=3, max_size=3)
+_json_vectors = st.one_of(
+    st.lists(_json_numbers, min_size=3, max_size=3),
+    st.lists(_json_scalars, max_size=4),
+    _json_scalars,
+)
+
+
+@st.composite
+def _collinear_points(draw):
+    """Points p + t d, so that every fit of them is degenerate."""
+    p, d = draw(_vec3), draw(_vec3)
+    ts = draw(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=6))
+    return [[pi + t * di for pi, di in zip(p, d)] for t in ts]
+
+
+@st.composite
+def _fit_documents(draw):
+    """Well-formed samples, collinear ones, or any mix of wrong types and shapes."""
+    kind = draw(st.sampled_from(["finite", "collinear", "malformed"]))
+    if kind == "finite":
+        return {"samples": [{"point": p, "value": v}
+                            for p, v in draw(st.lists(st.tuples(_vec3, _vec3), max_size=6))]}
+    if kind == "collinear":
+        return {"samples": [{"point": p, "value": draw(_vec3)} for p in draw(_collinear_points())]}
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        entry = {"point": draw(_json_vectors), "value": draw(_json_vectors)}
+        if draw(st.integers(0, 9)) == 0:
+            entry.pop(draw(st.sampled_from(["point", "value"])))
+        entries.append(entry if draw(st.integers(0, 9)) else draw(_json_scalars))
+    return {"samples": entries} if draw(st.integers(0, 9)) else draw(_json_scalars)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _fit_documents(),
+    st.sampled_from([["fit"], ["fit", "--format", "json"], ["verify", "delassus"]]),
+)
+# Finite points whose mean overflows: the centered points held infinities,
+# and least squares on them raised LinAlgError with a traceback. Its twin,
+# on which the SVD never returned, is test_fit_whose_mean_overflows_exits_3.
+@example({"samples": [{"point": p, "value": [0, 0, 0]}
+                      for p in ([1e308, 0, 0], [1e308, 0, 1], [1e308, 1, 0])]}, ["fit"])
+def test_fuzzed_fit_documents_keep_the_exit_code_contract(doc, command):
+    code, _, err = _run_quietly([*command, "--json", json.dumps(doc)])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert "max fit residual" in err
+    assert "Traceback" not in err

@@ -77,6 +77,15 @@ class TestLines:
         with pytest.raises(NotFinite):
             line_from_point_direction([0, 0, 0], [math.nan, 0, 0])
 
+    def test_line_is_immutable(self):
+        l = line_from_point_direction([0, 0, 1], Y)
+        with pytest.raises(AttributeError):
+            l.screw = DualVec3(X)
+        with pytest.raises(AttributeError, match="immutable"):
+            del l.screw
+        assert_dualvec_close(l.screw, DualVec3(Y, -X))
+        assert repr(l).startswith("Line(point=")
+
     def test_pitched_screw_rejected(self):
         with pytest.raises(NotALine):
             Line(DualVec3(X, X))

@@ -512,6 +512,10 @@ class TestVectorAndMatrixContract:
         for name in ("re", "du", "other"):
             with pytest.raises(AttributeError):
                 setattr(value, name, value.re)
+        for name in ("re", "du"):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+        assert repr(value).startswith(type(value).__name__)
         for part in (value.re, value.du, (value + value).re, (value - value).du):
             with pytest.raises(ValueError):
                 part[0] = 7.0

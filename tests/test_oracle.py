@@ -26,7 +26,8 @@ from screwalg import (
     oracle_comoment,
     oracle_commutator,
 )
-from screwalg.errors import DegenerateSamples, NotEquiprojective
+from screwalg.errors import DegenerateSamples, NotEquiprojective, NotFinite
+from screwalg.oracle import _fit_with_residual
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -243,3 +244,120 @@ class TestDelassusFit:
     def test_rejects_too_few_samples(self):
         with pytest.raises(DegenerateSamples):
             delassus_fit([(np.zeros(3), X), (X, X)])
+
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            ([(X, X), (Y, X), (Z, X), ([math.inf, 0, 0], X)], NotFinite, "samples must be finite"),
+            ([(X, X), (Y, X), (Z, X), (-X, [math.nan, 0, 0])], NotFinite, "samples must be finite"),
+            ([(X, X), (Y, X), (Z, X), ([1.0, 2.0], X)], ValueError,
+             r"\(n, 2, 3\).*\(4, 2\) \+ inhomogeneous"),
+            ([(X, X, X), (Y, X, X), (Z, X, X), (-X, X, X)], ValueError,
+             r"\(n, 2, 3\), got shape \(4, 3, 3\)"),
+        ],
+        ids=["inf-point", "nan-value", "two-component-point", "three-tuple"],
+    )
+    def test_refuses_malformed_samples_before_any_solve(self, samples, error, message):
+        with pytest.raises(error, match=message) as caught:
+            delassus_fit(samples)
+        assert type(caught.value) is error
+
+
+def _reference_fit(samples, tol):
+    """The centered least-squares fit as first written, kept as the reference.
+
+    It makes per-sample numpy calls and uses np.cross and ndarray.mean; the
+    library's fit must return the same bytes without them.
+    """
+    if len(samples) < 3:
+        raise DegenerateSamples(f"need at least 3 samples, got {len(samples)}")
+    points = np.array([np.asarray(p, dtype=float) for p, _ in samples])
+    values = np.array([np.asarray(v, dtype=float) for _, v in samples])
+    centered = points - points.mean(axis=0)
+    svals = np.linalg.svd(centered, compute_uv=False)
+    if svals[1] <= tol * max(1.0, svals[0]):
+        raise DegenerateSamples("sample points are collinear")
+
+    # -[d]x s = s x d, one 3x3 block per sample.
+    a = -_reference_cross_matrix(centered).reshape(-1, 3)
+    b = (values - values.mean(axis=0)).reshape(-1)
+    s, *_ = np.linalg.lstsq(a, b, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        transported = np.cross(s, points)
+        value_at_origin = (values - transported).mean(axis=0)
+        residual = float(
+            np.linalg.norm(value_at_origin + transported - values, axis=1).max()
+        )
+    if not math.isfinite(residual):
+        raise NotFinite("the fit overflows double precision; sample magnitudes are out of range")
+    scale = max(1.0, float(np.abs(values).max()))
+    if residual > tol * scale:
+        raise NotEquiprojective(
+            f"max fit residual {residual:g} exceeds {tol * scale:g}; field is not a screw"
+        )
+    return ClassicalScrew(s, value_at_origin), residual
+
+
+def _reference_cross_matrix(v):
+    """Column-action skew matrices, one per row: _cross_matrix(v)[i] @ x == v[i] x x."""
+    x, y, z = v.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3)
+
+
+def _fit_outcome(fit, samples, tol):
+    """The bytes of a fit's resultant, origin value and residual, or its refusal class."""
+    try:
+        fitted, residual = fit(samples, tol)
+    except (DegenerateSamples, NotEquiprojective, NotFinite) as exc:
+        return type(exc)
+    return (
+        fitted.resultant.tobytes(),
+        fitted.value_at_origin.tobytes(),
+        np.float64(residual).tobytes(),
+    )
+
+
+FIT_KINDS = ("exact", "noisy", "perturbed", "collinear", "near-collinear")
+
+
+def _fit_case(rng, kind):
+    """Samples of a planted screw at 3 to 80 points of scale 1e-6 to 1e6."""
+    n = int(rng.integers(3, 81))
+    scale = 10.0 ** rng.uniform(-6, 6)
+    points = rng.normal(size=(n, 3)) * scale
+    if kind in ("collinear", "near-collinear"):
+        along = rng.normal(size=3)
+        points = rng.normal(size=3) * scale + np.outer(rng.normal(size=n), along) * scale
+        if kind == "near-collinear":
+            points += rng.normal(size=(n, 3)) * scale * 10.0 ** rng.uniform(-12, -6)
+    truth = ClassicalScrew(rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3), rng.normal(size=3) * scale)
+    values = truth.value_at_origin + np.cross(truth.resultant, points)
+    tol = 1e-9
+    spread = np.abs(values).max()
+    if kind == "noisy":
+        values = values + 0.01 * spread * rng.normal(size=(n, 3))
+        tol = 0.2
+    elif kind == "perturbed":
+        values[rng.integers(0, n, size=3)] += spread * rng.normal(size=(3, 3))
+    return points, values, tol
+
+
+def test_fit_is_byte_identical_to_the_reference_fit():
+    rng = np.random.default_rng(90)
+    seen = {kind: set() for kind in FIT_KINDS}
+    for i in range(2000):
+        kind = FIT_KINDS[i % len(FIT_KINDS)]
+        points, values, tol = _fit_case(rng, kind)
+        as_lists = (i // len(FIT_KINDS)) % 2 == 1
+        samples = (
+            list(zip(points.tolist(), values.tolist())) if as_lists else list(zip(points, values))
+        )
+        expected = _fit_outcome(_reference_fit, samples, tol)
+        assert _fit_outcome(_fit_with_residual, samples, tol) == expected, (i, kind)
+        seen[kind].add(expected if isinstance(expected, type) else "fitted")
+    # Every kind reaches the outcome it was drawn for, so each path is compared.
+    assert "fitted" in seen["exact"] and "fitted" in seen["noisy"]
+    assert seen["perturbed"] >= {NotEquiprojective}
+    assert seen["collinear"] >= {DegenerateSamples}
+    assert seen["near-collinear"] >= {"fitted", DegenerateSamples}
