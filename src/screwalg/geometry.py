@@ -146,8 +146,12 @@ def dual_angle(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Dual:
     identically, so the result is exactly 0 or pi and the axis distance is
     not representable; parallel-line distance lives in the classical oracle.
     """
-    c = dot(x, y) / (norm(x) * norm(y))
-    return acos_principal(c, tol=tol)
+    return _angle(dot(x, y), norm(x), norm(y), tol)
+
+
+def _angle(xy: Dual, nx: Dual, ny: Dual, tol: float) -> Dual:
+    """dual_angle from the product ``xy = dot(x, y)`` and the moduli the caller holds."""
+    return acos_principal(xy / (nx * ny), tol=tol)
 
 
 def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:

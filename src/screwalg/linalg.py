@@ -236,7 +236,11 @@ def norm(x: DualVec3) -> Dual:
     Pure-dual vectors are rejected rather than given the conventional modulus
     0: every downstream use (normalization, pitch, axis) is undefined there.
     """
-    ss = dot(x, x)
+    return _modulus(dot(x, x))
+
+
+def _modulus(ss: Dual) -> Dual:
+    """norm(x) from ``ss = dot(x, x)``, for a caller that already holds the product."""
     if ss.re == 0.0:
         raise NullVector("modulus undefined for a pure-dual vector")
     return sqrt(ss)

@@ -27,6 +27,10 @@ from .linalg import DualVec3
 
 _OVERFLOW = "the fit overflows double precision; sample magnitudes are out of range"
 
+# Built once, as np.zeros costs more per call than the sums using it;
+# ClassicalScrew copies what it is given.
+_ZERO = np.zeros(3)
+
 # Fixed, non-collinear probe points used to assert reduction-point
 # independence of the pairings below.
 _PROBES = (
@@ -55,7 +59,7 @@ class ClassicalScrew:
 
         This is the classical counterpart of multiplying the motor by eps.
         """
-        return ClassicalScrew(np.zeros(3), self.resultant)
+        return ClassicalScrew(_ZERO, self.resultant)
 
     def scale(self, k: "Dual | float") -> "ClassicalScrew":
         """Dual-scalar multiple: (a + b*eps) s = a*s + b*(resultant field of s)."""
@@ -188,8 +192,10 @@ def delassus_fit(
     It raises ValueError when the samples do not form an array of shape
     (n, 2, 3), NotFinite when a sample is infinite or NaN or the fit
     overflows, DegenerateSamples for fewer than 3 samples or collinear
-    points, and NotEquiprojective when the residual exceeds ``tol`` times the
-    field magnitude, so that no screw fits the samples.
+    points (a second singular value of the centered points at most
+    DEFAULT_TOL times the first, whatever ``tol``), and NotEquiprojective
+    when the residual exceeds ``tol`` times the field magnitude, so that no
+    screw fits the samples.
     """
     return _fit_with_residual(samples, tol)[0]
 
@@ -220,8 +226,10 @@ def _fit_with_residual(samples: Sequence[tuple], tol: float) -> "tuple[Classical
                 raise NotFinite("samples must be finite")
             raise NotFinite(_OVERFLOW)
         offsets = centered[:, 0]
+        # Relative to the cloud's extent and apart from the residual tol, so
+        # that neither scaling the points nor a loose tol makes them collinear.
         svals = np.linalg.svd(offsets, compute_uv=False)
-        if svals[1] <= tol * max(1.0, svals[0]):
+        if svals[1] <= DEFAULT_TOL * svals[0]:
             raise DegenerateSamples("sample points are collinear")
 
         # One 3x3 block per sample offset d, -[d]x, so that block @ s == s x d;

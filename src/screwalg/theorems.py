@@ -28,13 +28,14 @@ from .errors import (
     NotOnSphere,
     NullVector,
 )
-from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
+from .geometry import Line, _angle, axis_decompose, common_normal, line_from_point_direction
 from .linalg import (
     _EYE,
+    _ZERO3,
     DualVec3,
     _cross3,
     _length,
-    _parallel,
+    _modulus,
     cross,
     dot,
     magnitude,
@@ -47,11 +48,27 @@ from .linalg import (
 # a distance or pitch below this many of those roundings cannot be told from 0.
 _ROUNDINGS = 16
 
+# Built once: Dual(...) and 2 * dual run the checked constructor on every call;
+# nx * _TWO takes the products that Python evaluates for 2 * nx.
+_PI = Dual(math.pi)
+_TWO = Dual(2.0)
+
 
 def _require_proper(zs) -> None:
     for z in zs:
         if z.is_pure_dual:
             raise NullVector("operation undefined for pure-dual screws")
+
+
+def _parallel_pairs(res, tol: float, lengths=None):
+    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0), each length taken once
+    or read from ``lengths``; lazy, so that a refusal at the first parallel pair takes no more."""
+    u, v, w = res
+    lu, lv = (lengths[0], lengths[1]) if lengths else (_length(u), _length(v))
+    yield _length(_cross3(u, v)) <= tol * lu * lv
+    lw = lengths[2] if lengths else _length(w)
+    yield _length(_cross3(v, w)) <= tol * lv * lw
+    yield _length(_cross3(w, u)) <= tol * lw * lu
 
 
 def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
@@ -104,7 +121,7 @@ def classify_triple(
     _require_proper(zs)
     res = [z.re for z in zs]
     rnorm = [_length(r) for r in res]
-    pair_parallel = [_parallel(res[i], res[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))]
+    pair_parallel = list(_parallel_pairs(res, tol, rnorm))
 
     if all(pair_parallel):
         decs = [axis_decompose(z, tol=tol) for z in zs]
@@ -209,26 +226,36 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     constant, the circumradius identity
     4R^2 |x|^2 |y|^2 |z|^2 = |x|^2 |y|^2 - (x o y)^2 in its three forms, and
     the interior-angle sum minus pi.
+
+    Each of the six products x o x, ..., z o x and each modulus is evaluated
+    once, in the order in which norm and dual_angle would take them, so that
+    a refusal raises the same error as theirs would.
     """
     _require_proper((x, y))
-    z = -(x + y)
+    # -(x + y), tested finite once rather than once per operator.
+    z = DualVec3._raw(-(x.re + y.re), -(x.du + y.du))
     if z.is_pure_dual:
         raise NullVector("x + y has zero resultant; the triple leaves the module basis")
-    for u, v in ((x, y), (y, z), (z, x)):
-        if _parallel(u.re, v.re, tol):
-            raise DegenerateTriangle("a pair of the triple has proportional resultants")
+    if any(_parallel_pairs((x.re, y.re, z.re), tol)):
+        raise DegenerateTriangle("a pair of the triple has proportional resultants")
 
-    nx, ny, nz = norm(x), norm(y), norm(z)
-    pi = Dual(math.pi)
-    alpha_xy = pi - dual_angle(x, y, tol=tol)
-    alpha_yz = pi - dual_angle(y, z, tol=tol)
-    alpha_zx = pi - dual_angle(z, x, tol=tol)
+    xx = dot(x, x)
+    nx = _modulus(xx)
+    yy = dot(y, y)
+    ny = _modulus(yy)
+    zz = dot(z, z)
+    nz = _modulus(zz)
+    xy = dot(x, y)
+    alpha_xy = _PI - _angle(xy, nx, ny, tol)
+    yz = dot(y, z)
+    alpha_yz = _PI - _angle(yz, ny, nz, tol)
+    zx = dot(z, x)
+    alpha_zx = _PI - _angle(zx, nz, nx, tol)
 
-    xx, yy, zz = dot(x, x), dot(y, y), dot(z, z)
     cosine_residuals = (
-        zz - xx - yy + 2 * nx * ny * dual_cos(alpha_xy),
-        xx - yy - zz + 2 * ny * nz * dual_cos(alpha_yz),
-        yy - zz - xx + 2 * nz * nx * dual_cos(alpha_zx),
+        zz - xx - yy + nx * _TWO * ny * dual_cos(alpha_xy),
+        xx - yy - zz + ny * _TWO * nz * dual_cos(alpha_yz),
+        yy - zz - xx + nz * _TWO * nx * dual_cos(alpha_zx),
     )
 
     ratio_xy = dual_sin(alpha_xy) / nz
@@ -240,12 +267,11 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
         ratio_zx - ratio_xy,
     )
     two_r = ratio_xy
-    four_r_sq = two_r * two_r
-    volume = xx * yy * zz
+    four_r_sq_volume = two_r * two_r * (xx * yy * zz)
     four_r_squared_residuals = (
-        four_r_sq * volume - (xx * yy - dot(x, y) * dot(x, y)),
-        four_r_sq * volume - (yy * zz - dot(y, z) * dot(y, z)),
-        four_r_sq * volume - (zz * xx - dot(z, x) * dot(z, x)),
+        four_r_sq_volume - (xx * yy - xy * xy),
+        four_r_sq_volume - (yy * zz - yz * yz),
+        four_r_sq_volume - (zz * xx - zx * zx),
     )
 
     return EquilibriumReport(
@@ -255,7 +281,7 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
         cosine_residuals=cosine_residuals,
         sine_ratio_residuals=sine_ratio_residuals,
         four_r_squared_residuals=four_r_squared_residuals,
-        angle_sum_residual=alpha_xy + alpha_yz + alpha_zx - pi,
+        angle_sum_residual=alpha_xy + alpha_yz + alpha_zx - _PI,
         two_r=two_r,
         scale=nx.re * ny.re * nz.re,
     )
@@ -304,34 +330,36 @@ def petersen_morley(
     triple = (x, y, z)
     _require_proper(triple)
     mags = [magnitude(w) for w in triple]
-    for (u, v), key in (((x, y), "x,y"), ((y, z), "y,z"), ((z, x), "z,x")):
-        if _parallel(u.re, v.re, tol):
+    for key, parallel in zip(("x,y", "y,z", "z,x"), _parallel_pairs((x.re, y.re, z.re), tol)):
+        if parallel:
             raise NonGeneric(f"resultants of {key} are parallel")
 
     a = cross(x, cross(y, z))
     b = cross(z, cross(x, y))
     c = cross(y, cross(z, x))
+    derived = (a, b, c)
     scale = mags[0] * mags[1] * mags[2]
-    for name, w in (("a", a), ("b", b), ("c", c)):
-        if magnitude(w) <= tol * scale:
+    derived_mags = []
+    for name, w in zip("abc", derived):
+        m = magnitude(w)
+        if m <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
+        derived_mags.append(m)
 
     jacobi_residual = magnitude(a + b + c)
 
-    proper = [_length(w.re) > tol * magnitude(w) for w in (a, b, c)]
+    lengths = [_length(w.re) for w in derived]
+    proper = [n > tol * m for n, m in zip(lengths, derived_mags)]
     if all(proper):
-        for u, v in ((a, b), (b, c), (c, a)):
-            if _parallel(u.re, v.re, tol):
-                raise NonGeneric("derived screws have pairwise parallel resultants")
+        if any(_parallel_pairs((a.re, b.re, c.re), tol, lengths)):
+            raise NonGeneric("derived screws have pairwise parallel resultants")
         normal = common_normal(a, b, tol=tol)
-        residuals = tuple(dot(normal.screw, normalized(w)) for w in (a, b, c))
+        residuals = tuple(dot(normal.screw, normalized(w)) for w in derived)
         degenerate = False
     elif not any(proper):
-        normal = _direction_certificate((a, b, c))
-        residuals = tuple(
-            dot(normal.screw, DualVec3._raw(np.zeros(3), w.du / _length(w.du)))
-            for w in (a, b, c)
-        )
+        moments = [w.du / _length(w.du) for w in derived]
+        normal = _direction_certificate(moments)
+        residuals = tuple(dot(normal.screw, DualVec3._raw(_ZERO3, m)) for m in moments)
         degenerate = True
     else:
         raise NonGeneric("some derived screws lost their resultants; no common axis")
@@ -347,23 +375,23 @@ def petersen_morley(
     )
 
 
-def _direction_certificate(ws) -> Line:
-    """A line through the origin orthogonal to every moment of pure-dual screws."""
-    moments = [w.du / _length(w.du) for w in ws]
+def _direction_certificate(moments) -> Line:
+    """A line through the origin orthogonal to the unit moments of pure-dual screws."""
     best = None
     best_len = -1.0
     for i in range(len(moments)):
         for j in range(i + 1, len(moments)):
             n = _cross3(moments[i], moments[j])
-            if _length(n) > best_len:
-                best_len = _length(n)
+            n_len = _length(n)
+            if n_len > best_len:
+                best_len = n_len
                 best = n
     if best is None or best_len < 1e-12:
         # All moments share one direction; any perpendicular will do.
         seed = _EYE[int(np.argmin(np.abs(moments[0])))]
         best = _cross3(moments[0], seed)
     direction = best / _length(best)
-    return line_from_point_direction(np.zeros(3), direction)
+    return line_from_point_direction(_ZERO3, direction)
 
 
 def thales_check(

@@ -48,8 +48,8 @@ def test_no_check_is_an_assert():
 
 # On a 3-vector or a 3x3 matrix each of these costs several times the
 # arithmetic it does; the kernels use linalg's _length, a triple product and
-# the _EYE constant instead. Module-level constants may still use them.
-SLOW_ENTRY_POINTS = {"numpy.linalg.norm", "numpy.linalg.det", "numpy.eye"}
+# the _EYE and _ZERO3 constants instead. Module-level constants may still use them.
+SLOW_ENTRY_POINTS = {"numpy.linalg.norm", "numpy.linalg.det", "numpy.eye", "numpy.zeros"}
 
 
 def _aliases(tree: ast.AST) -> dict:
@@ -101,12 +101,16 @@ def test_slow_call_detector_sees_every_spelling():
         "import numpy as np\n"
         "from numpy.linalg import det as d\n"
         "import numpy\n"
+        "from numpy import zeros\n"
         "EYE = np.eye(3)\n"
+        "ZERO = np.zeros(3)\n"
         "def f(v):\n"
         "    return np.linalg.norm(v) + d(v) + numpy.eye(3) + np.linalg.lstsq(v, v)\n"
         "g = lambda m: np.linalg.det(m)\n"
+        "def h():\n"
+        "    return np.zeros(3) + zeros((3, 3))\n"
     )
-    assert _slow_calls(ast.parse(source)) == [6, 7]
+    assert _slow_calls(ast.parse(source)) == [8, 9, 11]
 
 
 @pytest.mark.parametrize("module", ["linalg", "geometry", "theorems", "oracle"])
@@ -114,4 +118,6 @@ def test_kernels_call_no_slow_numpy_entry_point(module):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
     assert _aliases(tree).get("np") == "numpy", "the parser is not looking at the module"
     lines = _slow_calls(tree)
-    assert not lines, f"{module}.py calls np.linalg.norm, np.linalg.det or np.eye at lines {lines}"
+    assert not lines, (
+        f"{module}.py calls np.linalg.norm, np.linalg.det, np.eye or np.zeros at lines {lines}"
+    )

@@ -664,3 +664,91 @@ def test_fuzzed_fit_documents_keep_the_exit_code_contract(doc, command):
     if code == 1:
         assert "max fit residual" in err
     assert "Traceback" not in err
+
+
+# -- fuzzed verify documents ---------------------------------------------------
+
+_EQUILIBRIUM_THEOREMS = ("cosines", "sines", "anglesum")
+
+
+@st.composite
+def _screw_documents(draw):
+    """Mostly a motor or a line; else a pure dual or a document of the wrong type or shape."""
+    kind = draw(st.sampled_from(["motor", "motor", "line", "line", "pure-dual", "malformed"]))
+    if kind == "motor":
+        return {"re": draw(_vec3), "du": draw(_vec3)}
+    if kind == "pure-dual":
+        return {"re": [0, 0, 0], "du": draw(_vec3)}
+    if kind == "line":
+        return {"point": draw(_vec3), "direction": draw(_vec3)}
+    return draw(st.one_of(
+        st.fixed_dictionaries({"re": _json_vectors, "du": _json_vectors}),
+        st.fixed_dictionaries({"point": _json_vectors, "direction": _json_vectors}),
+        st.fixed_dictionaries({"re": _json_vectors}),
+        st.dictionaries(st.sampled_from(["re", "du", "point", "direction", "r"]), _json_scalars),
+        _json_scalars,
+    ))
+
+
+_radius_documents = st.one_of(
+    _finite_numbers,
+    st.fixed_dictionaries({"re": _finite_numbers, "du": _finite_numbers}),
+    st.sampled_from(["1", "1 + 0.5eps", "2ε", "-1-1e308eps", "one"]),
+    _json_scalars,
+)
+_moderate_vec3 = st.lists(st.floats(-10, 10), min_size=3, max_size=3)
+_UNITS = ([1, 0, 0], [0, 1, 0], [0, 0, -1], [0.6, 0.8, 0], [0, 0.6, -0.8])
+
+
+def _scaled(k, v):
+    return [k * c for c in v]
+
+
+@st.composite
+def _verify_documents(draw):
+    """x, y, z and r, often in a relation a theorem needs, sometimes with a field missing.
+
+    The relations: three generic motors of moderate size, y parallel to x,
+    y = -x, z a multiple of x, and x, -x and z on the dual sphere of radius r,
+    as Thales needs.
+    """
+    x, y, z = draw(_screw_documents()), draw(_screw_documents()), draw(_screw_documents())
+    r = draw(_radius_documents)
+    relations = ["none", "generic", "parallel", "antipodal", "scaled", "sphere"]
+    relation = draw(st.sampled_from(relations))
+    re, du, k = draw(_vec3), draw(_vec3), draw(_finite_numbers)
+    if relation == "generic":
+        x, y, z = ({"re": draw(_moderate_vec3), "du": draw(_moderate_vec3)} for _ in range(3))
+    elif relation == "parallel":
+        x, y = {"re": re, "du": du}, {"re": _scaled(k, re), "du": draw(_vec3)}
+    elif relation == "antipodal":
+        x, y = {"re": re, "du": du}, {"re": _scaled(-1, re), "du": _scaled(-1, du)}
+    elif relation == "scaled":
+        x, z = {"re": re, "du": du}, {"re": _scaled(k, re), "du": _scaled(k, du)}
+    elif relation == "sphere":
+        e, f = draw(st.sampled_from(_UNITS)), draw(st.sampled_from(_UNITS))
+        m = [a * c - b * d for a, b, c, d in ((du[1], du[2], e[2], e[1]),
+                                              (du[2], du[0], e[0], e[2]),
+                                              (du[0], du[1], e[1], e[0]))]
+        x = {"re": _scaled(k, e), "du": _scaled(k, m)}
+        y = {"re": _scaled(-k, e), "du": _scaled(-k, m)}
+        z = {"point": draw(_vec3), "direction": f} if k == 1 else {"re": _scaled(k, f)}
+        r = k
+    doc = {"x": x, "y": y, "z": z, "r": r}
+    if draw(st.integers(0, 4)) == 0:
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    return doc if draw(st.integers(0, 19)) else draw(_json_scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _verify_documents(),
+    st.sampled_from([*_EQUILIBRIUM_THEOREMS, "petersen-morley", "thales"]),
+    st.sampled_from([[], ["--tol", "0"], ["--tol", "1e-30"], ["--tol", "0.5"]]),
+)
+def test_fuzzed_verify_documents_keep_the_exit_code_contract(doc, theorem, tol):
+    code, out, err = _run_quietly(["verify", theorem, *tol, "--json", json.dumps(doc)])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert '"passed": false' in out
+    assert "Traceback" not in err

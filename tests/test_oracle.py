@@ -26,6 +26,7 @@ from screwalg import (
     oracle_comoment,
     oracle_commutator,
 )
+from screwalg.dual import DEFAULT_TOL
 from screwalg.errors import DegenerateSamples, NotEquiprojective, NotFinite
 from screwalg.oracle import _fit_with_residual
 
@@ -202,6 +203,28 @@ class TestDelassusFit:
         with pytest.raises(DegenerateSamples):
             delassus_fit(self._samples(truth, points))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e-9, 1.0, 1e9, 1e12])
+    def test_exact_samples_fit_at_any_scale(self, scale):
+        # The collinearity check is relative to the cloud's extent; it used to
+        # refuse these points as collinear below a scale of about 1e-9.
+        rng = np.random.default_rng(6)
+        truth = ClassicalScrew(rng.normal(size=3), rng.normal(size=3) * scale)
+        points = rng.normal(size=(10, 3)) * scale
+        fitted = delassus_fit(self._samples(truth, points))
+        assert_vec_close(fitted.resultant, truth.resultant, tol=1e-9)
+        assert_vec_close(fitted.value_at_origin, truth.value_at_origin, tol=1e-9, scale=scale)
+
+    def test_loose_tolerance_does_not_make_an_elongated_cloud_collinear(self):
+        # The residual tolerance is not the collinearity threshold: these
+        # points span a plane, with singular values in a ratio of about 1:10.
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(20, 3)) * [1.0, 0.1, 0.1]
+        svals = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+        assert svals[1] < 0.2 * svals[0]
+        truth = ClassicalScrew(Z, [1.0, 2.0, 3.0])
+        fitted = delassus_fit(self._samples(truth, points), tol=0.2)
+        assert_vec_close(fitted.resultant, Z, tol=1e-12)
+
     def test_matches_pairwise_least_squares(self):
         # Noisy samples that no screw fits exactly, under a tolerance loose
         # enough to accept them: the resultant is a true least-squares
@@ -275,7 +298,7 @@ def _reference_fit(samples, tol):
     values = np.array([np.asarray(v, dtype=float) for _, v in samples])
     centered = points - points.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[1] <= tol * max(1.0, svals[0]):
+    if svals[1] <= DEFAULT_TOL * svals[0]:
         raise DegenerateSamples("sample points are collinear")
 
     # -[d]x s = s x d, one 3x3 block per sample.

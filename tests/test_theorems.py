@@ -1,6 +1,8 @@
 """Dependence classification, triangle laws, Petersen-Morley, Thales."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,32 +16,53 @@ from helpers import (
     rand_generic_triple,
     rand_proper_screw,
     rand_sphere_triple,
+    rand_unit,
     rand_vec,
 )
 from screwalg import (
     Dual,
     DualVec3,
+    Line,
     TripleTag,
     are_proportional,
+    axis_decompose,
     classify_triple,
+    common_normal,
     cos,
     dot,
+    dual_angle,
     equilibrium_laws,
+    geometry,
     independent_over_D,
+    linalg,
     line_from_point_direction,
     magnitude,
     motor_unreduce,
     petersen_morley,
     sin,
     thales_check,
+    theorems,
 )
+from screwalg.dual import DEFAULT_TOL, acos_principal
+from screwalg.dual import cos as dual_cos
+from screwalg.dual import sin as dual_sin
 from screwalg.errors import (
     DegenerateTriangle,
     NonGeneric,
     NotAntipodal,
     NotClassifiable,
+    NotFinite,
     NotOnSphere,
     NullVector,
+    ScrewAlgError,
+)
+from screwalg.linalg import _EYE, _cross3, _length, _parallel, cross, mixed, norm, normalized
+from screwalg.theorems import (
+    _ROUNDINGS,
+    EquilibriumReport,
+    PetersenMorleyReport,
+    TripleClassification,
+    _require_proper,
 )
 
 X = np.array([1.0, 0.0, 0.0])
@@ -369,3 +392,402 @@ class TestThales:
             residual = thales_check(x, y, z, radius, tol=1e-9)
             bound = 1e-12 * max(1.0, radius.re * radius.re, abs(radius.du) ** 2)
             assert max(abs(residual.re), abs(residual.du)) <= bound
+
+
+# -- byte identity with the theorems as first written ---------------------------
+#
+# The theorem layer as it was before each product, modulus and length was
+# shared, kept verbatim apart from docstrings. The library must return the
+# same bytes in every report field, or refuse with the same error class.
+
+def _reference_classify_triple(
+    z1: DualVec3, z2: DualVec3, z3: DualVec3, tol: float = DEFAULT_TOL
+) -> TripleClassification:
+    zs = (z1, z2, z3)
+    _require_proper(zs)
+    res = [z.re for z in zs]
+    rnorm = [_length(r) for r in res]
+    pair_parallel = [_parallel(res[i], res[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))]
+
+    if all(pair_parallel):
+        decs = [axis_decompose(z, tol=tol) for z in zs]
+        e = res[0] / rnorm[0]
+        off1 = decs[1].axis.point - decs[0].axis.point
+        off2 = decs[2].axis.point - decs[0].axis.point
+        vol = abs(float(_cross3(off1, off2).dot(e)))
+        scale = max(1.0, _length(off1) * _length(off2))
+        if vol <= tol * scale:
+            return TripleClassification(TripleTag.PARALLEL_COPLANAR)
+        return TripleClassification(TripleTag.PARALLEL_NON_COPLANAR)
+
+    # A rigid motion changes neither part of the mixed product, so both parts
+    # are bounded by the resultant lengths alone.
+    m = mixed(z1, z2, z3)
+    bound = tol * rnorm[0] * rnorm[1] * rnorm[2]
+    if abs(m.re) > bound:
+        return TripleClassification(TripleTag.INDEPENDENT_BASIS)
+
+    none_parallel = not any(pair_parallel)
+
+    if none_parallel and _reference_concurrent_sliding(zs, tol):
+        return TripleClassification(TripleTag.CONCURRENT_COPLANAR)
+
+    if none_parallel and abs(m.du) <= bound:
+        witness = common_normal(z1, z2, tol=tol)
+        check_tol = max(tol, 1e-7)
+        for z in zs:
+            incidence = dot(witness.screw, normalized(z))
+            if abs(incidence.re) > check_tol or abs(incidence.du) > check_tol:
+                raise NotClassifiable(
+                    "mixed product vanishes but the candidate line misses an axis"
+                )
+        return TripleClassification(TripleTag.COMMON_ORTHOGONAL_LINE, witness)
+
+    raise NotClassifiable("resultants are dependent but the triple fits no class")
+
+
+def _reference_concurrent_sliding(zs, tol: float) -> bool:
+    rounding = _ROUNDINGS * sys.float_info.epsilon
+    lines = []
+    for z in zs:
+        n = norm(z)
+        if abs(n.du / n.re) > max(tol, rounding * _length(z.du) / n.re):
+            return False
+        lines.append(z * n.inv())
+    l0, l1, l2 = lines
+    (a, b), *_ = np.linalg.lstsq(np.column_stack([l0.re, l1.re]), l2.re, rcond=None)
+    terms = _length(l2.du) + abs(a) * _length(l0.du) + abs(b) * _length(l1.du)
+    return _length(l2.du - a * l0.du - b * l1.du) <= max(tol, rounding * float(terms))
+
+
+def _reference_equilibrium_laws(
+    x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL
+) -> EquilibriumReport:
+    _require_proper((x, y))
+    z = -(x + y)
+    if z.is_pure_dual:
+        raise NullVector("x + y has zero resultant; the triple leaves the module basis")
+    for u, v in ((x, y), (y, z), (z, x)):
+        if _parallel(u.re, v.re, tol):
+            raise DegenerateTriangle("a pair of the triple has proportional resultants")
+
+    nx, ny, nz = norm(x), norm(y), norm(z)
+    pi = Dual(math.pi)
+    alpha_xy = pi - _reference_dual_angle(x, y, tol=tol)
+    alpha_yz = pi - _reference_dual_angle(y, z, tol=tol)
+    alpha_zx = pi - _reference_dual_angle(z, x, tol=tol)
+
+    xx, yy, zz = dot(x, x), dot(y, y), dot(z, z)
+    cosine_residuals = (
+        zz - xx - yy + 2 * nx * ny * dual_cos(alpha_xy),
+        xx - yy - zz + 2 * ny * nz * dual_cos(alpha_yz),
+        yy - zz - xx + 2 * nz * nx * dual_cos(alpha_zx),
+    )
+
+    ratio_xy = dual_sin(alpha_xy) / nz
+    ratio_yz = dual_sin(alpha_yz) / nx
+    ratio_zx = dual_sin(alpha_zx) / ny
+    sine_ratio_residuals = (
+        ratio_xy - ratio_yz,
+        ratio_yz - ratio_zx,
+        ratio_zx - ratio_xy,
+    )
+    two_r = ratio_xy
+    four_r_sq = two_r * two_r
+    volume = xx * yy * zz
+    four_r_squared_residuals = (
+        four_r_sq * volume - (xx * yy - dot(x, y) * dot(x, y)),
+        four_r_sq * volume - (yy * zz - dot(y, z) * dot(y, z)),
+        four_r_sq * volume - (zz * xx - dot(z, x) * dot(z, x)),
+    )
+
+    return EquilibriumReport(
+        alpha_xy=alpha_xy,
+        alpha_yz=alpha_yz,
+        alpha_zx=alpha_zx,
+        cosine_residuals=cosine_residuals,
+        sine_ratio_residuals=sine_ratio_residuals,
+        four_r_squared_residuals=four_r_squared_residuals,
+        angle_sum_residual=alpha_xy + alpha_yz + alpha_zx - pi,
+        two_r=two_r,
+        scale=nx.re * ny.re * nz.re,
+    )
+
+
+def _reference_petersen_morley(
+    x: DualVec3, y: DualVec3, z: DualVec3, tol: float = DEFAULT_TOL
+) -> PetersenMorleyReport:
+    triple = (x, y, z)
+    _require_proper(triple)
+    mags = [magnitude(w) for w in triple]
+    for (u, v), key in (((x, y), "x,y"), ((y, z), "y,z"), ((z, x), "z,x")):
+        if _parallel(u.re, v.re, tol):
+            raise NonGeneric(f"resultants of {key} are parallel")
+
+    a = cross(x, cross(y, z))
+    b = cross(z, cross(x, y))
+    c = cross(y, cross(z, x))
+    scale = mags[0] * mags[1] * mags[2]
+    for name, w in (("a", a), ("b", b), ("c", c)):
+        if magnitude(w) <= tol * scale:
+            raise NonGeneric(f"derived screw {name} vanishes")
+
+    jacobi_residual = magnitude(a + b + c)
+
+    proper = [_length(w.re) > tol * magnitude(w) for w in (a, b, c)]
+    if all(proper):
+        for u, v in ((a, b), (b, c), (c, a)):
+            if _parallel(u.re, v.re, tol):
+                raise NonGeneric("derived screws have pairwise parallel resultants")
+        normal = common_normal(a, b, tol=tol)
+        residuals = tuple(dot(normal.screw, normalized(w)) for w in (a, b, c))
+        degenerate = False
+    elif not any(proper):
+        normal = _reference_direction_certificate((a, b, c))
+        residuals = tuple(
+            dot(normal.screw, DualVec3._raw(np.zeros(3), w.du / _length(w.du)))
+            for w in (a, b, c)
+        )
+        degenerate = True
+    else:
+        raise NonGeneric("some derived screws lost their resultants; no common axis")
+
+    return PetersenMorleyReport(
+        a=a,
+        b=b,
+        c=c,
+        jacobi_residual=jacobi_residual,
+        normal=normal,
+        incidence_residuals=residuals,
+        parallel_degenerate=degenerate,
+    )
+
+
+def _reference_direction_certificate(ws) -> Line:
+    moments = [w.du / _length(w.du) for w in ws]
+    best = None
+    best_len = -1.0
+    for i in range(len(moments)):
+        for j in range(i + 1, len(moments)):
+            n = _cross3(moments[i], moments[j])
+            if _length(n) > best_len:
+                best_len = _length(n)
+                best = n
+    if best is None or best_len < 1e-12:
+        # All moments share one direction; any perpendicular will do.
+        seed = _EYE[int(np.argmin(np.abs(moments[0])))]
+        best = _cross3(moments[0], seed)
+    direction = best / _length(best)
+    return line_from_point_direction(np.zeros(3), direction)
+
+
+def _reference_dual_angle(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Dual:
+    c = dot(x, y) / (norm(x) * norm(y))
+    return acos_principal(c, tol=tol)
+
+
+def _bits(value):
+    """Every float in a result, as float.hex or array bytes, in field order."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, Dual):
+        return float.hex(value.re), float.hex(value.du)
+    if isinstance(value, DualVec3):
+        return value.re.tobytes(), value.du.tobytes()
+    if isinstance(value, Line):
+        return _bits(value.screw)
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    return value
+
+
+def _outcome(fn, args, tol):
+    """(bits, label) of a result, or (error class, error class) of a refusal.
+
+    Overflow is ignored as the CLI ignores it, so that it surfaces as NotFinite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = fn(*args, tol=tol)
+        except ScrewAlgError as exc:
+            return type(exc), type(exc)
+    if isinstance(result, TripleClassification):
+        label = result.tag
+    elif isinstance(result, PetersenMorleyReport):
+        label = "degenerate" if result.parallel_degenerate else "proper"
+    else:
+        label = type(result).__name__
+    return _bits(result), label
+
+
+def _same_outcome(fn, reference, args, tol, where):
+    expected, label = _outcome(reference, args, tol)
+    assert _outcome(fn, args, tol)[0] == expected, (where, fn.__name__)
+    return label
+
+
+def _motor(e, p, pitch, weight):
+    """weight * (e + eps (pitch e + p x e)): the screw along unit e through p."""
+    e, p = np.asarray(e, dtype=float), np.asarray(p, dtype=float)
+    return DualVec3(weight * e, weight * (pitch * e + np.cross(p, e)))
+
+
+def _plane(rng):
+    """A unit normal n and an orthonormal pair u, v spanning the plane normal to it."""
+    n = rand_unit(rng)
+    u = np.cross(n, rand_unit(rng))
+    u /= np.linalg.norm(u)
+    return n, u, np.cross(n, u)
+
+
+def _pencil_directions(rng, u, v):
+    base = rng.uniform(0.0, math.pi)
+    return [math.cos(a) * u + math.sin(a) * v
+            for a in base + np.array([0.0, 1.0, 2.0]) * math.pi / 3 + rng.uniform(-0.2, 0.2, 3)]
+
+
+THEOREM_KINDS = (
+    "equilibrium", "equilibrium:near-parallel", "equilibrium:antipodal", "equilibrium:extreme",
+    "petersen", "petersen:near-parallel", "petersen:orthogonal", "petersen:concurrent",
+    "classify:IndependentBasis", "classify:CommonOrthogonalLine", "classify:ParallelCoplanar",
+    "classify:ParallelNonCoplanar", "classify:ConcurrentCoplanar", "classify:NotClassifiable",
+)
+
+
+def _theorem_case(rng, kind, wide):
+    """Screws for one theorem, drawn to reach the outcome ``kind`` names.
+
+    ``wide`` draws the length scale and resultant weight from 1e-6 to 1e6 and
+    moves the configuration up to 1e6 away from the origin.
+    """
+    size, shift, weight = 1.0, np.zeros(3), 1.0
+    if wide:
+        size, weight = 10.0 ** rng.uniform(-6, 6, size=2)
+        shift = rng.normal(size=3) * 10.0 ** rng.uniform(-6, 6)
+
+    def screw(e, local_point=None, pitch=None):
+        local_point = rng.normal(size=3) if local_point is None else local_point
+        pitch = size * rng.uniform(-1.0, 1.0) if pitch is None else pitch
+        return _motor(e, shift + size * np.asarray(local_point), pitch,
+                      weight * rng.uniform(0.5, 2.0))
+
+    family, _, variant = kind.partition(":")
+    if kind == "equilibrium:extreme":
+        # Sparse components from 1e-180 to 1e308, so that squares underflow to
+        # 0 and products overflow; with tol 0 only exactly parallel pairs are
+        # refused, and a tiny x is not lost in x + y along another axis.
+        exponents = rng.uniform(-180.0, [160.0, 308.0, 160.0, 308.0])
+        masks = rng.integers(0, 2, size=(4, 3))
+        masks[0, 0] = masks[2, 1] = 1
+        parts = [rng.normal(size=3) * 10.0 ** k * m for k, m in zip(exponents, masks)]
+        tol = float(rng.choice([0.0, 1e-9]))
+        return (DualVec3(parts[0], parts[1]), DualVec3(parts[2], parts[3])), tol
+    if family == "equilibrium":
+        e = rand_unit(rng)
+        x = screw(e)
+        if variant == "near-parallel":
+            drift = np.cross(e, rand_unit(rng)) * 10.0 ** rng.uniform(-13, -5)
+            y = screw(rng.choice([-1.0, 1.0]) * e + drift)
+        elif variant == "antipodal":
+            y = -x + DualVec3(np.zeros(3), rng.normal(size=3) * size * weight)
+        else:
+            y = screw(rand_unit(rng))
+        return (x, y), 1e-9
+    if family == "petersen":
+        if variant in ("orthogonal", "concurrent"):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            centre = rng.normal(size=3)
+            points = [centre] * 3 if variant == "concurrent" else [None] * 3
+            pitch = 0.0 if variant == "concurrent" else None
+            return tuple(screw(q[:, i], points[i], pitch) for i in range(3)), 1e-9
+        es = [rand_unit(rng) for _ in range(3)]
+        if variant == "near-parallel":
+            es[2] = es[1] + np.cross(es[1], rand_unit(rng)) * 10.0 ** rng.uniform(-14, -10)
+        return tuple(screw(e) for e in es), 1e-9
+    n, u, v = _plane(rng)
+    if variant == "IndependentBasis":
+        zs = tuple(screw(rand_unit(rng)) for _ in range(3))
+    elif variant == "CommonOrthogonalLine":
+        z1, z2 = screw(rand_unit(rng)), screw(rand_unit(rng))
+        a, b = (Dual(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), size * rng.uniform(-2, 2))
+                for _ in range(2))
+        zs = (z1, z2, a * z1 + b * z2)
+    elif variant.startswith("Parallel"):
+        depth = 0.0 if variant == "ParallelCoplanar" else 1.0
+        zs = tuple(
+            screw(rng.choice([-1.0, 1.0]) * n,
+                  rng.uniform(-1, 1) * u + depth * rng.uniform(-1, 1) * v + rng.uniform(-1, 1) * n)
+            for _ in range(3)
+        )
+    elif variant == "ConcurrentCoplanar":
+        centre = rng.normal(size=3)
+        zs = tuple(screw(e, centre, 0.0) for e in _pencil_directions(rng, u, v))
+    else:  # NotClassifiable: coplanar resultants on axes that do not meet
+        zs = tuple(screw(e) for e in _pencil_directions(rng, u, v))
+    return zs, 1e-9
+
+
+def test_theorems_are_byte_identical_to_the_reference_theorems():
+    rng = np.random.default_rng(91)
+    seen = {kind: set() for kind in THEOREM_KINDS}
+    for i in range(2100):
+        kind = THEOREM_KINDS[i % len(THEOREM_KINDS)]
+        args, tol = _theorem_case(rng, kind, wide=(i // len(THEOREM_KINDS)) % 2 == 1)
+        where = (i, kind)
+        if kind.startswith("equilibrium"):
+            label = _same_outcome(equilibrium_laws, _reference_equilibrium_laws, args, tol, where)
+            _same_outcome(dual_angle, _reference_dual_angle, args, tol, where)
+        elif kind.startswith("petersen"):
+            label = _same_outcome(petersen_morley, _reference_petersen_morley, args, tol, where)
+        else:
+            label = _same_outcome(classify_triple, _reference_classify_triple, args, tol, where)
+        seen[kind].add(label)
+    # Every kind reaches the outcome it was drawn for, so each path is compared.
+    assert "EquilibriumReport" in seen["equilibrium"]
+    assert seen["equilibrium:near-parallel"] >= {"EquilibriumReport", DegenerateTriangle}
+    assert seen["equilibrium:antipodal"] == {NullVector}
+    assert seen["equilibrium:extreme"] >= {"EquilibriumReport", NotFinite, NullVector}
+    assert "proper" in seen["petersen"]
+    assert seen["petersen:near-parallel"] == {NonGeneric}
+    assert "degenerate" in seen["petersen:orthogonal"]
+    assert seen["petersen:concurrent"] == {NonGeneric}
+    for tag in TripleTag:
+        assert tag in seen[f"classify:{tag.value}"], tag
+    assert NotClassifiable in seen["classify:NotClassifiable"]
+
+
+def test_equilibrium_refusal_keeps_the_order_of_its_checks():
+    # |x|^2 underflows to 0 (NullVector) and y o y overflows (NotFinite); the
+    # modulus of x is checked before y o y is taken, as norm(x) was.
+    x = DualVec3([1e-170, 0.0, 0.0])
+    y = DualVec3([0.0, 1e10, 0.0], [0.0, 1e300, 0.0])
+    for fn in (equilibrium_laws, _reference_equilibrium_laws):
+        with np.errstate(over="ignore"), pytest.raises(NullVector):
+            fn(x, y, tol=0.0)
+
+
+def test_equilibrium_laws_takes_six_products_and_builds_no_checked_dual(monkeypatch):
+    x, y = rand_equilibrium_pair(np.random.default_rng(8))
+    products, checked = [], []
+    real_dot, post_init = linalg.dot, Dual.__post_init__
+
+    def counting_dot(u, v):
+        products.append((id(u), id(v)))
+        return real_dot(u, v)
+
+    def counting_post_init(self):
+        checked.append(self)
+        post_init(self)
+
+    # Through norm or dual_angle a product would be counted too.
+    for module in (theorems, geometry, linalg):
+        monkeypatch.setattr(module, "dot", counting_dot)
+    monkeypatch.setattr(Dual, "__post_init__", counting_post_init)
+    Dual(1.0)
+    assert len(checked) == 1, "the counter does not see the checked constructor"
+    checked.clear()
+    equilibrium_laws(x, y)
+    assert len(products) == len(set(products)) == 6
+    assert checked == []
