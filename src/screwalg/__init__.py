@@ -8,7 +8,7 @@ lives in :mod:`screwalg.oracle` and backs the verification suite.
 """
 
 from . import errors
-from .dual import Dual, acos_principal, cos, exp, extend, format_dual, parse_dual, sin, sqrt
+from .dual import Dual, atan2, cos, exp, extend, format_dual, parse_dual, sin, sqrt
 from .geometry import (
     AxisDecomposition,
     Line,

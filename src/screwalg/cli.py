@@ -168,8 +168,9 @@ def _cmd_line_angle(args, tol: float) -> int:
     l1 = _parse_line(docs[0], tol)
     l2 = _parse_line(docs[1], tol)
     e1, e2 = l1.direction, l2.direction
-    rel = line_distance_angle(l1.point, e1, l2.point, e2, tol=tol)
+    rel = None
     if _parallel(e1, e2, tol):
+        rel = line_distance_angle(l1.point, e1, l2.point, e2, tol=tol)
         if rel.distance > tol:
             print(
                 "parallel lines: the dual angle cannot represent their distance; "
@@ -177,8 +178,9 @@ def _cmd_line_angle(args, tol: float) -> int:
                 file=sys.stderr,
             )
             return EXIT_PRECONDITION
-    theta = dual_angle(l1.screw, l2.screw, tol=tol)
+    theta = dual_angle(l1.screw, l2.screw)
     if args.check:
+        rel = rel or line_distance_angle(l1.point, e1, l2.point, e2, tol=tol)
         angle_err = abs(theta.re - rel.angle)
         dist_err = abs(abs(theta.du) - rel.distance)
         if angle_err > tol or dist_err > tol * max(1.0, rel.distance):
@@ -224,7 +226,7 @@ def _cmd_common_normal(args, tol: float) -> int:
 def _cmd_screw_axis(args, tol: float) -> int:
     docs = _load_documents(args, 1)
     z = _parse_screw(docs[0])
-    dec = axis_decompose(z, tol=tol)
+    dec = axis_decompose(z)
     _emit(
         args,
         [

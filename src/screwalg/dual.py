@@ -13,7 +13,7 @@ import re as _regex
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import BoundaryDualPart, DomainError, NotFinite, NotInvertible, OutOfRange
+from .errors import DomainError, NotFinite, NotInvertible
 
 DEFAULT_TOL = 1e-9
 
@@ -172,27 +172,19 @@ def exp(x: Dual) -> Dual:
     return _dual(e, x.du * e)
 
 
-def acos_principal(c: Dual, tol: float = DEFAULT_TOL) -> Dual:
-    """Invert the dual cosine on its principal range.
+def atan2(s: Dual, c: Dual) -> Dual:
+    """The angle of the point (c, s), extended over the duals.
 
-    cos maps (0, pi) + eps*R bijectively onto (-1, 1) + eps*R and sends the
-    endpoints {0, pi} to {1, -1} alone. Real parts overshooting 1 by at most
-    ``tol`` are clamped first (unit-screw dot products routinely round past
-    1). At a clamped endpoint a nonzero dual part has no preimage, so we
-    refuse rather than extrapolate.
+    The real part is atan2(s.re, c.re) and the dual part its derivative,
+    (c.re * s.du - s.re * c.du) / (c.re**2 + s.re**2). Scaling s and c by one
+    dual number with positive real part changes neither part, so callers
+    need not normalize. At the origin, or where its squared length
+    underflows to 0, no angle exists and DomainError is raised.
     """
-    a = c.re
-    if abs(a) > 1.0 + tol:
-        raise OutOfRange(f"|{a}| exceeds 1 beyond tolerance {tol}")
-    a = max(-1.0, min(1.0, a))
-    if abs(a) == 1.0:
-        if abs(c.du) > tol:
-            raise BoundaryDualPart(
-                f"cos value {c} is at an endpoint but has dual part beyond tolerance {tol}"
-            )
-        return _dual(0.0 if a > 0.0 else math.pi, 0.0)
-    theta = math.acos(a)
-    return _dual(theta, -c.du / math.sin(theta))
+    r2 = c.re * c.re + s.re * s.re
+    if r2 == 0.0:
+        raise DomainError(f"atan2({s}, {c}) needs a real point whose squared length is not 0")
+    return _dual(math.atan2(s.re, c.re), (c.re * s.du - s.re * c.du) / r2)
 
 
 # -- text form ---------------------------------------------------------------

@@ -26,14 +26,6 @@ class DomainError(ScrewAlgError):
     """Real part of the argument is outside the domain of the function."""
 
 
-class OutOfRange(ScrewAlgError):
-    """Cosine value whose real part lies outside [-1, 1] beyond tolerance."""
-
-
-class BoundaryDualPart(ScrewAlgError):
-    """Dual cosine at +-1 with a nonzero dual part; no principal angle exists."""
-
-
 # -- dual linear algebra -----------------------------------------------------
 
 class NullVector(ScrewAlgError):

@@ -8,11 +8,13 @@ origin-reduced motor. Everything here is derived from that one formula.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DEFAULT_TOL, Dual, acos_principal
+from .dual import DEFAULT_TOL, Dual, _dual, atan2
 from .errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
 from .linalg import (
     _EYE,
@@ -28,6 +30,10 @@ from .linalg import (
     dot,
     norm,
 )
+
+# A value the library computed is known to about eps times its size; a
+# deviation below this many of those roundings cannot be told from 0.
+_ROUNDINGS = 16
 
 
 class Line:
@@ -121,37 +127,43 @@ class AxisDecomposition:
         return Dual(self.magnitude, self.magnitude * self.pitch) * self.axis.screw
 
 
-def axis_decompose(z: DualVec3, tol: float = DEFAULT_TOL) -> AxisDecomposition:
+def axis_decompose(z: DualVec3) -> AxisDecomposition:
     """Split a proper screw into magnitude, pitch and axis line.
 
     Magnitude and pitch come from the dual modulus |z| = a + b*eps, p = b/a.
     The axis point is chosen as s x field(origin) / |s|**2, the unique axis
     point closest to the canonical origin; any other axis point would serve,
     the choice is a convention. On the axis the field is parallel to the
-    resultant, which is the characterization tests verify.
+    resultant, which is the characterization tests verify. The axis is built
+    from values the library computed, so it is checked against their
+    rounding, not against a caller's tolerance.
     """
     n = norm(z)
     a = n.re  # |s|, the square root of s o s
     s = z.re
     point = _cross3(s, z.du) / float(s.dot(s))
-    axis = _line_through(point, s / a, tol)
+    axis = _line_through(point, s / a, _ROUNDINGS * sys.float_info.epsilon)
     return AxisDecomposition(magnitude=a, pitch=n.du / a, axis=axis)
 
 
-def dual_angle(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Dual:
+def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
     """Angle between resultants plus eps times the signed distance between axes.
 
-    Defined by cos(Theta) = x o y / (|x| |y|) on the principal range. When
-    the resultants are proportional the dual part of the cosine vanishes
-    identically, so the result is exactly 0 or pi and the axis distance is
-    not representable; parallel-line distance lives in the classical oracle.
+    Theta = atan2(|x cross y|, x o y) over the duals: with s + s'eps and
+    c + c'eps those two, theta = atan2(s, c) and d = (c s' - s c') / (c**2 + s**2).
+    Both scale by |x| |y|, so no modulus of x or y is taken, and unlike the
+    cosine alone the angle stays accurate near 0 and pi. Exactly parallel
+    resultants (a zero real cross product, whose modulus is undefined) give
+    exactly 0 or pi with dual part 0: the distance between parallel axes
+    lives in the classical oracle.
     """
-    return _angle(dot(x, y), norm(x), norm(y), tol)
-
-
-def _angle(xy: Dual, nx: Dual, ny: Dual, tol: float) -> Dual:
-    """dual_angle from the product ``xy = dot(x, y)`` and the moduli the caller holds."""
-    return acos_principal(xy / (nx * ny), tol=tol)
+    xy = dot(x, y)
+    xy_cross = cross(x, y)
+    if not any(xy_cross.re.tolist()):
+        if xy.re == 0.0:
+            raise NullVector("dual angle undefined for pure-dual screws")
+        return _dual(0.0 if xy.re > 0.0 else math.pi, 0.0)
+    return atan2(norm(xy_cross), xy)
 
 
 def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
@@ -166,7 +178,7 @@ def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
         raise ParallelResultants("resultants are parallel; no unique common normal")
     # The axis of the cross product, built from point + direction, is the
     # same line as normalized(cross(x, y)) but has exactly zero pitch.
-    return axis_decompose(cross(x, y), tol=tol).axis
+    return axis_decompose(cross(x, y)).axis
 
 
 def axes_intersect(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> bool:

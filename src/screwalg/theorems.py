@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .dual import DEFAULT_TOL, Dual
+from .dual import atan2 as dual_atan2
 from .dual import cos as dual_cos
 from .dual import sin as dual_sin
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     NotOnSphere,
     NullVector,
 )
-from .geometry import Line, _angle, axis_decompose, common_normal, line_from_point_direction
+from .geometry import _ROUNDINGS, Line, axis_decompose, common_normal, line_from_point_direction
 from .linalg import (
     _EYE,
     _ZERO3,
@@ -43,10 +44,6 @@ from .linalg import (
     norm,
     normalized,
 )
-
-# Moments are known to about eps times their length, wherever the triple sits;
-# a distance or pitch below this many of those roundings cannot be told from 0.
-_ROUNDINGS = 16
 
 # Built once: Dual(...) and 2 * dual run the checked constructor on every call;
 # nx * _TWO takes the products that Python evaluates for 2 * nx.
@@ -124,7 +121,7 @@ def classify_triple(
     pair_parallel = list(_parallel_pairs(res, tol, rnorm))
 
     if all(pair_parallel):
-        decs = [axis_decompose(z, tol=tol) for z in zs]
+        decs = [axis_decompose(z) for z in zs]
         e = res[0] / rnorm[0]
         off1 = decs[1].axis.point - decs[0].axis.point
         off2 = decs[2].axis.point - decs[0].axis.point
@@ -228,8 +225,9 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     the interior-angle sum minus pi.
 
     Each of the six products x o x, ..., z o x and each modulus is evaluated
-    once, in the order in which norm and dual_angle would take them, so that
-    a refusal raises the same error as theirs would.
+    once. The three interior angles are atan2(|x cross y|, -(u o v)) over
+    the duals: as z = -(x + y), the cross products x cross y, y cross z and
+    z cross x are all equal, so one modulus serves all three.
     """
     _require_proper((x, y))
     # -(x + y), tested finite once rather than once per operator.
@@ -246,11 +244,13 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     zz = dot(z, z)
     nz = _modulus(zz)
     xy = dot(x, y)
-    alpha_xy = _PI - _angle(xy, nx, ny, tol)
     yz = dot(y, z)
-    alpha_yz = _PI - _angle(yz, ny, nz, tol)
     zx = dot(z, x)
-    alpha_zx = _PI - _angle(zx, nz, nx, tol)
+    xy_cross = cross(x, y)
+    sine = _modulus(dot(xy_cross, xy_cross))
+    alpha_xy = dual_atan2(sine, -xy)
+    alpha_yz = dual_atan2(sine, -yz)
+    alpha_zx = dual_atan2(sine, -zx)
 
     cosine_residuals = (
         zz - xx - yy + nx * _TWO * ny * dual_cos(alpha_xy),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import screwalg
 from screwalg.cli import main
 
+EPS = np.finfo(float).eps
 X_AXIS = {"point": [0, 0, 0], "direction": [1, 0, 0]}
 Y_AXIS_OFFSET = {"point": [0, 0, 1], "direction": [0, 1, 0]}
 Z_AXIS_OFFSET = {"point": [1, 0, 0], "direction": [0, 0, 1]}
@@ -62,19 +63,35 @@ class TestLineAngle:
         assert code == 3
         assert "oracle distance = 2" in err
 
-    def test_nearly_parallel_lines_refused_without_traceback(self, capsys):
-        # 2e-9 rad apart: past the oracle's parallel guard, and a crash there before.
+    def test_nearly_parallel_lines_get_the_oracle_distance(self, capsys):
+        # 2e-9 rad apart: past the oracle's parallel guard, where the cosine
+        # rounds to 1. The angle from its cosine alone refused them (exit 3).
         a = 2e-9
-        other = {"point": [0.1, 0.4, -0.3], "direction": [math.cos(a), math.sin(a), 0.0]}
+        p1, p2 = [0.3, -0.2, 0.5], [0.1, 0.4, -0.3]
+        e2 = [math.cos(a), math.sin(a), 0.0]
+        code, out, err = run(
+            capsys,
+            "line-angle", "--format", "json",
+            "--json", json.dumps({"point": p1, "direction": [1, 0, 0]}),
+            "--json", json.dumps({"point": p2, "direction": e2}),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        rel = screwalg.line_distance_angle(p1, [1, 0, 0], p2, e2)
+        assert abs(abs(doc["d"]) - rel.distance) <= 4 * EPS
+        assert abs(doc["theta"] - a) <= 4 * EPS * a
+
+    def test_lines_1e8_rad_from_parallel(self, capsys):
+        # Ten times the default tolerance from parallel: every parallel check
+        # passes them, and so must the angle.
         code, out, err = run(
             capsys,
             "line-angle",
-            "--json", json.dumps({"point": [0.3, -0.2, 0.5], "direction": [1, 0, 0]}),
-            "--json", json.dumps(other),
+            "--json", json.dumps(X_AXIS),
+            "--json", json.dumps({"point": [0, 0, 1], "direction": [1, 1e-8, 0]}),
         )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error:")
+        assert (code, err) == (0, "")
+        assert out == "Theta = 1e-08 + 1ε\ntheta = 1e-08\nd = 1\n"
 
     def test_check_mode_agrees_with_oracle(self, capsys):
         code, out, _ = run(
@@ -752,3 +769,76 @@ def test_fuzzed_verify_documents_keep_the_exit_code_contract(doc, theorem, tol):
     if code == 1:
         assert '"passed": false' in out
     assert "Traceback" not in err
+
+
+# -- fuzzed line-angle documents -----------------------------------------------
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def _line_pairs(draw):
+    """Two line documents: identical, parallel with an offset, near-parallel or
+    near-anti-parallel from 1e-15 to 1e-3 rad, generic, or malformed."""
+    kind = draw(st.sampled_from(
+        ["identical", "parallel-offset", "near-parallel", "near-anti-parallel", "generic",
+         "malformed"]
+    ))
+    if kind == "malformed":
+        return [draw(_screw_documents()), draw(_screw_documents())]
+    nonzero = _moderate_vec3.filter(lambda v: np.linalg.norm(v) > 1e-3)
+    u = _unit(draw(nonzero))
+    v = _unit(np.cross(u, np.eye(3)[np.argmin(np.abs(u))]))
+    p1, p2 = draw(_moderate_vec3), draw(_moderate_vec3)
+    if kind == "identical":
+        return [{"point": p1, "direction": u.tolist()}] * 2
+    if kind == "parallel-offset":
+        e2, p2 = u, (np.asarray(p1) + draw(st.floats(0.1, 10)) * v).tolist()
+    elif kind == "generic":
+        e2 = _unit(draw(nonzero))
+    else:
+        a = 10.0 ** draw(st.floats(-15, -3))
+        sign = 1.0 if kind == "near-parallel" else -1.0
+        e2 = sign * math.cos(a) * u + math.sin(a) * v
+    return [{"point": p1, "direction": u.tolist()}, {"point": p2, "direction": e2.tolist()}]
+
+
+def _sine_between(docs, tol):
+    """|e1 x e2| of two documents that are valid lines at ``tol``, else None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lines = [screwalg.line_from_point_direction(d["point"], d["direction"], tol=tol)
+                     for d in docs]
+    except (ValueError, TypeError, KeyError, OverflowError):
+        return None
+    return float(np.linalg.norm(np.cross(lines[0].direction, lines[1].direction)))
+
+
+_PAIR_1E8_FROM_PARALLEL = [X_AXIS, {"point": [0, 0, 1], "direction": [1, 1e-8, 0]}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _line_pairs(),
+    st.sampled_from([[], ["--check"]]),
+    st.sampled_from([[], ["--tol", "0"], ["--tol", "1e-30"], ["--tol", "0.5"]]),
+)
+# 1e-8 rad from parallel: the angle from its cosine alone refused it (exit 3).
+@example(_PAIR_1E8_FROM_PARALLEL, [], [])
+@example(_PAIR_1E8_FROM_PARALLEL, ["--check"], [])
+def test_fuzzed_line_angle_documents_keep_the_exit_code_contract(docs, check, tol):
+    argv = ["line-angle", *check, *tol]
+    for doc in docs:
+        argv += ["--json", json.dumps(doc)]
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert check and "oracle cross-check failed" in err
+    tolerance = float(tol[1]) if tol else 1e-9
+    sine = _sine_between(docs, tolerance)
+    if sine is not None and sine > 0.0 and sine >= 10 * tolerance:
+        # Only the oracle's own verdict may stand in the way.
+        assert code in ((0, 1) if check else (0,)), (code, err)

@@ -2,8 +2,9 @@
 
 ``cli_golden.json`` maps a case name to its argv, exit code and standard
 output, including every subcommand's ``--help``. A change to any of these
-bytes changes what users see, so it must be deliberate: edit the file in the
-same commit and say why.
+bytes changes what users see, so it must be deliberate: regenerate the file
+in the same commit with ``python tests/regen_cli_golden.py`` and say why
+each case moved.
 """
 
 import json

@@ -1,4 +1,4 @@
-"""Dual-number arithmetic, analytic extension, and the principal inverse cosine."""
+"""Dual-number arithmetic, analytic extension, and the dual atan2."""
 
 import math
 
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import assert_dual_close
 from screwalg import (
-    Dual, DualVec3, acos_principal, cos, dot, exp, extend, format_dual, parse_dual, sin, sqrt,
+    Dual, DualVec3, atan2, cos, dot, dual_angle, exp, extend, format_dual, parse_dual, sin, sqrt,
 )
-from screwalg.errors import BoundaryDualPart, DomainError, NotFinite, NotInvertible, OutOfRange
+from screwalg.errors import DomainError, NotFinite, NotInvertible, NullVector
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -161,33 +161,46 @@ class TestExtension:
                 assert abs(exact - numeric) <= 1e-6 * max(1.0, abs(exact))
 
 
-class TestPrincipalAcos:
-    def test_inverts_cosine_off_axis(self):
-        assert_dual_close(acos_principal(Dual(0, -1)), Dual(math.pi / 2, 1))
+class TestAtan2:
+    @pytest.mark.parametrize("phi", [0.7, 2.2, -2.5, -0.4], ids=["I", "II", "III", "IV"])
+    def test_inverts_sine_and_cosine_in_every_quadrant(self, phi):
+        # Any common factor with positive real part cancels, dual part included.
+        theta, k = Dual(phi, -1.25), Dual(3.0, 0.75)
+        assert_dual_close(atan2(k * sin(theta), k * cos(theta)), theta, tol=4 * EPS)
+        assert math.copysign(1.0, atan2(sin(theta), cos(theta)).re) == math.copysign(1.0, phi)
 
-    def test_endpoint_maps_to_zero(self):
-        assert acos_principal(Dual(1, 0)) == Dual(0, 0)
+    def test_real_axis_positive_side(self):
+        # d/dt atan2(s, c) = (c s' - s c') / (c**2 + s**2) = s'/c where s = 0.
+        assert atan2(Dual(0.0, 2.0), Dual(4.0, 3.0)) == Dual(0.0, 0.5)
 
-    def test_endpoint_with_dual_part_rejected(self):
-        with pytest.raises(BoundaryDualPart):
-            acos_principal(Dual(1, 0.5), tol=1e-9)
+    def test_real_axis_negative_side(self):
+        assert atan2(Dual(0.0, 2.0), Dual(-4.0, 3.0)) == Dual(math.pi, -0.5)
 
-    def test_overshoot_clamped_within_tolerance(self):
-        assert acos_principal(Dual(1 + 1e-12, 0)) == Dual(0, 0)
-        assert acos_principal(Dual(-1 - 1e-12, 0)) == Dual(math.pi, 0)
+    def test_origin_has_no_angle(self):
+        with pytest.raises(DomainError):
+            atan2(Dual(0.0, 1.0), Dual(0.0, 2.0))
+        with pytest.raises(DomainError):
+            atan2(Dual(1e-170), Dual(-1e-170))
 
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            acos_principal(Dual(1.1, 0), tol=1e-9)
+    def test_exactly_parallel_resultants_take_zero_or_pi(self):
+        # The modulus of a cross product with zero real part is undefined, so
+        # dual_angle keeps one exact branch: 0 or pi, and no distance.
+        x = DualVec3([2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        y = DualVec3([3.0, 0.0, 0.0], [0.0, 0.0, 5.0])
+        assert dual_angle(x, y) == Dual(0.0, 0.0)
+        assert dual_angle(x, -1.0 * y) == Dual(math.pi, 0.0)
+        with pytest.raises(NullVector):
+            dual_angle(DualVec3([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), y)
 
-    def test_left_inverse_of_cos_on_interior(self):
-        # Conditioning of acos degrades like eps/theta**2 at the endpoints, so
-        # the 1e-10 bound is checked on the well-conditioned interior.
+    def test_left_inverse_of_sin_and_cos_up_to_both_endpoints(self):
+        # The cosine alone lost the angle near 0 and pi; the pair keeps it.
         rng = np.random.default_rng(9)
-        for _ in range(1000):
-            theta = Dual(rng.uniform(0.01, math.pi - 0.01), rng.uniform(-10, 10))
-            recovered = acos_principal(cos(theta))
-            assert_dual_close(recovered, theta, tol=1e-10, scale=max(1.0, abs(theta.du)))
+        angles = [1e-12, 1e-8, math.pi - 1e-8, math.pi - 1e-12]
+        angles += list(rng.uniform(-math.pi, math.pi, 1000))
+        for a in angles:
+            theta = Dual(a, rng.uniform(-10, 10))
+            recovered = atan2(sin(theta), cos(theta))
+            assert_dual_close(recovered, theta, tol=4 * EPS, scale=max(1.0, abs(theta.du)))
 
 
 class TestTextForm:

@@ -4,7 +4,9 @@ The Rodrigues coefficients of exp_so3d are sin(t)/t and (1 - cos t)/t**2,
 extended to dual angles through their derivatives. Below a cut-off each is
 summed from its Taylor series, above it from its closed form. Here sympy
 supplies the exact functions, derivatives and series, evaluated to 40 digits
-at the very floats the library sees, on both sides of the cut-off.
+at the very floats the library sees, on both sides of the cut-off. The
+dual atan2 behind every dual angle is checked against the derivative of
+atan2, and acos over the duals, spelled through it, against that of acos.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from screwalg import Dual, acos_principal  # noqa: E402
+from screwalg import Dual, atan2, sqrt  # noqa: E402
 from screwalg import linalg  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -97,19 +99,44 @@ def test_series_are_the_taylor_expansion_to_the_order_the_cut_off_needs(expr, va
     assert omitted_slope <= EPS / 4 * abs(sp.diff(expr, T).subs(T, cut))
 
 
-# Below c = -0.9 the dual part -du / sin(acos c) loses digits as acos c nears
-# pi (552 eps at c = -1 + 1e-6); -du / sqrt((1 - c)(1 + c)) would not, but it
-# changes the last bits of dual angles that tests/cli_golden.json pins.
-C = sp.Symbol("c")
+S, C = sp.symbols("s c")
+ATAN2 = sp.atan2(S, C)
+ATAN2_SLOPES = (sp.diff(ATAN2, S), sp.diff(ATAN2, C))
+
+
+@pytest.mark.parametrize(
+    "s, c",
+    [(1.0, 1e-9), (1e-9, 1.0), (1e-9, -1.0), (0.0, 2.0), (0.0, -2.0), (0.6, 0.8), (0.6, -0.8),
+     (-0.6, -0.8), (-0.6, 0.8), (3.0, -1e-12), (2.5e-8, 1.5)],
+)
+def test_atan2_dual_part_is_the_derivative_of_atan2(s, c):
+    ds, dc = 1.75, -0.625
+    result = atan2(Dual(s, ds), Dual(c, dc))
+    at = {S: sp.Float(s, 60), C: sp.Float(c, 60)}
+    angle = ATAN2.subs(at).evalf(40)
+    if angle == 0:
+        assert result.re == 0.0
+    else:
+        assert _relative_error(result.re, angle) <= EPS
+    expected = (ds * ATAN2_SLOPES[0] + dc * ATAN2_SLOPES[1]).subs(at).evalf(40)
+    assert _relative_error(result.du, expected) <= 2 * EPS
+
+
+# By transference acos over the duals is atan2(sqrt((1 - c)(1 + c)), c) in
+# dual arithmetic; its dual part must be the derivative of acos up to both
+# ends of the range.
 ACOS_SLOPE = sp.diff(sp.acos(C), C)
 
 
 @pytest.mark.parametrize(
-    "c", [-0.9, -0.5, -1e-3, 0.0, 0.3, 0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-12, 1 - 1e-15]
+    "c",
+    [-1 + 1e-15, -1 + 1e-6, -0.9, -0.5, -1e-3, 0.0, 0.3, 0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-12,
+     1 - 1e-15],
 )
 def test_acos_dual_part_is_the_derivative_of_acos(c):
     du = 1.75
-    result = acos_principal(Dual(c, du), tol=0.0)
+    cosine = Dual(c, du)
+    result = atan2(sqrt((1.0 - cosine) * (1.0 + cosine)), cosine)
     X = sp.Float(c, 60)
     assert _relative_error(result.re, sp.acos(X).evalf(40)) <= EPS
     expected = du * ACOS_SLOPE.subs(C, X).evalf(40)

@@ -247,6 +247,24 @@ class TestDualAngle:
             a, b = rel.closest_points
             assert abs(theta.du - (b - a) @ n) <= 1e-9 * max(1.0, rel.distance)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "anti-parallel"])
+    def test_pairs_near_parallel_are_answered(self, sign):
+        # From 1e-12 to 1e-3 rad of parallel or anti-parallel the cosine alone
+        # rounded to +-1 and refused about one pair in eight.
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            u = rand_unit(rng)
+            v = np.cross(u, rand_unit(rng))
+            v /= np.linalg.norm(v)
+            a = 10.0 ** rng.uniform(-12, -3)
+            l1 = line_from_point_direction(rng.normal(size=3), u)
+            e2 = sign * math.cos(a) * u + math.sin(a) * v
+            l2 = line_from_point_direction(rng.normal(size=3), e2)
+            theta = dual_angle(l1.screw, l2.screw)
+            e1, e2 = l1.direction, l2.direction
+            expected = math.atan2(np.linalg.norm(np.cross(e1, e2)), e1 @ e2)
+            assert abs(theta.re - expected) <= 4 * np.finfo(float).eps * max(1.0, expected)
+
     def test_cauchy_schwarz_for_unit_screws(self):
         rng = np.random.default_rng(9)
         for _ in range(300):
