@@ -23,8 +23,7 @@ from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
 from .linalg import (
-    DualMat3, DualVec3, _cross3, _DualArray, _parallel, _vec, exp_so3d, frame_translation,
-    is_frame,
+    DualMat3, DualVec3, _cross3, _DualArray, _parallel, _translation, _vec, exp_so3d, is_frame,
 )
 from .oracle import _fit_with_residual, line_distance_angle
 from .theorems import equilibrium_laws, petersen_morley, thales_check
@@ -257,16 +256,17 @@ def _cmd_compose(args, tol: float) -> int:
             raise _InputError("each joint must be a JSON object")
         if "matrix" in joint:
             m = _parse_matrix(joint["matrix"])
+            if not is_frame(m, tol):
+                raise ScrewAlgError("joint matrix fails the frame invariant")
         elif "axis" in joint and "angle" in joint:
+            # A frame by construction; its rounding is not the caller's to judge.
             axis = _parse_line(joint["axis"], tol)
             angle = _parse_dual_value(joint["angle"])
             m = exp_so3d(angle * axis.screw)
         else:
             raise _InputError("joint needs either matrix or axis + angle fields")
-        if not is_frame(m, tol=max(tol, 1e-7)):
-            raise ScrewAlgError("joint matrix fails the frame invariant")
         frame = frame @ m
-    translation = frame_translation(frame, tol=max(tol, 1e-7))
+    translation = _translation(frame)
     _emit(
         args,
         [

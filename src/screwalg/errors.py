@@ -48,10 +48,6 @@ class ProjectionMismatch(ScrewAlgError):
     """Frames do not project to the same real basis."""
 
 
-class NotPureDual(ScrewAlgError):
-    """Residual real part exceeds tolerance where a pure-dual value is required."""
-
-
 # -- screw geometry ----------------------------------------------------------
 
 class NotUnit(ScrewAlgError):

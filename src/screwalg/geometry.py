@@ -24,6 +24,7 @@ from .linalg import (
     _cross3,
     _finite,
     _length,
+    _max_abs,
     _parallel,
     _vec,
     cross,
@@ -48,21 +49,23 @@ class Line:
     __slots__ = ("screw",)
 
     def __init__(self, screw: DualVec3, tol: float = DEFAULT_TOL):
-        self._canonicalize(screw.re, screw.du, tol)
-
-    def _canonicalize(self, e: np.ndarray, m: np.ndarray, tol: float) -> None:
-        """Set the screw from its finite resultant e and moment m; the one path."""
-        length = _length(e)
+        length = _length(screw.re)
         if abs(length - 1.0) > tol:
             raise NotALine(f"resultant length {length} is not 1 within {tol}")
+        pitch_component = self._canonicalize(screw.re, screw.du, length)
+        # The bound is tol * max(1, |m|); |m| is needed only past tol.
+        pitch = abs(pitch_component)
+        if pitch > tol and pitch > tol * _length(screw.du) / length:
+            raise NotALine(f"pitch {pitch_component} exceeds {tol} times max(1, |moment|)")
+
+    def _canonicalize(self, e: np.ndarray, m: np.ndarray, length: float) -> float:
+        """Set the screw from e, of length ``length``, and m; judge nothing, and
+        return the pitch component of the moment that it projects away."""
         e = e / length
         m = m / length
         pitch_component = float(m.dot(e))
-        # The bound is tol * max(1, |m|); |m| is needed only past tol.
-        pitch = abs(pitch_component)
-        if pitch > tol and pitch > tol * _length(m):
-            raise NotALine(f"pitch {pitch_component} exceeds {tol} times max(1, |moment|)")
         object.__setattr__(self, "screw", DualVec3._raw(e, m - pitch_component * e))
+        return pitch_component
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
@@ -93,14 +96,16 @@ def line_from_point_direction(point, direction, tol: float = DEFAULT_TOL) -> Lin
 
 
 def _line_through(p: np.ndarray, e: np.ndarray, tol: float) -> Line:
-    """line_from_point_direction on finite 3-vectors the library already holds."""
-    if abs(_length(e) - 1.0) > tol:
+    """line_from_point_direction on finite 3-vectors the library already holds.
+    ``tol`` judges only |e|: the rounding of the moment built here is projected away."""
+    length = _length(e)
+    if abs(length - 1.0) > tol:
         raise NotUnit(f"direction {e.tolist()} is not unit length within {tol}")
     m = _cross3(p, e)
     if not _finite(m.tolist()):
         raise NotFinite(f"moment of the line through {p.tolist()} overflows")
     line = object.__new__(Line)
-    line._canonicalize(e, m, tol)
+    line._canonicalize(e, m, length)
     return line
 
 
@@ -155,14 +160,20 @@ def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
     cosine alone the angle stays accurate near 0 and pi. Exactly parallel
     resultants (a zero real cross product, whose modulus is undefined) give
     exactly 0 or pi with dual part 0: the distance between parallel axes
-    lives in the classical oracle.
+    lives in the classical oracle. Where squares would underflow or overflow, x
+    and y are first brought to unit scale by powers of two, which move no bit.
     """
     xy = dot(x, y)
     xy_cross = cross(x, y)
-    if not any(xy_cross.re.tolist()):
+    size = _max_abs(xy_cross.re)
+    if size == 0.0:
         if xy.re == 0.0:
             raise NullVector("dual angle undefined for pure-dual screws")
         return _dual(0.0 if xy.re > 0.0 else math.pi, 0.0)
+    if size < 1e-150 or max(size, abs(xy.re)) > 1e150:
+        x, y = (z * math.ldexp(1.0, -math.frexp(_max_abs(z.re))[1]) for z in (x, y))
+        xy = dot(x, y)
+        xy_cross = cross(x, y)
     return atan2(norm(xy_cross), xy)
 
 

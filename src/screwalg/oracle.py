@@ -149,18 +149,18 @@ def line_distance_angle(
     p2 = np.asarray(point2, dtype=float)
     e1 = np.asarray(direction1, dtype=float)
     e2 = np.asarray(direction2, dtype=float)
-    cos_theta = float(np.clip(e1 @ e2, -1.0, 1.0))
-    theta = float(np.arccos(cos_theta))
     n = np.cross(e1, e2)
     # numpy's own norm of a 1-D array, sqrt(x.dot(x)), without its dispatch.
     n_len = math.sqrt(n.dot(n))
+    b = float(e1 @ e2)
+    # From sine and cosine together, so that the angle keeps its digits near 0 and pi.
+    theta = math.atan2(n_len, b)
     w = p2 - p1
     if n_len <= tol:
         offset = w - (w @ e1) * e1
         return LineRelation(math.sqrt(offset.dot(offset)), theta, None)
     distance = abs(float(w @ n)) / n_len
     # Minimize |p1 + t1 e1 - p2 - t2 e2| with unit directions.
-    b = float(e1 @ e2)
     d0 = float(e1 @ -w)
     e0 = float(e2 @ -w)
     # Equal to 1 - b**2 for unit directions, without its cancellation when the

@@ -29,7 +29,7 @@ from .errors import (
     NotOnSphere,
     NullVector,
 )
-from .geometry import _ROUNDINGS, Line, axis_decompose, common_normal, line_from_point_direction
+from .geometry import _ROUNDINGS, Line, _line_through, axis_decompose
 from .linalg import (
     _EYE,
     _ZERO3,
@@ -57,15 +57,11 @@ def _require_proper(zs) -> None:
             raise NullVector("operation undefined for pure-dual screws")
 
 
-def _parallel_pairs(res, tol: float, lengths=None):
-    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0), each length taken once
-    or read from ``lengths``; lazy, so that a refusal at the first parallel pair takes no more."""
-    u, v, w = res
-    lu, lv = (lengths[0], lengths[1]) if lengths else (_length(u), _length(v))
-    yield _length(_cross3(u, v)) <= tol * lu * lv
-    lw = lengths[2] if lengths else _length(w)
-    yield _length(_cross3(v, w)) <= tol * lv * lw
-    yield _length(_cross3(w, u)) <= tol * lw * lu
+def _parallel_pairs(res, tol: float, lengths):
+    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0), from the lengths of
+    ``res``; lazy, so that a refusal at the first parallel pair takes no more."""
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        yield _length(_cross3(res[i], res[j])) <= tol * lengths[i] * lengths[j]
 
 
 def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
@@ -82,9 +78,12 @@ def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
 
 
 def are_proportional(z1: DualVec3, z2: DualVec3, tol: float = DEFAULT_TOL) -> bool:
-    """Proportionality over the duals; equivalent to a vanishing cross product."""
+    """Proportionality over the duals: both parts of cross(z1, z2) at most ``tol``
+    times the resultant lengths, a bound no rigid motion changes."""
     _require_proper((z1, z2))
-    return magnitude(cross(z1, z2)) <= tol * magnitude(z1) * magnitude(z2)
+    c = cross(z1, z2)
+    bound = tol * _length(z1.re) * _length(z2.re)
+    return _length(c.re) <= bound and _length(c.du) <= bound
 
 
 class TripleTag(str, Enum):
@@ -112,7 +111,8 @@ def classify_triple(
     with the common direction), concurrent coplanar sliding vectors, or a
     module-dependent triple whose axes meet one line orthogonally (the
     witness). Resultant-dependent triples that fit none of these raise
-    NotClassifiable.
+    NotClassifiable. No threshold moves with the triple: ``tol`` times resultant
+    lengths, or ``tol`` raised to the rounding of the values compared.
     """
     zs = (z1, z2, z3)
     _require_proper(zs)
@@ -144,14 +144,16 @@ def classify_triple(
         return TripleClassification(TripleTag.CONCURRENT_COPLANAR)
 
     if none_parallel and abs(m.du) <= bound:
-        witness = common_normal(z1, z2, tol=tol)
-        check_tol = max(tol, 1e-7)
-        for z in zs:
-            incidence = dot(witness.screw, normalized(z))
-            if abs(incidence.re) > check_tol or abs(incidence.du) > check_tol:
-                raise NotClassifiable(
-                    "mixed product vanishes but the candidate line misses an axis"
-                )
+        # common_normal(z1, z2), whose checks ran above; it meets z1 and z2 by construction.
+        normal = cross(z1, z2)
+        witness = axis_decompose(normal).axis
+        unit = normalized(z3)
+        incidence = dot(witness.screw, unit)
+        # The witness's rounding grows as 1 / sin(theta_12) of z1 and z2.
+        rounding = _ROUNDINGS * sys.float_info.epsilon * rnorm[0] * rnorm[1] / _length(normal.re)
+        moment_rounding = rounding * (_length(witness.moment) + _length(unit.du))
+        if abs(incidence.re) > max(tol, rounding) or abs(incidence.du) > max(tol, moment_rounding):
+            raise NotClassifiable("mixed product vanishes but the candidate line misses an axis")
         return TripleClassification(TripleTag.COMMON_ORTHOGONAL_LINE, witness)
 
     raise NotClassifiable("resultants are dependent but the triple fits no class")
@@ -200,15 +202,10 @@ class EquilibriumReport:
     two_r: Dual
     scale: float
 
-    def _all_residuals(self):
-        yield from self.cosine_residuals
-        yield from self.sine_ratio_residuals
-        yield from self.four_r_squared_residuals
-        yield self.angle_sum_residual
-
     def max_scaled_residual(self) -> float:
-        s = max(1.0, self.scale)
-        return max(max(abs(r.re), abs(r.du)) for r in self._all_residuals()) / s
+        residuals = (*self.cosine_residuals, *self.sine_ratio_residuals,
+                     *self.four_r_squared_residuals, self.angle_sum_residual)
+        return max(max(abs(r.re), abs(r.du)) for r in residuals) / max(1.0, self.scale)
 
     def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_scaled_residual() <= tol
@@ -234,7 +231,8 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     z = DualVec3._raw(-(x.re + y.re), -(x.du + y.du))
     if z.is_pure_dual:
         raise NullVector("x + y has zero resultant; the triple leaves the module basis")
-    if any(_parallel_pairs((x.re, y.re, z.re), tol)):
+    res = (x.re, y.re, z.re)
+    if any(_parallel_pairs(res, tol, [_length(r) for r in res])):
         raise DegenerateTriangle("a pair of the triple has proportional resultants")
 
     xx = dot(x, x)
@@ -325,12 +323,15 @@ def petersen_morley(
     their resultants the certifying line is their common normal; when all
     three degenerate to pure duals (axes parallel to the opposite normals)
     the certificate degrades to a direction orthogonal to every moment, and
-    mixed configurations are rejected as non-generic.
+    mixed configurations are rejected as non-generic. With ``scale`` the product
+    of the resultant lengths, w keeps its resultant iff |w.re| > tol * scale and
+    vanishes iff also |w.du| <= tol * scale: no threshold moves with the triple.
     """
     triple = (x, y, z)
     _require_proper(triple)
-    mags = [magnitude(w) for w in triple]
-    for key, parallel in zip(("x,y", "y,z", "z,x"), _parallel_pairs((x.re, y.re, z.re), tol)):
+    res_lengths = [_length(w.re) for w in triple]
+    pairs = _parallel_pairs((x.re, y.re, z.re), tol, res_lengths)
+    for key, parallel in zip(("x,y", "y,z", "z,x"), pairs):
         if parallel:
             raise NonGeneric(f"resultants of {key} are parallel")
 
@@ -338,22 +339,20 @@ def petersen_morley(
     b = cross(z, cross(x, y))
     c = cross(y, cross(z, x))
     derived = (a, b, c)
-    scale = mags[0] * mags[1] * mags[2]
-    derived_mags = []
-    for name, w in zip("abc", derived):
-        m = magnitude(w)
-        if m <= tol * scale:
+    scale = res_lengths[0] * res_lengths[1] * res_lengths[2]
+    lengths = [_length(w.re) for w in derived]
+    proper = [n > tol * scale for n in lengths]
+    for name, w, keeps in zip("abc", derived, proper):
+        if not keeps and _length(w.du) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
-        derived_mags.append(m)
 
     jacobi_residual = magnitude(a + b + c)
 
-    lengths = [_length(w.re) for w in derived]
-    proper = [n > tol * m for n, m in zip(lengths, derived_mags)]
     if all(proper):
         if any(_parallel_pairs((a.re, b.re, c.re), tol, lengths)):
             raise NonGeneric("derived screws have pairwise parallel resultants")
-        normal = common_normal(a, b, tol=tol)
+        # common_normal(a, b), whose checks ran above.
+        normal = axis_decompose(cross(a, b)).axis
         residuals = tuple(dot(normal.screw, normalized(w)) for w in derived)
         degenerate = False
     elif not any(proper):
@@ -377,21 +376,14 @@ def petersen_morley(
 
 def _direction_certificate(moments) -> Line:
     """A line through the origin orthogonal to the unit moments of pure-dual screws."""
-    best = None
-    best_len = -1.0
-    for i in range(len(moments)):
-        for j in range(i + 1, len(moments)):
-            n = _cross3(moments[i], moments[j])
-            n_len = _length(n)
-            if n_len > best_len:
-                best_len = n_len
-                best = n
-    if best is None or best_len < 1e-12:
+    u, v, w = moments
+    best = max((_cross3(u, v), _cross3(u, w), _cross3(v, w)), key=_length)
+    if _length(best) < 1e-12:
         # All moments share one direction; any perpendicular will do.
         seed = _EYE[int(np.argmin(np.abs(moments[0])))]
         best = _cross3(moments[0], seed)
     direction = best / _length(best)
-    return line_from_point_direction(_ZERO3, direction)
+    return _line_through(_ZERO3, direction, _ROUNDINGS * sys.float_info.epsilon)
 
 
 def thales_check(
@@ -401,14 +393,16 @@ def thales_check(
 
     For x, y, z of equal dual modulus r with x = -y, the chords y - z and
     z - x are orthogonal under the full dual product; the returned residual
-    is (y - z) o (z - x), which should vanish in both components.
+    is (y - z) o (z - x), which should vanish in both components. Both
+    parts of |w| - r and of x + y are compared with tol * max(1, |r.re|).
     """
     radius = r if isinstance(r, Dual) else Dual(float(r))
-    scale = max(1.0, abs(radius.re))
+    bound = tol * max(1.0, abs(radius.re))
     for name, w in (("x", x), ("y", y), ("z", z)):
         n = norm(w)
-        if abs(n.re - radius.re) > tol * scale or abs(n.du - radius.du) > tol * scale:
+        if abs(n.re - radius.re) > bound or abs(n.du - radius.du) > bound:
             raise NotOnSphere(f"|{name}| = {n} differs from r = {radius}")
-    if magnitude(x + y) > tol * max(1.0, magnitude(x), magnitude(y)):
+    s = x + y
+    if max(_length(s.re), _length(s.du)) > bound:
         raise NotAntipodal("x and y are not opposite")
     return dot(y - z, z - x)

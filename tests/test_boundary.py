@@ -121,3 +121,79 @@ def test_kernels_call_no_slow_numpy_entry_point(module):
     assert not lines, (
         f"{module}.py calls np.linalg.norm, np.linalg.det, np.eye or np.zeros at lines {lines}"
     )
+
+
+# -- tol judges only the caller's input ---------------------------------------
+#
+# A floor such as max(tol, 1e-7) loosens the caller's tolerance behind their
+# back, and magnitude, the length of all six components, mixes resultant and
+# moment, so a threshold scaled by it moves with the origin.
+
+def _is_number(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def _called(node: ast.AST, name: str) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == name) or (
+        isinstance(func, ast.Attribute) and func.attr == name
+    )
+
+
+def _tolerance_floors(tree: ast.AST) -> list:
+    """Lines of a max() over a tolerance name and a number."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if _called(node, "max")
+        and any(isinstance(a, ast.Name) and "tol" in a.id.lower() for a in node.args)
+        and any(_is_number(a) for a in node.args)
+    })
+
+
+def _magnitude_thresholds(tree: ast.AST) -> list:
+    """Lines of a magnitude(...) call inside a comparison."""
+    return sorted({
+        call.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for call in ast.walk(node)
+        if _called(call, "magnitude")
+    })
+
+
+def test_tolerance_detectors_see_every_spelling():
+    source = (
+        "def f(tol, x, check_tol):\n"
+        "    a = max(tol, 1e-7)\n"
+        "    b = max(1e-7, tol)\n"
+        "    c = max(check_tol, -1, x)\n"
+        "    d = max(tol, x) + max(1.0, x) + magnitude(x)\n"
+        "    if magnitude(x) <= tol:\n"
+        "        return abs(x) > tol * linalg.magnitude(x)\n"
+        "    return tol * max(1.0, x) < 2 * magnitude(x) + 1\n"
+    )
+    tree = ast.parse(source)
+    assert _tolerance_floors(tree) == [2, 3, 4]
+    assert _magnitude_thresholds(tree) == [6, 7, 8]
+
+
+def test_no_floor_under_a_tolerance():
+    modules = sorted(SOURCE.rglob("*.py"))
+    assert modules, "no modules found; the test is not looking at the package"
+    found = [
+        f"{path.name}:{line}"
+        for path in modules
+        for line in _tolerance_floors(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"max(tol, <number>) in the library: {found}"
+
+
+@pytest.mark.parametrize("module", ["geometry", "theorems"])
+def test_no_threshold_is_scaled_by_magnitude(module):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    lines = _magnitude_thresholds(tree)
+    assert not lines, f"{module}.py compares a magnitude(...) at lines {lines}"

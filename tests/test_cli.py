@@ -23,6 +23,17 @@ Y_AXIS_OFFSET = {"point": [0, 0, 1], "direction": [0, 1, 0]}
 Z_AXIS_OFFSET = {"point": [1, 0, 0], "direction": [0, 0, 1]}
 
 
+# Two lines whose directions are unit to the last bit; any tol accepts them.
+_PAIR_AT_TOL_0 = [
+    {"point": [0.3, -0.2, 0.5], "direction": [0.6, 0.8, 0]},
+    {"point": [1.1, 0.7, -0.3], "direction": [0, 0.6, 0.8]},
+]
+
+
+def _json_args(docs):
+    return [arg for doc in docs for arg in ("--json", json.dumps(doc))]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -92,6 +103,28 @@ class TestLineAngle:
         )
         assert (code, err) == (0, "")
         assert out == "Theta = 1e-08 + 1ε\ntheta = 1e-08\nd = 1\n"
+
+    @pytest.mark.parametrize(
+        "docs",
+        [
+            [X_AXIS, {"point": [0, 0, 1], "direction": [1, 1e-8, 0]}],
+            *([{"point": [0.3, -0.2, 0.5], "direction": [1, 0, 0]},
+               {"point": [0.1, 0.4, -0.3], "direction": [math.cos(a), math.sin(a), 0.0]}]
+              for a in (2e-9, 4e-9, 8e-9)),
+        ],
+        ids=["1e-8", "2e-9", "4e-9", "8e-9"],
+    )
+    def test_check_agrees_with_the_oracle_near_parallel(self, capsys, docs):
+        # The oracle's angle came from a clipped arccos, 0 below ~1.5e-8 rad (exit 1).
+        code, _, err = run(capsys, "line-angle", "--check", *_json_args(docs))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("tol", ["0", "1e-30"])
+    def test_exactly_unit_directions_pass_at_any_tol(self, capsys, tol):
+        # The rounding of p x e read as a pitch beyond tol refused them (exit 2).
+        code, out, err = run(capsys, "line-angle", "--tol", tol, *_json_args(_PAIR_AT_TOL_0))
+        assert (code, err) == (0, "")
+        assert out.startswith("Theta = 1.0701416143903084")
 
     def test_check_mode_agrees_with_oracle(self, capsys):
         code, out, _ = run(
@@ -256,6 +289,32 @@ class TestCompose:
         bad = {"matrix": {"re": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}}
         code, _, _ = run(capsys, "compose", "--json", json.dumps([bad]))
         assert code == 3
+
+    @pytest.mark.parametrize("tol, expected", [("1e-12", 3), ("1e-7", 0)])
+    def test_matrix_joint_is_judged_by_the_callers_tol(self, capsys, tol, expected):
+        # 1e-8 from orthogonal: a floor of 1e-7 under tol passed it at 1e-12.
+        near = {"matrix": {"re": [[1 + 1e-8, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+        code, _, _ = run(capsys, "compose", "--tol", tol, "--json", json.dumps([near]))
+        assert code == expected
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="exp_so3d takes |b| from dot(b, b), whose real part underflows to 0 (NullVector)",
+    )
+    def test_joint_angle_whose_square_underflows_is_a_null_turn(self, capsys):
+        chain = [{"axis": X_AXIS, "angle": 2.3e-199}]
+        code, out, err = run(capsys, "compose", "--json", json.dumps(chain))
+        assert (code, err) == (0, "")
+        assert "translation = (0, 0, 0)" in out
+
+    @pytest.mark.parametrize("tol", ["0", "1e-30"])
+    def test_axis_joints_pass_at_any_tol(self, capsys, tol):
+        # Their directions are checked; the frames exp_so3d builds from them are not.
+        chain = [{"axis": _PAIR_AT_TOL_0[0], "angle": "0.7 + 0.2eps"},
+                 {"axis": {"point": [1, 2, 3], "direction": [0, 0, 1]}, "angle": 1.1}]
+        code, out, err = run(capsys, "compose", "--tol", tol, "--json", json.dumps(chain))
+        assert (code, err) == (0, "")
+        assert "translation = " in out
 
 
 class TestVerify:
@@ -828,6 +887,8 @@ _PAIR_1E8_FROM_PARALLEL = [X_AXIS, {"point": [0, 0, 1], "direction": [1, 1e-8, 0
 # 1e-8 rad from parallel: the angle from its cosine alone refused it (exit 3).
 @example(_PAIR_1E8_FROM_PARALLEL, [], [])
 @example(_PAIR_1E8_FROM_PARALLEL, ["--check"], [])
+# The rounding of p x e, judged by tol as a pitch, refused it (exit 2).
+@example(_PAIR_AT_TOL_0, [], ["--tol", "0"])
 def test_fuzzed_line_angle_documents_keep_the_exit_code_contract(docs, check, tol):
     argv = ["line-angle", *check, *tol]
     for doc in docs:
@@ -842,3 +903,85 @@ def test_fuzzed_line_angle_documents_keep_the_exit_code_contract(docs, check, to
     if sine is not None and sine > 0.0 and sine >= 10 * tolerance:
         # Only the oracle's own verdict may stand in the way.
         assert code in ((0, 1) if check else (0,)), (code, err)
+
+
+# -- fuzzed common-normal, screw-axis and compose documents ---------------------
+
+_TOLS = st.sampled_from([[], ["--tol", "0"], ["--tol", "1e-30"], ["--tol", "0.5"]])
+
+
+@st.composite
+def _screw_pairs(draw):
+    """Two screw documents, often parallel or equal, or one document or three."""
+    x, y = draw(_screw_documents()), draw(_screw_documents())
+    relation = draw(st.sampled_from(["none", "parallel", "equal", "count"]))
+    if relation == "parallel":
+        re = draw(_vec3)
+        x, y = {"re": re, "du": draw(_vec3)}, {"re": _scaled(draw(_finite_numbers), re), "du": draw(_vec3)}
+    elif relation == "equal":
+        y = x
+    elif relation == "count":
+        return draw(st.lists(_screw_documents(), max_size=3))
+    return [x, y]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_screw_pairs(), st.sampled_from(["common-normal", "screw-axis"]), _TOLS)
+def test_fuzzed_screw_documents_keep_the_exit_code_contract(docs, command, tol):
+    if command == "screw-axis" and len(docs) == 2:
+        docs = docs[:1]
+    code, _, err = _run_quietly([command, *tol, *_json_args(docs)])
+    # Neither command has a residual, so exit 1 never applies.
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+
+
+_unit_lines = st.fixed_dictionaries({"point": _moderate_vec3, "direction": st.sampled_from(_UNITS)})
+# A real angle whose square underflows is refused by exp_so3d, a fault apart
+# from tol that test_joint_angle_whose_square_underflows_is_a_null_turn pins.
+_turns = st.floats(-10, 10).filter(lambda a: a == 0.0 or abs(a) > 1e-150)
+_moderate_angles = st.one_of(
+    _turns,
+    st.fixed_dictionaries({"re": _turns, "du": st.floats(-10, 10)}),
+)
+_generators = _moderate_vec3.filter(lambda v: not any(v) or np.linalg.norm(v) > 1e-3)
+
+
+@st.composite
+def _joints(draw):
+    """An axis joint, a matrix joint (a frame or not) or a malformed one."""
+    kind = draw(st.sampled_from(["axis", "axis", "frame", "matrix", "malformed"]))
+    if kind == "axis":
+        return {"axis": draw(st.one_of(_unit_lines, _screw_documents())),
+                "angle": draw(st.one_of(_moderate_angles, _radius_documents))}
+    if kind == "frame":
+        b = screwalg.DualVec3(draw(_generators), draw(_moderate_vec3))
+        frame = screwalg.exp_so3d(b)
+        return {"matrix": {"re": frame.re.tolist(), "du": frame.du.tolist()}}
+    if kind == "matrix":
+        return {"matrix": {"re": [draw(_vec3) for _ in range(3)],
+                           "du": [draw(_vec3) for _ in range(3)]}}
+    return draw(st.one_of(
+        st.dictionaries(st.sampled_from(["axis", "angle", "matrix"]), _json_scalars),
+        _json_scalars,
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(_joints(), max_size=4), _json_scalars), _TOLS)
+def test_fuzzed_compose_documents_keep_the_exit_code_contract(chain, tol):
+    code, _, err = _run_quietly(["compose", *tol, "--json", json.dumps(chain)])
+    # compose has no residual, so exit 1 never applies.
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fixed_dictionaries({"axis": _unit_lines, "angle": _moderate_angles}), max_size=4),
+    _TOLS,
+)
+def test_chains_of_exactly_unit_axes_pass_at_any_tol(chain, tol):
+    # Only the directions are the caller's to judge, and they are unit to the last bit.
+    code, _, err = _run_quietly(["compose", *tol, "--json", json.dumps(chain)])
+    assert (code, err) == (0, "")

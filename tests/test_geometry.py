@@ -102,6 +102,19 @@ class TestLines:
             l = line_from_point_direction(p, e)
             assert_vec_close(l.point, p - (p @ e) * e, tol=1e-12, scale=1e8)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-30])
+    def test_the_moment_built_from_a_point_is_not_judged(self, tol):
+        # p x e rounds to a pitch of ~1e-17, which tol used to refuse (NotALine).
+        l = line_from_point_direction([0.3, -0.2, 0.5], [0.6, 0.8, 0.0], tol=tol)
+        assert abs(l.moment @ l.direction) <= 4 * np.finfo(float).eps
+        assert_vec_close(l.point, [0.288, -0.216, 0.5], tol=1e-15)
+
+    def test_a_caller_screw_is_still_judged_by_tol(self):
+        with pytest.raises(NotALine, match="pitch"):
+            Line(DualVec3(X, [1e-12, 1.0, 0.0]), tol=0.0)
+        with pytest.raises(NotALine, match="length"):
+            Line(DualVec3(1.1 * X), tol=0.05)
+
     def test_moment_that_overflows_raises_not_finite(self):
         # Point and direction are finite; their cross product is not.
         with pytest.raises(NotFinite):
@@ -264,6 +277,20 @@ class TestDualAngle:
             e1, e2 = l1.direction, l2.direction
             expected = math.atan2(np.linalg.norm(np.cross(e1, e2)), e1 @ e2)
             assert abs(theta.re - expected) <= 4 * np.finfo(float).eps * max(1.0, expected)
+
+    def test_small_resultants_get_the_angle_of_unit_ones(self):
+        # |x cross y|**2 = 1e-360 underflowed to 0 and refused the pair (NullVector).
+        x = DualVec3([1e-90, 0.0, 0.0], [0.0, 1e-90, 0.0])
+        y = DualVec3([0.0, 1e-90, 0.0], [0.0, 0.0, 1e-90])
+        assert dual_angle(x, y) == Dual(math.pi / 2, -1.0)
+
+    @pytest.mark.parametrize("k", [-300, 300])
+    def test_angle_is_the_same_bit_for_bit_at_scales_two_to_the_300(self, k):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            x, y = rand_proper_screw(rng), rand_proper_screw(rng)
+            factor = math.ldexp(1.0, k)
+            assert dual_angle(factor * x, factor * y) == dual_angle(x, y)
 
     def test_cauchy_schwarz_for_unit_screws(self):
         rng = np.random.default_rng(9)

@@ -32,6 +32,7 @@ from screwalg import (
     dot,
     dual_angle,
     equilibrium_laws,
+    frame_from_point,
     geometry,
     independent_over_D,
     linalg,
@@ -118,6 +119,15 @@ class TestProportional:
 
     def test_independent_directions(self):
         assert not are_proportional(DualVec3(X), DualVec3(Y))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_lines_1e6_rad_apart_are_not_proportional_anywhere(self, offset):
+        # Compared by 6-component magnitudes, which grow with the moments,
+        # they were proportional 1e3 and 1e6 from the origin.
+        p = [0.0, offset, 0.0]
+        l1 = line_from_point_direction(p, X)
+        l2 = line_from_point_direction(p, [math.cos(1e-6), math.sin(1e-6), 0.0])
+        assert not are_proportional(l1.screw, l2.screw, tol=1e-9)
 
 
 def _r_linear_dependent(z1, z2, tol=1e-9):
@@ -349,6 +359,20 @@ class TestPetersenMorley:
         with pytest.raises(NonGeneric):
             petersen_morley(DualVec3(X), DualVec3(Y), DualVec3(Z))
 
+    WORKED = (
+        DualVec3([1.3, 0.2, -0.7], [0.5, 1.1, 2.0]),
+        DualVec3([0.1, 1.7, 0.4], [-1.0, 0.3, 0.2]),
+        DualVec3([-0.6, 0.3, 1.9], [0.8, -0.4, 1.5]),
+    )
+
+    @pytest.mark.parametrize("distance", [0.0, 1e4, 1e5, 1e6])
+    def test_worked_triple_keeps_a_proper_report_far_away(self, distance):
+        # Compared by 6-component magnitudes, derived screw a "vanished" from 1e5 on.
+        frame = frame_from_point(distance * np.array([1.0, 0.3, -0.7]))
+        report = petersen_morley(*(w @ frame for w in self.WORKED), tol=1e-9)
+        assert not report.parallel_degenerate
+        assert report.max_residual() <= 1e-15 * max(1.0, distance)
+
     def test_random_generic_triples(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
@@ -382,6 +406,15 @@ class TestThales:
         with pytest.raises(NotAntipodal):
             thales_check(x_axis(), DualVec3(Y), y_axis_offset(), 1.0)
 
+    @pytest.mark.parametrize("distance", [0.0, 1e6])
+    def test_antipodal_test_does_not_grow_with_the_moments(self, distance):
+        # y misses -x by 1e-6 in its moment: refused wherever the pair sits.
+        frame = frame_from_point(distance * np.array([0.48, -0.6, 0.64]))
+        x = x_axis() @ frame
+        y = DualVec3(-x.re, -x.du + [0.0, 1e-6, 0.0])
+        with pytest.raises(NotAntipodal):
+            thales_check(x, y, y_axis_offset() @ frame, Dual(1.0), tol=1e-9)
+
     def test_random_sphere_triples(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -400,7 +433,11 @@ class TestThales:
 # The references of dual_angle and equilibrium_laws are retired: they took
 # the angle from its cosine through acos_principal, which is gone, and the
 # atan2 form moves the last bits of every angle. Those two are pinned to
-# 50-digit values in test_angles_mpmath.py instead.
+# 50-digit values in test_angles_mpmath.py instead. The genericity thresholds
+# of the Petersen-Morley reference compare resultant lengths and moments
+# against tol times the product of the input resultant lengths, as the
+# library does, in place of the 6-component magnitudes that moved with the
+# origin; every other line is as first written.
 
 def _reference_classify_triple(
     z1: DualVec3, z2: DualVec3, z3: DualVec3, tol: float = DEFAULT_TOL
@@ -467,7 +504,7 @@ def _reference_petersen_morley(
 ) -> PetersenMorleyReport:
     triple = (x, y, z)
     _require_proper(triple)
-    mags = [magnitude(w) for w in triple]
+    mags = [_length(w.re) for w in triple]
     for (u, v), key in (((x, y), "x,y"), ((y, z), "y,z"), ((z, x), "z,x")):
         if _parallel(u.re, v.re, tol):
             raise NonGeneric(f"resultants of {key} are parallel")
@@ -477,12 +514,12 @@ def _reference_petersen_morley(
     c = cross(y, cross(z, x))
     scale = mags[0] * mags[1] * mags[2]
     for name, w in (("a", a), ("b", b), ("c", c)):
-        if magnitude(w) <= tol * scale:
+        if _length(w.re) <= tol * scale and _length(w.du) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
 
     jacobi_residual = magnitude(a + b + c)
 
-    proper = [_length(w.re) > tol * magnitude(w) for w in (a, b, c)]
+    proper = [_length(w.re) > tol * scale for w in (a, b, c)]
     if all(proper):
         for u, v in ((a, b), (b, c), (c, a)):
             if _parallel(u.re, v.re, tol):
