@@ -917,7 +917,8 @@ def _screw_pairs(draw):
     relation = draw(st.sampled_from(["none", "parallel", "equal", "count"]))
     if relation == "parallel":
         re = draw(_vec3)
-        x, y = {"re": re, "du": draw(_vec3)}, {"re": _scaled(draw(_finite_numbers), re), "du": draw(_vec3)}
+        x = {"re": re, "du": draw(_vec3)}
+        y = {"re": _scaled(draw(_finite_numbers), re), "du": draw(_vec3)}
     elif relation == "equal":
         y = x
     elif relation == "count":
@@ -936,7 +937,9 @@ def test_fuzzed_screw_documents_keep_the_exit_code_contract(docs, command, tol):
     assert "Traceback" not in err
 
 
-_unit_lines = st.fixed_dictionaries({"point": _moderate_vec3, "direction": st.sampled_from(_UNITS)})
+_unit_lines = st.fixed_dictionaries(
+    {"point": _moderate_vec3, "direction": st.sampled_from(_UNITS)}
+)
 # A real angle whose square underflows is refused by exp_so3d, a fault apart
 # from tol that test_joint_angle_whose_square_underflows_is_a_null_turn pins.
 _turns = st.floats(-10, 10).filter(lambda a: a == 0.0 or abs(a) > 1e-150)

@@ -27,7 +27,6 @@ from helpers import (
 from screwalg import (
     Dual,
     DualVec3,
-    Line,
     TripleTag,
     are_proportional,
     axis_decompose,
@@ -233,11 +232,3 @@ def test_thales_verdicts_do_not_move(offset):
             moved = [w @ frame for w in screws]
             assert _verdict(thales_check, *moved, radius, tol=TOL) == expected
 
-
-def test_lines_stay_lines():
-    # A Line the library built, moved, is still a line to its checks.
-    rng = np.random.default_rng(47)
-    for offset in OFFSETS:
-        for _ in range(50):
-            line = line_from_point_direction(rng.normal(size=3), rand_unit(rng))
-            assert isinstance(Line(line.screw @ _motion(rng, offset)), Line)
