@@ -171,7 +171,9 @@ def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
             raise NullVector("dual angle undefined for pure-dual screws")
         return _dual(0.0 if xy.re > 0.0 else math.pi, 0.0)
     if size < 1e-150 or max(size, abs(xy.re)) > 1e150:
-        x, y = (z * math.ldexp(1.0, -math.frexp(_max_abs(z.re))[1]) for z in (x, y))
+        # np.ldexp scales each component; a float 2**-k would overflow for subnormal x.re.
+        x, y = (DualVec3._raw(*np.ldexp((z.re, z.du), -math.frexp(_max_abs(z.re))[1]))
+                for z in (x, y))
         xy = dot(x, y)
         xy_cross = cross(x, y)
     return atan2(norm(xy_cross), xy)

@@ -36,6 +36,7 @@ from .linalg import (
     DualVec3,
     _cross3,
     _length,
+    _max_abs,
     _modulus,
     cross,
     dot,
@@ -57,11 +58,31 @@ def _require_proper(zs) -> None:
             raise NullVector("operation undefined for pure-dual screws")
 
 
-def _parallel_pairs(res, tol: float, lengths):
-    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0), from the lengths of
-    ``res``; lazy, so that a refusal at the first parallel pair takes no more."""
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        yield _length(_cross3(res[i], res[j])) <= tol * lengths[i] * lengths[j]
+def _parallel_pairs(res, tol: float, lengths=None):
+    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0), each length taken once
+    or read from ``lengths``; lazy, so that a refusal at the first parallel pair takes no more."""
+    u, v, w = res
+    lu, lv = (lengths[0], lengths[1]) if lengths else (_length(u), _length(v))
+    yield _length(_cross3(u, v)) <= tol * lu * lv
+    lw = lengths[2] if lengths else _length(w)
+    yield _length(_cross3(v, w)) <= tol * lv * lw
+    yield _length(_cross3(w, u)) <= tol * lw * lu
+
+
+def _moment_near(s: DualVec3, z: DualVec3) -> float:
+    """Length of the moment of s about the point of z's axis nearest to s's axis.
+
+    z's axis moves with the screws, so no rigid motion changes this length, while
+    |s.du| moves by p x s.re when the origin moves by p; where s.re vanishes it is |s.du|.
+    """
+    k = _max_abs(z.re)
+    e = z.re / k
+    v = s.du - _cross3(_cross3(e, z.du / k) / float(e.dot(e)), s.re)
+    w = _cross3(e, s.re)
+    if any(w.tolist()):
+        w = w / _max_abs(w)
+        v = v - float(v.dot(w)) / float(w.dot(w)) * w
+    return _length(v)
 
 
 def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
@@ -78,12 +99,13 @@ def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
 
 
 def are_proportional(z1: DualVec3, z2: DualVec3, tol: float = DEFAULT_TOL) -> bool:
-    """Proportionality over the duals: both parts of cross(z1, z2) at most ``tol``
-    times the resultant lengths, a bound no rigid motion changes."""
+    """Proportionality over the duals: c = cross(z1, z2) vanishes, that is its resultant
+    and its moment about z1's axis (``_moment_near``) are at most ``tol`` times the
+    resultant lengths, sizes that no rigid motion changes."""
     _require_proper((z1, z2))
     c = cross(z1, z2)
     bound = tol * _length(z1.re) * _length(z2.re)
-    return _length(c.re) <= bound and _length(c.du) <= bound
+    return _length(c.re) <= bound and _moment_near(c, z1) <= bound
 
 
 class TripleTag(str, Enum):
@@ -202,10 +224,15 @@ class EquilibriumReport:
     two_r: Dual
     scale: float
 
+    def _all_residuals(self):
+        yield from self.cosine_residuals
+        yield from self.sine_ratio_residuals
+        yield from self.four_r_squared_residuals
+        yield self.angle_sum_residual
+
     def max_scaled_residual(self) -> float:
-        residuals = (*self.cosine_residuals, *self.sine_ratio_residuals,
-                     *self.four_r_squared_residuals, self.angle_sum_residual)
-        return max(max(abs(r.re), abs(r.du)) for r in residuals) / max(1.0, self.scale)
+        s = max(1.0, self.scale)
+        return max(max(abs(r.re), abs(r.du)) for r in self._all_residuals()) / s
 
     def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_scaled_residual() <= tol
@@ -231,8 +258,7 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     z = DualVec3._raw(-(x.re + y.re), -(x.du + y.du))
     if z.is_pure_dual:
         raise NullVector("x + y has zero resultant; the triple leaves the module basis")
-    res = (x.re, y.re, z.re)
-    if any(_parallel_pairs(res, tol, [_length(r) for r in res])):
+    if any(_parallel_pairs((x.re, y.re, z.re), tol)):
         raise DegenerateTriangle("a pair of the triple has proportional resultants")
 
     xx = dot(x, x)
@@ -325,7 +351,8 @@ def petersen_morley(
     the certificate degrades to a direction orthogonal to every moment, and
     mixed configurations are rejected as non-generic. With ``scale`` the product
     of the resultant lengths, w keeps its resultant iff |w.re| > tol * scale and
-    vanishes iff also |w.du| <= tol * scale: no threshold moves with the triple.
+    vanishes iff also its moment about the axis of x, z or y, for a, b or c
+    (``_moment_near``), is at most tol * scale: no threshold moves with the triple.
     """
     triple = (x, y, z)
     _require_proper(triple)
@@ -342,8 +369,8 @@ def petersen_morley(
     scale = res_lengths[0] * res_lengths[1] * res_lengths[2]
     lengths = [_length(w.re) for w in derived]
     proper = [n > tol * scale for n in lengths]
-    for name, w, keeps in zip("abc", derived, proper):
-        if not keeps and _length(w.du) <= tol * scale:
+    for name, w, keeps, owner in zip("abc", derived, proper, (x, z, y)):
+        if not keeps and _moment_near(w, owner) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
 
     jacobi_residual = magnitude(a + b + c)
@@ -376,9 +403,16 @@ def petersen_morley(
 
 def _direction_certificate(moments) -> Line:
     """A line through the origin orthogonal to the unit moments of pure-dual screws."""
-    u, v, w = moments
-    best = max((_cross3(u, v), _cross3(u, w), _cross3(v, w)), key=_length)
-    if _length(best) < 1e-12:
+    best = None
+    best_len = -1.0
+    for i in range(len(moments)):
+        for j in range(i + 1, len(moments)):
+            n = _cross3(moments[i], moments[j])
+            n_len = _length(n)
+            if n_len > best_len:
+                best_len = n_len
+                best = n
+    if best is None or best_len < 1e-12:
         # All moments share one direction; any perpendicular will do.
         seed = _EYE[int(np.argmin(np.abs(moments[0])))]
         best = _cross3(moments[0], seed)
@@ -394,7 +428,8 @@ def thales_check(
     For x, y, z of equal dual modulus r with x = -y, the chords y - z and
     z - x are orthogonal under the full dual product; the returned residual
     is (y - z) o (z - x), which should vanish in both components. Both
-    parts of |w| - r and of x + y are compared with tol * max(1, |r.re|).
+    parts of |w| - r, the resultant of s = x + y and the moment of s about x's
+    axis (``_moment_near``) are compared with tol * max(1, |r.re|).
     """
     radius = r if isinstance(r, Dual) else Dual(float(r))
     bound = tol * max(1.0, abs(radius.re))
@@ -403,6 +438,6 @@ def thales_check(
         if abs(n.re - radius.re) > bound or abs(n.du - radius.du) > bound:
             raise NotOnSphere(f"|{name}| = {n} differs from r = {radius}")
     s = x + y
-    if max(_length(s.re), _length(s.du)) > bound:
+    if _length(s.re) > bound or _moment_near(s, x) > bound:
         raise NotAntipodal("x and y are not opposite")
     return dot(y - z, z - x)

@@ -32,6 +32,7 @@ from screwalg import (
     axis_decompose,
     classify_triple,
     common_normal,
+    cross,
     dual_angle,
     equilibrium_laws,
     exp_so3d,
@@ -39,7 +40,7 @@ from screwalg import (
     petersen_morley,
     thales_check,
 )
-from screwalg.errors import ScrewAlgError
+from screwalg.errors import NonGeneric, ScrewAlgError
 from screwalg.linalg import _length
 from screwalg.theorems import PetersenMorleyReport, TripleClassification
 from test_theorems import THEOREM_KINDS, _theorem_case
@@ -150,20 +151,25 @@ def test_worked_petersen_triple_keeps_its_verdict(offset):
 
 # -- pairs: proportionality, common normal, dual angle, axis -------------------
 
+def _turned(rng, e, angle):
+    """The unit vector ``angle`` rad from the unit vector e, turned in a random plane."""
+    n = np.cross(e, rand_unit(rng))
+    return math.cos(angle) * e + math.sin(angle) * n / np.linalg.norm(n)
+
+
 def _pairs(rng):
-    """(kind, x, y): generic, a dual multiple, parallel axes apart, lines 1e-6 rad
-    apart through one point, anti-parallel with a pitch, and a pure dual second."""
+    """(kind, x, y): generic, a dual multiple, parallel axes apart, lines 1e-6 and
+    1e-10 rad apart through one point, anti-parallel with a pitch, and a pure dual second."""
     x = rand_proper_screw(rng)
     e, p = rand_unit(rng), rng.normal(size=3)
     apart = line_from_point_direction(p + np.cross(e, rand_unit(rng)), e)
-    turned = np.cross(e, rand_unit(rng))
-    turned = math.cos(1e-6) * e + math.sin(1e-6) * turned / np.linalg.norm(turned)
+    line = line_from_point_direction(p, e).screw
     return [
         ("generic", x, rand_proper_screw(rng)),
         ("multiple", x, Dual(rng.uniform(0.5, 2.0), rng.uniform(-2, 2)) * x),
-        ("parallel", line_from_point_direction(p, e).screw, apart.screw),
-        ("near-parallel", line_from_point_direction(p, e).screw,
-         line_from_point_direction(p, turned).screw),
+        ("parallel", line, apart.screw),
+        ("near-parallel", line, line_from_point_direction(p, _turned(rng, e, 1e-6)).screw),
+        ("sub-tol", line, line_from_point_direction(p, _turned(rng, e, 1e-10)).screw),
         ("anti-parallel", x, DualVec3(-2.0 * x.re, rng.normal(size=3))),
         ("pure-dual", x, DualVec3(np.zeros(3), rng.normal(size=3))),
     ]
@@ -181,7 +187,7 @@ def _assert_line_moved(line, moved_line, frame, reach, condition=1.0):
 def test_pair_verdicts_do_not_move(offset):
     rng = np.random.default_rng(45)
     expected_proportional = {"generic": False, "multiple": True, "parallel": False,
-                             "near-parallel": False, "anti-parallel": False}
+                             "near-parallel": False, "sub-tol": True, "anti-parallel": False}
     for _ in range(50):
         for kind, x, y in _pairs(rng):
             frame = _motion(rng, offset)
@@ -196,7 +202,7 @@ def test_pair_verdicts_do_not_move(offset):
                 sine = _length(np.cross(x.re, y.re)) / (_length(x.re) * _length(y.re))
                 _assert_line_moved(common_normal(x, y), common_normal(mx, my), frame, reach,
                                    condition=1.0 / sine)
-            if kind in ("generic", "multiple", "near-parallel"):
+            if kind in ("generic", "multiple", "near-parallel", "sub-tol"):
                 # Exactly parallel resultants take the exact branch, 0 or pi with
                 # dual part 0, and a turn takes them off it, so they are left out.
                 theta, moved_theta = dual_angle(x, y), dual_angle(mx, my)
@@ -207,6 +213,27 @@ def test_pair_verdicts_do_not_move(offset):
             assert abs(moved_dec.pitch - dec.pitch) <= 1e-12 * reach
             _assert_line_moved(dec.axis, moved_dec.axis, frame, reach)
             assert _verdict(axis_decompose, my) == _verdict(axis_decompose, y)
+
+
+def _turn_about(point, e, angle, rng):
+    """The frame turning by ``angle`` about a line through ``point`` orthogonal to e."""
+    axis = line_from_point_direction(point, _turned(rng, e / np.linalg.norm(e), math.pi / 2))
+    return exp_so3d(angle * axis.screw)
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_petersen_derived_screw_with_a_sub_tol_resultant_vanishes_anywhere(offset):
+    # x meets the axis of n = y cross z at 1e-10 rad, so a = x cross n has a resultant
+    # below tol and no moment about x's axis, but |a.du| grows with the distance from
+    # the origin: judged by it, a stopped vanishing away from the origin.
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        _, y, z = rand_generic_triple(rng)
+        n = axis_decompose(cross(y, z)).axis
+        x = line_from_point_direction(n.point, _turned(rng, n.direction, 1e-10)).screw
+        frame = _motion(rng, offset)
+        with pytest.raises(NonGeneric, match="derived screw a vanishes"):
+            petersen_morley(x @ frame, y @ frame, z @ frame, tol=TOL)
 
 
 # -- Thales ---------------------------------------------------------------------
@@ -223,6 +250,9 @@ def test_thales_verdicts_do_not_move(offset):
             ((x, DualVec3(y.re, y.du + 1e-6 * np.cross(y.re, rand_unit(rng))), z), None),
             # z gains a pitch of 1e-6: its modulus leaves the sphere.
             ((x, y, z + Dual(0.0, 1e-6) * z), None),
+            # y is turned 1e-10 about a line that meets its axis: x + y has a resultant
+            # below tol, so |(x + y).du| grows with the distance from the origin.
+            ((x, y @ _turn_about(axis_decompose(y).axis.point, y.re, 1e-10, rng), z), Dual),
         ]
         for screws, kind in cases:
             expected = _verdict(thales_check, *screws, radius, tol=TOL)

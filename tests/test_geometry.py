@@ -283,6 +283,8 @@ class TestDualAngle:
         x = DualVec3([1e-90, 0.0, 0.0], [0.0, 1e-90, 0.0])
         y = DualVec3([0.0, 1e-90, 0.0], [0.0, 0.0, 1e-90])
         assert dual_angle(x, y) == Dual(math.pi / 2, -1.0)
+        # A subnormal resultant: a float 2**1029 to rescale it overflowed.
+        assert dual_angle(DualVec3([1e-310, 0.0, 0.0]), DualVec3(Y)) == Dual(math.pi / 2, 0.0)
 
     @pytest.mark.parametrize("k", [-300, 300])
     def test_angle_is_the_same_bit_for_bit_at_scales_two_to_the_300(self, k):

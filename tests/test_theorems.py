@@ -121,13 +121,15 @@ class TestProportional:
         assert not are_proportional(DualVec3(X), DualVec3(Y))
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
-    def test_lines_1e6_rad_apart_are_not_proportional_anywhere(self, offset):
-        # Compared by 6-component magnitudes, which grow with the moments,
-        # they were proportional 1e3 and 1e6 from the origin.
+    @pytest.mark.parametrize("angle, proportional", [(1e-6, False), (1e-10, True)])
+    def test_lines_through_one_point_keep_their_verdict_anywhere(self, offset, angle, proportional):
+        # By 6-component magnitudes, which grow with the moments, the 1e-6 pair was
+        # proportional 1e3 and 1e6 from the origin; by |c.du| of c = cross(l1, l2),
+        # which grows as offset * angle, the 1e-10 pair was not.
         p = [0.0, offset, 0.0]
         l1 = line_from_point_direction(p, X)
-        l2 = line_from_point_direction(p, [math.cos(1e-6), math.sin(1e-6), 0.0])
-        assert not are_proportional(l1.screw, l2.screw, tol=1e-9)
+        l2 = line_from_point_direction(p, [math.cos(angle), math.sin(angle), 0.0])
+        assert are_proportional(l1.screw, l2.screw, tol=1e-9) is proportional
 
 
 def _r_linear_dependent(z1, z2, tol=1e-9):
@@ -513,8 +515,8 @@ def _reference_petersen_morley(
     b = cross(z, cross(x, y))
     c = cross(y, cross(z, x))
     scale = mags[0] * mags[1] * mags[2]
-    for name, w in (("a", a), ("b", b), ("c", c)):
-        if _length(w.re) <= tol * scale and _length(w.du) <= tol * scale:
+    for name, w, owner in (("a", a, x), ("b", b, z), ("c", c, y)):
+        if _length(w.re) <= tol * scale and _reference_moment_near(w, owner) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
 
     jacobi_residual = magnitude(a + b + c)
@@ -546,6 +548,16 @@ def _reference_petersen_morley(
         incidence_residuals=residuals,
         parallel_degenerate=degenerate,
     )
+
+
+def _reference_moment_near(w: DualVec3, owner: DualVec3) -> float:
+    """min over points q of the owner's axis of |w.du - q x w.re|."""
+    e = owner.re / np.linalg.norm(owner.re)
+    v = w.du - np.cross(np.cross(e, owner.du) / np.linalg.norm(owner.re), w.re)
+    slide = np.cross(e, w.re)
+    if np.any(slide):
+        v = v - (v @ slide) / (slide @ slide) * slide
+    return float(np.linalg.norm(v))
 
 
 def _reference_direction_certificate(ws) -> Line:
