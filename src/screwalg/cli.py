@@ -23,7 +23,7 @@ from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
 from .linalg import (
-    DualMat3, DualVec3, _cross3, _DualArray, _parallel, _translation, _vec, exp_so3d, is_frame,
+    DualMat3, DualVec3, _cross, _DualArray, _parallel, _translation, _vec, exp_so3d, is_frame,
 )
 from .oracle import _fit_with_residual, line_distance_angle
 from .theorems import equilibrium_laws, petersen_morley, thales_check
@@ -79,7 +79,7 @@ def _parse_screw(obj) -> DualVec3:
         if "point" in obj and "direction" in obj:
             p = _vec(obj["point"])
             e = _vec(obj["direction"])
-            return DualVec3(e, _cross3(p, e))
+            return DualVec3(e, _cross(p, e))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad screw document: {exc}") from exc
     raise _InputError("screw document needs re/du or point/direction fields")
@@ -168,7 +168,7 @@ def _cmd_line_angle(args, tol: float) -> int:
     l2 = _parse_line(docs[1], tol)
     e1, e2 = l1.direction, l2.direction
     rel = None
-    if _parallel(e1, e2, tol):
+    if _parallel(l1.screw._re, l2.screw._re, tol):
         rel = line_distance_angle(l1.point, e1, l2.point, e2, tol=tol)
         if rel.distance > tol:
             print(

@@ -20,12 +20,17 @@ from .linalg import (
     _EYE,
     DualMat3,
     DualVec3,
+    _add,
     _axial_matrix,
-    _cross3,
+    _cross,
+    _dot3,
     _finite,
     _length,
     _max_abs,
+    _modulus,
+    _over,
     _parallel,
+    _sub,
     _vec,
     cross,
     dot,
@@ -49,23 +54,24 @@ class Line:
     __slots__ = ("screw",)
 
     def __init__(self, screw: DualVec3, tol: float = DEFAULT_TOL):
-        length = _length(screw.re)
+        length = _length(screw._re)
         if abs(length - 1.0) > tol:
             raise NotALine(f"resultant length {length} is not 1 within {tol}")
-        pitch_component = self._canonicalize(screw.re, screw.du, length)
+        pitch_component = self._canonicalize(screw._re, screw._du, length)
         # The bound is tol * max(1, |m|); |m| is needed only past tol.
         pitch = abs(pitch_component)
-        if pitch > tol and pitch > tol * _length(screw.du) / length:
+        if pitch > tol and pitch > tol * _length(screw._du) / length:
             raise NotALine(f"pitch {pitch_component} exceeds {tol} times max(1, |moment|)")
 
-    def _canonicalize(self, e: np.ndarray, m: np.ndarray, length: float) -> float:
+    def _canonicalize(self, e: tuple, m: tuple, length: float) -> float:
         """Set the screw from e, of length ``length``, and m; judge nothing, and
         return the pitch component of the moment that it projects away."""
-        e = e / length
-        m = m / length
-        pitch_component = float(m.dot(e))
-        object.__setattr__(self, "screw", DualVec3._raw(e, m - pitch_component * e))
-        return pitch_component
+        e0, e1, e2 = e = _over(e, length)
+        m0, m1, m2 = m = _over(m, length)
+        k = _dot3(m, e)
+        screw = DualVec3._raw(e, (m0 - k * e0, m1 - k * e1, m2 - k * e2))
+        object.__setattr__(self, "screw", screw)
+        return k
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
@@ -84,10 +90,15 @@ class Line:
     @property
     def point(self) -> np.ndarray:
         """The point of the line closest to the canonical origin."""
-        return _cross3(self.direction, self.moment)
+        return np.array(_foot(self))
 
     def __repr__(self) -> str:
-        return f"Line(point={self.point.tolist()}, direction={self.direction.tolist()})"
+        return f"Line(point={list(_foot(self))}, direction={list(self.screw._re)})"
+
+
+def _foot(line: Line) -> tuple:
+    """Line.point as a component tuple: the direction crossed with the moment."""
+    return _cross(line.screw._re, line.screw._du)
 
 
 def line_from_point_direction(point, direction, tol: float = DEFAULT_TOL) -> Line:
@@ -95,15 +106,15 @@ def line_from_point_direction(point, direction, tol: float = DEFAULT_TOL) -> Lin
     return _line_through(_vec(point), _vec(direction), tol)
 
 
-def _line_through(p: np.ndarray, e: np.ndarray, tol: float) -> Line:
+def _line_through(p: tuple, e: tuple, tol: float) -> Line:
     """line_from_point_direction on finite 3-vectors the library already holds.
     ``tol`` judges only |e|: the rounding of the moment built here is projected away."""
     length = _length(e)
     if abs(length - 1.0) > tol:
-        raise NotUnit(f"direction {e.tolist()} is not unit length within {tol}")
-    m = _cross3(p, e)
-    if not _finite(m.tolist()):
-        raise NotFinite(f"moment of the line through {p.tolist()} overflows")
+        raise NotUnit(f"direction {list(e)} is not unit length within {tol}")
+    m = _cross(p, e)
+    if not _finite(m):
+        raise NotFinite(f"moment of the line through {list(p)} overflows")
     line = object.__new__(Line)
     line._canonicalize(e, m, length)
     return line
@@ -111,8 +122,7 @@ def _line_through(p: np.ndarray, e: np.ndarray, tol: float) -> Line:
 
 def field_at(z: DualVec3, point) -> np.ndarray:
     """Value at ``point`` of the screw field induced by z."""
-    p = _vec(point)
-    return z.du + _cross3(z.re, p)
+    return np.array(_add(z._du, _cross(z._re, _vec(point))))
 
 
 def comoment(z1: DualVec3, z2: DualVec3) -> float:
@@ -143,11 +153,12 @@ def axis_decompose(z: DualVec3) -> AxisDecomposition:
     from values the library computed, so it is checked against their
     rounding, not against a caller's tolerance.
     """
-    n = norm(z)
+    ss = dot(z, z)
+    n = _modulus(ss)
     a = n.re  # |s|, the square root of s o s
-    s = z.re
-    point = _cross3(s, z.du) / float(s.dot(s))
-    axis = _line_through(point, s / a, _ROUNDINGS * sys.float_info.epsilon)
+    s = z._re
+    point = _over(_cross(s, z._du), ss.re)
+    axis = _line_through(point, _over(s, a), _ROUNDINGS * sys.float_info.epsilon)
     return AxisDecomposition(magnitude=a, pitch=n.du / a, axis=axis)
 
 
@@ -165,18 +176,30 @@ def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
     """
     xy = dot(x, y)
     xy_cross = cross(x, y)
-    size = _max_abs(xy_cross.re)
+    size = _max_abs(xy_cross._re)
     if size == 0.0:
         if xy.re == 0.0:
             raise NullVector("dual angle undefined for pure-dual screws")
         return _dual(0.0 if xy.re > 0.0 else math.pi, 0.0)
     if size < 1e-150 or max(size, abs(xy.re)) > 1e150:
-        # np.ldexp scales each component; a float 2**-k would overflow for subnormal x.re.
-        x, y = (DualVec3._raw(*np.ldexp((z.re, z.du), -math.frexp(_max_abs(z.re))[1]))
-                for z in (x, y))
+        x, y = _unit_scaled(x), _unit_scaled(y)
         xy = dot(x, y)
         xy_cross = cross(x, y)
     return atan2(norm(xy_cross), xy)
+
+
+def _unit_scaled(z: DualVec3) -> DualVec3:
+    """z times the power of two that brings its largest resultant component into [0.5, 1).
+
+    Scaling by a power of two moves no bit unless a component leaves the range
+    of floats; a dual part scaled past the largest float raises NotFinite."""
+    k = -math.frexp(_max_abs(z._re))[1]
+    try:
+        re = tuple([math.ldexp(c, k) for c in z._re])
+        du = tuple([math.ldexp(c, k) for c in z._du])
+    except OverflowError as exc:
+        raise NotFinite("3-vector result overflows") from exc
+    return DualVec3._raw(re, du)
 
 
 def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
@@ -187,7 +210,7 @@ def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
     """
     if x.is_pure_dual or y.is_pure_dual:
         raise NullVector("common normal requires proper screws")
-    if _parallel(x.re, y.re, tol):
+    if _parallel(x._re, y._re, tol):
         raise ParallelResultants("resultants are parallel; no unique common normal")
     # The axis of the cross product, built from point + direction, is the
     # same line as normalized(cross(x, y)) but has exactly zero pitch.
@@ -204,17 +227,16 @@ def axes_intersect(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> bool:
 
 def motor_reduce(z: DualVec3, point) -> tuple[np.ndarray, np.ndarray]:
     """Represent z by (resultant, field value at ``point``)."""
-    return z.re.copy(), field_at(z, point)
+    return np.array(z._re), field_at(z, point)
 
 
 def motor_unreduce(point, resultant, value) -> DualVec3:
     """Rebuild the dual vector from a motor reduced at ``point``."""
     p = _vec(point)
     s = _vec(resultant)
-    return DualVec3._raw(s, _vec(value) - _cross3(s, p))
+    return DualVec3._raw(s, _sub(_vec(value), _cross(s, p)))
 
 
 def frame_from_point(point) -> DualMat3:
     """The translation-only frame at ``point``: rows are its three axis lines."""
-    p = _vec(point)
-    return DualMat3._raw(_EYE, _axial_matrix(p))
+    return DualMat3._raw(_EYE, _axial_matrix(_vec(point)))

@@ -7,11 +7,19 @@ origin: ``re`` is the resultant, ``du`` is the field value at the origin.
 Dual matrices hold frames as rows (row i is the image of the i-th canonical
 basis element) and act on row vectors from the right,
 ``(x @ M)_j = sum_i x_i M_ij``.
+
+By the transference principle a screw is six real numbers and every dual
+formula is the real one applied to components. So values are held as tuples
+of Python floats: a real 3-vector as 3 of them, a 3x3 matrix as 9 in row
+order, and a ``DualVec3`` or ``DualMat3`` as one such tuple per part. The
+kernels below take those tuples and use only ``+ - * /``; numpy is met only
+where values enter (the checked constructor) and where arrays leave.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, sub
 
 import numpy as np
 
@@ -27,120 +35,183 @@ from .errors import (
 
 PIVOT_TOL = 1e-12
 
-
-def _constant(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-# Built once: np.eye and np.zeros cost more per call than the 3x3 sums using them.
-_EYE = _constant(np.eye(3))
-_ZERO3 = _constant(np.zeros(3))
-_ZERO33 = _constant(np.zeros((3, 3)))
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_ZERO3 = (0.0, 0.0, 0.0)
+_ZERO33 = (0.0,) * 9
 
 
-# On 3-vectors and 3x3 matrices numpy's generic entry points (np.isfinite,
-# np.linalg.norm, np.abs(...).max(), the @ operator) cost several times the
-# arithmetic they wrap. The helpers below do the same work on Python floats
-# or through ndarray.dot, which runs the same BLAS routine as @.
+# -- kernels on component tuples ----------------------------------------------
 
-def _finite(values: list) -> bool:
-    """Whether every float in the list (an array's tolist()) is finite."""
+def _finite(values) -> bool:
+    """Whether every float in the tuple is finite."""
     return all(map(math.isfinite, values))
 
 
-def _length(v: np.ndarray) -> float:
-    """Euclidean length of a real 3-vector; bit for bit np.linalg.norm(v)."""
-    return math.sqrt(v.dot(v))
+def _add(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """Largest absolute entry; np.abs(a).max() without the temporary array."""
-    return max(map(abs, a.ravel().tolist()))
+def _sub(a: tuple, b: tuple) -> tuple:
+    return tuple(map(sub, a, b))
 
 
-def _axial_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix A with row action x @ A = v x x, i.e. A_ij = eps_aij v_a."""
-    x, y, z = v.tolist()
-    return np.array([
-        [0.0, z, -y],
-        [-z, 0.0, x],
-        [y, -x, 0.0],
-    ])
+def _scale(k: float, a: tuple) -> tuple:
+    return tuple([k * c for c in a])
 
 
-def _axial_vector(a: np.ndarray) -> np.ndarray:
-    """Inverse of _axial_matrix on the antisymmetric part: v_k = (1/2) eps_kij a_ij."""
-    (_, a01, a02), (a10, _, a12), (a20, a21, _) = a.tolist()
-    return np.array([0.5 * (a12 - a21), 0.5 * (a20 - a02), 0.5 * (a01 - a10)])
+def _over(v: tuple, k: float) -> tuple:
+    """The 3-vector v / k. No finite result exists for k = 0, which is refused as an overflow."""
+    if k == 0.0:
+        raise NotFinite("3-vector result overflows")
+    a, b, c = v
+    return (a / k, b / k, c / k)
 
 
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross pays ~20x overhead on single 3-vectors; this is the hot path.
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _max_abs(a: tuple) -> float:
+    return max(map(abs, a))
 
 
-def _parallel(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
+def _dot3(a: tuple, b: tuple) -> float:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def _length(a: tuple) -> float:
+    """Euclidean length of a real 3-vector, the square root of _dot3(a, a)."""
+    a0, a1, a2 = a
+    return math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+
+
+def _cross(a: tuple, b: tuple) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _triple(a: tuple, b: tuple, c: tuple) -> float:
+    """The real triple product (a x b) . c."""
+    return _dot3(_cross(a, b), c)
+
+
+def _parallel(u: tuple, v: tuple, tol: float) -> bool:
     """Whether real 3-vectors are parallel: |u x v| <= tol |u| |v|."""
-    return _length(_cross3(u, v)) <= tol * _length(u) * _length(v)
+    return _length(_cross(u, v)) <= tol * _length(u) * _length(v)
+
+
+def _vecmat(v: tuple, m: tuple) -> tuple:
+    """The row action v @ m of a 3x3 matrix."""
+    v0, v1, v2 = v
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    return (
+        v0 * m00 + v1 * m10 + v2 * m20,
+        v0 * m01 + v1 * m11 + v2 * m21,
+        v0 * m02 + v1 * m12 + v2 * m22,
+    )
+
+
+def _matmat(a: tuple, b: tuple) -> tuple:
+    """The product a @ b of 3x3 matrices: each row of a acted on by b."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (
+        a00 * b00 + a01 * b10 + a02 * b20,
+        a00 * b01 + a01 * b11 + a02 * b21,
+        a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20,
+        a10 * b01 + a11 * b11 + a12 * b21,
+        a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20,
+        a20 * b01 + a21 * b11 + a22 * b21,
+        a20 * b02 + a21 * b12 + a22 * b22,
+    )
+
+
+def _transpose(a: tuple) -> tuple:
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    return (a00, a10, a20, a01, a11, a21, a02, a12, a22)
+
+
+def _axial_matrix(v: tuple) -> tuple:
+    """Matrix A with row action x @ A = v x x, i.e. A_ij = eps_aij v_a."""
+    x, y, z = v
+    return (0.0, z, -y, -z, 0.0, x, y, -x, 0.0)
+
+
+def _axial_vector(a: tuple) -> tuple:
+    """Inverse of _axial_matrix on the antisymmetric part: v_k = (1/2) eps_kij a_ij."""
+    _, a01, a02, a10, _, a12, a20, a21, _ = a
+    return (0.5 * (a12 - a21), 0.5 * (a20 - a02), 0.5 * (a01 - a10))
+
+
+def _nested(a: tuple) -> list:
+    """A 3- or 9-tuple as the (nested) list of its array."""
+    return list(a) if len(a) == 3 else [list(a[0:3]), list(a[3:6]), list(a[6:9])]
 
 
 class _DualArray:
-    """A pair ``re + eps*du`` of immutable real arrays of one fixed shape.
+    """A pair ``re + eps*du`` of real component tuples of one fixed shape.
 
     By the transference principle a real vector or matrix formula holds over
     the duals unchanged, so module elements (DualVec3) and module maps
     (DualMat3) share everything here. A subclass declares its ``_shape``,
-    the ``_kind`` its errors name, its ``_zero`` and its own accessors.
+    the ``_kind`` its errors name, its ``_zero``, the real kernel ``_act``
+    of its row action ``@`` and its own accessors.
 
-    Validation: the constructor copies its input once and refuses anything
+    Validation: the constructor coerces its input once and refuses anything
     that is not finite or not of the subclass's shape. Every result the
     library builds (``+``, ``-``, ``*``, ``@``, ``cross``, rows of a
-    ``DualMat3``, ...) goes through ``_raw``, which skips the copy but still
-    tests the arrays finite, so an overflow raises NotFinite (CLI exit 3) at
-    the result it spoils.
+    ``DualMat3``, ...) goes through ``_raw``, which skips the coercion but
+    still tests the components finite, so an overflow raises NotFinite (CLI
+    exit 3) at the result it spoils. ``re`` and ``du`` are fresh read-only
+    float64 arrays on every access.
     """
 
-    __slots__ = ("re", "du")
+    __slots__ = ("_re", "_du")
 
     def __init__(self, re, du=None):
-        re = self._checked(re)
-        du = self._zero if du is None else self._checked(du)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "du", du)
-        re.setflags(write=False)
-        du.setflags(write=False)
+        _set_re(self, self._checked(re))
+        _set_du(self, self._zero if du is None else self._checked(du))
 
     @classmethod
-    def _checked(cls, x) -> np.ndarray:
-        """A fresh float copy of finite input of this shape; the one check for array input."""
+    def _checked(cls, x) -> tuple:
+        """The components of finite input of this shape; the one check for array input."""
         try:
             a = np.array(x, dtype=float)
         except OverflowError as exc:
             raise NotFinite(f"{cls._kind} entries must be finite") from exc
         if a.shape != cls._shape:
             raise ValueError(f"expected a {cls._kind}, got shape {a.shape}")
-        if not _finite(a.tolist() if a.ndim == 1 else a.ravel().tolist()):
+        values = tuple(a.ravel().tolist())
+        if not _finite(values):
             raise NotFinite(f"{cls._kind} entries must be finite")
-        return a
+        return values
 
     @classmethod
-    def _raw(cls, re: np.ndarray, du: np.ndarray):
-        # For arrays the library computed: no copy, but still tested finite.
-        if re.ndim == 1:
-            values = re.tolist() + du.tolist()
-        else:
-            values = re.ravel().tolist() + du.ravel().tolist()
-        if not _finite(values):
+    def _raw(cls, re: tuple, du: tuple):
+        # For components the library computed: no coercion, but still tested
+        # finite (_finite spelled out, as every result of the library comes here).
+        if not (all(map(math.isfinite, re)) and all(map(math.isfinite, du))):
             raise NotFinite(f"{cls._kind} result overflows")
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "du", du)
-        re.setflags(write=False)
-        du.setflags(write=False)
+        self = _new(cls)
+        _set_re(self, re)
+        _set_du(self, du)
         return self
+
+    @property
+    def re(self) -> np.ndarray:
+        """The real part, as a fresh read-only float64 array."""
+        return self._array(self._re)
+
+    @property
+    def du(self) -> np.ndarray:
+        """The dual part, as a fresh read-only float64 array."""
+        return self._array(self._du)
+
+    def _array(self, values: tuple) -> np.ndarray:
+        a = np.array(values, dtype=float).reshape(self._shape)
+        a.setflags(write=False)
+        return a
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -151,21 +222,25 @@ class _DualArray:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._raw(self.re + other.re, self.du + other.du)
+        return self._raw(_add(self._re, other._re), _add(self._du, other._du))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._raw(self.re - other.re, self.du - other.du)
+        return self._raw(_sub(self._re, other._re), _sub(self._du, other._du))
 
     def __neg__(self):
-        return self._raw(-self.re, -self.du)
+        return self._raw(_scale(-1.0, self._re), _scale(-1.0, self._du))
 
     def __mul__(self, k):
         if isinstance(k, Dual):
-            return self._raw(k.re * self.re, k.re * self.du + k.du * self.re)
+            a, b = k.re, k.du
+            re = self._re
+            return self._raw(tuple([a * c for c in re]),
+                             tuple([a * d + b * c for c, d in zip(re, self._du)]))
         if isinstance(k, (int, float)):
-            return self._raw(k * self.re, k * self.du)
+            k = float(k)
+            return self._raw(_scale(k, self._re), _scale(k, self._du))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -174,10 +249,19 @@ class _DualArray:
         """Row action ``(x @ m)_j = sum_i x_i m_ij``; ``n @ m`` composes; ``m @ x`` fails."""
         if not isinstance(m, DualMat3):
             return NotImplemented
-        return self._raw(self.re.dot(m.re), self.re.dot(m.du) + self.du.dot(m.re))
+        act = self._act
+        re = self._re
+        return self._raw(act(re, m._re), _add(act(re, m._du), act(self._du, m._re)))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.re.tolist()}, {self.du.tolist()})"
+        return f"{type(self).__name__}({_nested(self._re)}, {_nested(self._du)})"
+
+
+# A class that refuses attribute assignment; the slots' own descriptors fill
+# them without the lookup that object.__setattr__ pays.
+_new = object.__new__
+_set_re = _DualArray._re.__set__
+_set_du = _DualArray._du.__set__
 
 
 class DualVec3(_DualArray):
@@ -187,24 +271,25 @@ class DualVec3(_DualArray):
     _shape = (3,)
     _kind = "3-vector"
     _zero = _ZERO3
+    _act = staticmethod(_vecmat)
 
     @property
     def is_pure_dual(self) -> bool:
         """True when the resultant vanishes exactly (element of eps*M)."""
-        return not any(self.re.tolist())
+        return not any(self._re)
 
     def component(self, i: int) -> Dual:
-        return _dual(float(self.re[i]), float(self.du[i]))
+        return _dual(self._re[i], self._du[i])
 
 
 def basis() -> tuple[DualVec3, DualVec3, DualVec3]:
     """The canonical positive orthonormal basis e1, e2, e3."""
-    return DualVec3(_EYE[0]), DualVec3(_EYE[1]), DualVec3(_EYE[2])
+    return tuple(DualVec3._raw(_EYE[i:i + 3], _ZERO3) for i in (0, 3, 6))
 
 
 def magnitude(x: DualVec3) -> float:
     """Euclidean length of the underlying 6 real components; for tolerances."""
-    return math.sqrt(float(x.re.dot(x.re) + x.du.dot(x.du)))
+    return math.sqrt(_dot3(x._re, x._re) + _dot3(x._du, x._du))
 
 
 def dot(x: DualVec3, y: DualVec3) -> Dual:
@@ -213,15 +298,14 @@ def dot(x: DualVec3, y: DualVec3) -> Dual:
     The real part is the dot product of the resultants; the dual part is the
     screw scalar product (comoment), which no reduction point can change.
     """
-    return _dual(float(x.re.dot(y.re)), float(x.re.dot(y.du) + x.du.dot(y.re)))
+    a, b = x._re, y._re
+    return _dual(_dot3(a, b), _dot3(a, y._du) + _dot3(x._du, b))
 
 
 def cross(x: DualVec3, y: DualVec3) -> DualVec3:
     """Levi-Civita contraction over the duals; the commutator of the screws."""
-    return DualVec3._raw(
-        _cross3(x.re, y.re),
-        _cross3(x.re, y.du) + _cross3(x.du, y.re),
-    )
+    a, b = x._re, y._re
+    return DualVec3._raw(_cross(a, b), _add(_cross(a, y._du), _cross(x._du, b)))
 
 
 def mixed(x: DualVec3, y: DualVec3, z: DualVec3) -> Dual:
@@ -258,7 +342,7 @@ def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, Du
     invertible real part. Pivots are compared against
     ``PIVOT_TOL * scale**2`` where ``scale`` is the largest resultant length.
     """
-    scale = max(_length(b.re) for b in (b1, b2, b3))
+    scale = max(_length(b._re) for b in (b1, b2, b3))
     threshold = PIVOT_TOL * scale * scale
     out: list[DualVec3] = []
     for b in (b1, b2, b3):
@@ -285,6 +369,7 @@ class DualMat3(_DualArray):
     _shape = (3, 3)
     _kind = "3x3 matrix"
     _zero = _ZERO33
+    _act = staticmethod(_matmat)
 
     @classmethod
     def identity(cls) -> "DualMat3":
@@ -292,17 +377,18 @@ class DualMat3(_DualArray):
 
     @classmethod
     def from_rows(cls, r1: DualVec3, r2: DualVec3, r3: DualVec3) -> "DualMat3":
-        return cls._raw(np.vstack([r1.re, r2.re, r3.re]), np.vstack([r1.du, r2.du, r3.du]))
+        return cls._raw(r1._re + r2._re + r3._re, r1._du + r2._du + r3._du)
 
     def row(self, i: int) -> DualVec3:
-        return DualVec3._raw(self.re[i], self.du[i])
+        j = 3 * i
+        return DualVec3._raw(self._re[j:j + 3], self._du[j:j + 3])
 
     def rows(self) -> tuple[DualVec3, DualVec3, DualVec3]:
         return self.row(0), self.row(1), self.row(2)
 
     @property
     def T(self) -> "DualMat3":
-        return DualMat3._raw(self.re.T.copy(), self.du.T.copy())
+        return DualMat3._raw(_transpose(self._re), _transpose(self._du))
 
 
 _vec = DualVec3._checked
@@ -311,7 +397,7 @@ _mat = DualMat3._checked
 
 def hat(b: DualVec3) -> DualMat3:
     """The operator ``b cross`` under the row action: ``x @ hat(b) == cross(b, x)``."""
-    return DualMat3._raw(_axial_matrix(b.re), _axial_matrix(b.du))
+    return DualMat3._raw(_axial_matrix(b._re), _axial_matrix(b._du))
 
 
 def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
@@ -320,18 +406,20 @@ def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
     Antisymmetric operators are exactly those of the form ``b cross``, and
     hat(b) holds b in the entries of _axial_matrix on both parts.
     """
-    scale = max(1.0, _max_abs(m.re), _max_abs(m.du))
-    if _max_abs(m.re + m.re.T) > tol * scale or _max_abs(m.du + m.du.T) > tol * scale:
+    re, du = m._re, m._du
+    scale = max(1.0, _max_abs(re), _max_abs(du))
+    if (_max_abs(_add(re, _transpose(re))) > tol * scale
+            or _max_abs(_add(du, _transpose(du))) > tol * scale):
         raise NotAntisymmetric("matrix is not antisymmetric within tolerance")
-    return DualVec3._raw(_axial_vector(m.re), _axial_vector(m.du))
+    return DualVec3._raw(_axial_vector(re), _axial_vector(du))
 
 
 # Near t = 0 the closed forms below cancel: 1 - cos t alone carries an absolute
-# error of about eps/2, a relative error of ~12 eps / t**4 in
-# _versin_over_prime. Below _SERIES_BELOW all four are summed from their Taylor
-# series in t**2, up to the first term that is below eps/4 of the value there.
-# The cut-off stays below 0.7, a joint angle whose bytes tests/cli_golden.json
-# pins, so that results above it are unchanged.
+# error of about eps/2, a relative error of ~12 eps / t**4 in the slope of
+# (1 - cos t)/t**2. Below a real angle of _SERIES_BELOW both coefficients and
+# their slopes are summed from their Taylor series in t**2, up to the first
+# term that is below eps/4 of the value there. The cut-off stays below 0.7, a
+# joint angle tests/cli_golden.json pins.
 _SERIES_BELOW = 0.5
 
 
@@ -357,50 +445,47 @@ def _horner(coefficients: tuple, x: float) -> float:
     return acc
 
 
-def _sin_over(t: float) -> float:
-    if abs(t) < _SERIES_BELOW:
-        return _horner(_SIN_OVER, t * t)
-    return math.sin(t) / t
+def _rodrigues(q: Dual) -> tuple[Dual, Dual]:
+    """sin(phi)/phi and (1 - cos phi)/phi**2 at the dual angle phi with phi o phi = q.
 
-
-def _sin_over_prime(t: float) -> float:
-    if abs(t) < _SERIES_BELOW:
-        return t * _horner(_SIN_OVER_SLOPE, t * t)
-    return (t * math.cos(t) - math.sin(t)) / (t * t)
-
-
-def _versin_over(t: float) -> float:
-    if abs(t) < _SERIES_BELOW:
-        return _horner(_VERSIN_OVER, t * t)
-    return (1.0 - math.cos(t)) / (t * t)
-
-
-def _versin_over_prime(t: float) -> float:
-    if abs(t) < _SERIES_BELOW:
-        return t * _horner(_VERSIN_OVER_SLOPE, t * t)
-    return (t * t * math.sin(t) - 2.0 * t * (1.0 - math.cos(t))) / (t ** 4)
+    Below the cut-off both come from their series in phi**2 = q, with no
+    square root: f(phi) = F(q) and, as phi.du f'(phi.re) = phi.du phi.re (f'/t)
+    and 2 phi.re phi.du = q.du, the dual part is (q.du / 2) (f'/t)(q.re). So a
+    q.re that underflows to 0 still gives the coefficients of a null turn.
+    """
+    if q.re < _SERIES_BELOW * _SERIES_BELOW:
+        half = 0.5 * q.du
+        return (
+            _dual(_horner(_SIN_OVER, q.re), half * _horner(_SIN_OVER_SLOPE, q.re)),
+            _dual(_horner(_VERSIN_OVER, q.re), half * _horner(_VERSIN_OVER_SLOPE, q.re)),
+        )
+    phi = sqrt(q)
+    t = phi.re
+    sin_t, cos_t = math.sin(t), math.cos(t)
+    return (
+        _dual(sin_t / t, phi.du * ((t * cos_t - sin_t) / (t * t))),
+        _dual((1.0 - cos_t) / (t * t),
+              phi.du * ((t * t * sin_t - 2.0 * t * (1.0 - cos_t)) / (t ** 4))),
+    )
 
 
 def exp_so3d(b: DualVec3) -> DualMat3:
     """Exponential of the antisymmetric operator ``b cross``.
 
-    For a pure-dual generator the series truncates after the linear term,
-    because hat of a pure-dual vector squares to zero. Otherwise the dual
-    Rodrigues form applies, with sin(phi)/phi and (1-cos(phi))/phi**2
-    extended to the dual modulus phi = |b| (series-evaluated near zero real
-    angle to avoid cancellation).
+    The dual Rodrigues form I + c1 hat(b) + c2 hat(b)**2, with
+    c1 = sin(phi)/phi and c2 = (1-cos(phi))/phi**2 extended to the dual
+    angle phi, phi o phi = b o b (series-evaluated near zero real angle to
+    avoid cancellation). For a pure-dual generator c1 = 1 and hat(b)**2 = 0,
+    so the series truncates after the linear term.
     """
-    h_re, h_du = _axial_matrix(b.re), _axial_matrix(b.du)
-    if b.is_pure_dual:
-        # Adding zeros turns the -0.0 entries of hat(b) into 0.0, as I + hat(b) does.
-        return DualMat3._raw(_EYE + h_re, _ZERO33 + h_du)
-    phi = norm(b)
-    c1 = _dual(_sin_over(phi.re), phi.du * _sin_over_prime(phi.re))
-    c2 = _dual(_versin_over(phi.re), phi.du * _versin_over_prime(phi.re))
-    h2_re = h_re.dot(h_re)
-    h2_du = h_re.dot(h_du) + h_du.dot(h_re)
-    re = _EYE + c1.re * h_re + c2.re * h2_re
-    du = c1.re * h_du + c1.du * h_re + c2.re * h2_du + c2.du * h2_re
+    h_re, h_du = _axial_matrix(b._re), _axial_matrix(b._du)
+    c1, c2 = _rodrigues(dot(b, b))
+    h2_re = _matmat(h_re, h_re)
+    h2_du = _add(_matmat(h_re, h_du), _matmat(h_du, h_re))
+    a, da, c, dc = c1.re, c1.du, c2.re, c2.du
+    re = tuple([e + a * h + c * g for e, h, g in zip(_EYE, h_re, h2_re)])
+    du = tuple([a * hd + da * h + c * gd + dc * g
+                for hd, h, gd, g in zip(h_du, h_re, h2_du, h2_re)])
     return DualMat3._raw(re, du)
 
 
@@ -412,16 +497,16 @@ def is_frame(u: DualMat3, tol: float = DEFAULT_TOL) -> bool:
     the real part is orthogonal its determinant is +-1, so the sign of the
     triple product of its rows is the orientation.
     """
-    re, du = u.re, u.du
-    if _max_abs(re.dot(re.T) - _EYE) > tol:
+    re, du = u._re, u._du
+    re_t = _transpose(re)
+    if _max_abs(_sub(_matmat(re, re_t), _EYE)) > tol:
         return False
     # The dual Gram block re du^T + du re^T is y + y^T.
-    y = re.dot(du.T)
-    du_error = _max_abs(y + y.T)
+    y = _matmat(re, _transpose(du))
+    du_error = _max_abs(_add(y, _transpose(y)))
     if du_error > tol and du_error > tol * _max_abs(du):
         return False
-    (a, b, c), (d, e, f), (g, h, i) = re.tolist()
-    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) > 0.0
+    return _triple(re[0:3], re[3:6], re[6:9]) > 0.0
 
 
 def _require_frame(u: DualMat3, tol: float) -> None:
@@ -439,12 +524,12 @@ def frame_translation(u: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
     frame_translation(U) + re(U) @ frame_translation(V).
     """
     _require_frame(u, tol)
-    return _translation(u)
+    return np.array(_translation(u))
 
 
-def _translation(u: DualMat3) -> np.ndarray:
+def _translation(u: DualMat3) -> tuple:
     """frame_translation without its frame check, for a frame the library built."""
-    return _axial_vector(u.du.dot(u.re.T))
+    return _axial_vector(_matmat(u._du, _transpose(u._re)))
 
 
 def displacement(
@@ -463,12 +548,12 @@ def displacement(
     """
     _require_frame(frame_a, tol)
     _require_frame(frame_b, tol)
-    if _max_abs(frame_a.re - frame_b.re) > tol:
+    if _max_abs(_sub(frame_a._re, frame_b._re)) > tol:
         if not prerotate:
             raise ProjectionMismatch("frames project to different real bases")
-        q = frame_a.re.dot(frame_b.re.T)
-        frame_b = DualMat3._raw(q.dot(frame_b.re), q.dot(frame_b.du))
+        q = _matmat(frame_a._re, _transpose(frame_b._re))
+        frame_b = DualMat3._raw(_matmat(q, frame_b._re), _matmat(q, frame_b._du))
     total = DualVec3._raw(_ZERO3, _ZERO3)
     for i in range(3):
         total = total + cross(frame_a.row(i), frame_b.row(i))
-    return 0.5 * total.du
+    return np.array(_scale(0.5, total._du))

@@ -29,15 +29,21 @@ from .errors import (
     NotOnSphere,
     NullVector,
 )
-from .geometry import _ROUNDINGS, Line, _line_through, axis_decompose
+from .geometry import _ROUNDINGS, Line, _foot, _line_through, axis_decompose
 from .linalg import (
     _EYE,
     _ZERO3,
     DualVec3,
-    _cross3,
+    _add,
+    _cross,
+    _dot3,
     _length,
     _max_abs,
     _modulus,
+    _over,
+    _scale,
+    _sub,
+    _triple,
     cross,
     dot,
     magnitude,
@@ -63,10 +69,10 @@ def _parallel_pairs(res, tol: float, lengths=None):
     or read from ``lengths``; lazy, so that a refusal at the first parallel pair takes no more."""
     u, v, w = res
     lu, lv = (lengths[0], lengths[1]) if lengths else (_length(u), _length(v))
-    yield _length(_cross3(u, v)) <= tol * lu * lv
+    yield _length(_cross(u, v)) <= tol * lu * lv
     lw = lengths[2] if lengths else _length(w)
-    yield _length(_cross3(v, w)) <= tol * lv * lw
-    yield _length(_cross3(w, u)) <= tol * lw * lu
+    yield _length(_cross(v, w)) <= tol * lv * lw
+    yield _length(_cross(w, u)) <= tol * lw * lu
 
 
 def _moment_near(s: DualVec3, z: DualVec3) -> float:
@@ -75,13 +81,13 @@ def _moment_near(s: DualVec3, z: DualVec3) -> float:
     z's axis moves with the screws, so no rigid motion changes this length, while
     |s.du| moves by p x s.re when the origin moves by p; where s.re vanishes it is |s.du|.
     """
-    k = _max_abs(z.re)
-    e = z.re / k
-    v = s.du - _cross3(_cross3(e, z.du / k) / float(e.dot(e)), s.re)
-    w = _cross3(e, s.re)
-    if any(w.tolist()):
-        w = w / _max_abs(w)
-        v = v - float(v.dot(w)) / float(w.dot(w)) * w
+    k = _max_abs(z._re)
+    e = _over(z._re, k)
+    v = _sub(s._du, _cross(_over(_cross(e, _over(z._du, k)), _dot3(e, e)), s._re))
+    w = _cross(e, s._re)
+    if any(w):
+        w = _over(w, _max_abs(w))
+        v = _sub(v, _scale(_dot3(v, w) / _dot3(w, w), w))
     return _length(v)
 
 
@@ -104,8 +110,8 @@ def are_proportional(z1: DualVec3, z2: DualVec3, tol: float = DEFAULT_TOL) -> bo
     resultant lengths, sizes that no rigid motion changes."""
     _require_proper((z1, z2))
     c = cross(z1, z2)
-    bound = tol * _length(z1.re) * _length(z2.re)
-    return _length(c.re) <= bound and _moment_near(c, z1) <= bound
+    bound = tol * _length(z1._re) * _length(z2._re)
+    return _length(c._re) <= bound and _moment_near(c, z1) <= bound
 
 
 class TripleTag(str, Enum):
@@ -138,16 +144,16 @@ def classify_triple(
     """
     zs = (z1, z2, z3)
     _require_proper(zs)
-    res = [z.re for z in zs]
+    res = [z._re for z in zs]
     rnorm = [_length(r) for r in res]
     pair_parallel = list(_parallel_pairs(res, tol, rnorm))
 
     if all(pair_parallel):
-        decs = [axis_decompose(z) for z in zs]
-        e = res[0] / rnorm[0]
-        off1 = decs[1].axis.point - decs[0].axis.point
-        off2 = decs[2].axis.point - decs[0].axis.point
-        vol = abs(float(_cross3(off1, off2).dot(e)))
+        p0, p1, p2 = (_foot(axis_decompose(z).axis) for z in zs)
+        e = _over(res[0], rnorm[0])
+        off1 = _sub(p1, p0)
+        off2 = _sub(p2, p0)
+        vol = abs(_triple(off1, off2, e))
         scale = max(1.0, _length(off1) * _length(off2))
         if vol <= tol * scale:
             return TripleClassification(TripleTag.PARALLEL_COPLANAR)
@@ -172,8 +178,8 @@ def classify_triple(
         unit = normalized(z3)
         incidence = dot(witness.screw, unit)
         # The witness's rounding grows as 1 / sin(theta_12) of z1 and z2.
-        rounding = _ROUNDINGS * sys.float_info.epsilon * rnorm[0] * rnorm[1] / _length(normal.re)
-        moment_rounding = rounding * (_length(witness.moment) + _length(unit.du))
+        rounding = _ROUNDINGS * sys.float_info.epsilon * rnorm[0] * rnorm[1] / _length(normal._re)
+        moment_rounding = rounding * (_length(witness.screw._du) + _length(unit._du))
         if abs(incidence.re) > max(tol, rounding) or abs(incidence.du) > max(tol, moment_rounding):
             raise NotClassifiable("mixed product vanishes but the candidate line misses an axis")
         return TripleClassification(TripleTag.COMMON_ORTHOGONAL_LINE, witness)
@@ -195,13 +201,15 @@ def _concurrent_sliding(zs, tol: float) -> bool:
     lines = []
     for z in zs:
         n = norm(z)
-        if abs(n.du / n.re) > max(tol, rounding * _length(z.du) / n.re):
+        if abs(n.du / n.re) > max(tol, rounding * _length(z._du) / n.re):
             return False
         lines.append(z * n.inv())
     l0, l1, l2 = lines
     (a, b), *_ = np.linalg.lstsq(np.column_stack([l0.re, l1.re]), l2.re, rcond=None)
-    terms = _length(l2.du) + abs(a) * _length(l0.du) + abs(b) * _length(l1.du)
-    return _length(l2.du - a * l0.du - b * l1.du) <= max(tol, rounding * float(terms))
+    a, b = float(a), float(b)
+    terms = _length(l2._du) + abs(a) * _length(l0._du) + abs(b) * _length(l1._du)
+    miss = _sub(_sub(l2._du, _scale(a, l0._du)), _scale(b, l1._du))
+    return _length(miss) <= max(tol, rounding * terms)
 
 
 @dataclass(frozen=True)
@@ -255,10 +263,10 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     """
     _require_proper((x, y))
     # -(x + y), tested finite once rather than once per operator.
-    z = DualVec3._raw(-(x.re + y.re), -(x.du + y.du))
+    z = DualVec3._raw(_scale(-1.0, _add(x._re, y._re)), _scale(-1.0, _add(x._du, y._du)))
     if z.is_pure_dual:
         raise NullVector("x + y has zero resultant; the triple leaves the module basis")
-    if any(_parallel_pairs((x.re, y.re, z.re), tol)):
+    if any(_parallel_pairs((x._re, y._re, z._re), tol)):
         raise DegenerateTriangle("a pair of the triple has proportional resultants")
 
     xx = dot(x, x)
@@ -356,8 +364,8 @@ def petersen_morley(
     """
     triple = (x, y, z)
     _require_proper(triple)
-    res_lengths = [_length(w.re) for w in triple]
-    pairs = _parallel_pairs((x.re, y.re, z.re), tol, res_lengths)
+    res_lengths = [_length(w._re) for w in triple]
+    pairs = _parallel_pairs((x._re, y._re, z._re), tol, res_lengths)
     for key, parallel in zip(("x,y", "y,z", "z,x"), pairs):
         if parallel:
             raise NonGeneric(f"resultants of {key} are parallel")
@@ -367,7 +375,7 @@ def petersen_morley(
     c = cross(y, cross(z, x))
     derived = (a, b, c)
     scale = res_lengths[0] * res_lengths[1] * res_lengths[2]
-    lengths = [_length(w.re) for w in derived]
+    lengths = [_length(w._re) for w in derived]
     proper = [n > tol * scale for n in lengths]
     for name, w, keeps, owner in zip("abc", derived, proper, (x, z, y)):
         if not keeps and _moment_near(w, owner) <= tol * scale:
@@ -376,14 +384,14 @@ def petersen_morley(
     jacobi_residual = magnitude(a + b + c)
 
     if all(proper):
-        if any(_parallel_pairs((a.re, b.re, c.re), tol, lengths)):
+        if any(_parallel_pairs((a._re, b._re, c._re), tol, lengths)):
             raise NonGeneric("derived screws have pairwise parallel resultants")
         # common_normal(a, b), whose checks ran above.
         normal = axis_decompose(cross(a, b)).axis
         residuals = tuple(dot(normal.screw, normalized(w)) for w in derived)
         degenerate = False
     elif not any(proper):
-        moments = [w.du / _length(w.du) for w in derived]
+        moments = [_over(w._du, _length(w._du)) for w in derived]
         normal = _direction_certificate(moments)
         residuals = tuple(dot(normal.screw, DualVec3._raw(_ZERO3, m)) for m in moments)
         degenerate = True
@@ -407,16 +415,17 @@ def _direction_certificate(moments) -> Line:
     best_len = -1.0
     for i in range(len(moments)):
         for j in range(i + 1, len(moments)):
-            n = _cross3(moments[i], moments[j])
+            n = _cross(moments[i], moments[j])
             n_len = _length(n)
             if n_len > best_len:
                 best_len = n_len
                 best = n
     if best is None or best_len < 1e-12:
         # All moments share one direction; any perpendicular will do.
-        seed = _EYE[int(np.argmin(np.abs(moments[0])))]
-        best = _cross3(moments[0], seed)
-    direction = best / _length(best)
+        m = moments[0]
+        i = min(range(3), key=lambda k: abs(m[k]))
+        best = _cross(m, _EYE[3 * i:3 * i + 3])
+    direction = _over(best, _length(best))
     return _line_through(_ZERO3, direction, _ROUNDINGS * sys.float_info.epsilon)
 
 
@@ -438,6 +447,6 @@ def thales_check(
         if abs(n.re - radius.re) > bound or abs(n.du - radius.du) > bound:
             raise NotOnSphere(f"|{name}| = {n} differs from r = {radius}")
     s = x + y
-    if _length(s.re) > bound or _moment_near(s, x) > bound:
+    if _length(s._re) > bound or _moment_near(s, x) > bound:
         raise NotAntipodal("x and y are not opposite")
     return dot(y - z, z - x)

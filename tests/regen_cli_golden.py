@@ -5,9 +5,10 @@
 Every case keeps its name and argv; its exit code and standard output are
 rewritten from one in-process run of ``screwalg.cli.main``, imported from
 this checkout's ``src``, under the environment test_cli_golden.py fixes:
-COLUMNS=80 and SCREWALG_TOL unset. Run it only for a change that is meant
-to move output bytes, then review the diff case by case; on unchanged code
-it leaves the file byte-identical.
+COLUMNS=80 and SCREWALG_TOL unset. The names of the cases whose exit code or
+output changed are printed, one a line. Run it only for a change that is
+meant to move output bytes, then review the diff case by case; on unchanged
+code it leaves the file byte-identical and prints nothing.
 """
 
 import contextlib
@@ -38,5 +39,8 @@ def regenerate(cases: dict) -> dict:
 
 if __name__ == "__main__":
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    text = json.dumps(regenerate(cases), indent=1, ensure_ascii=False) + "\n"
-    GOLDEN.write_text(text, encoding="utf-8")
+    fresh = regenerate(cases)
+    for name in fresh:
+        if fresh[name] != cases[name]:
+            print(name)
+    GOLDEN.write_text(json.dumps(fresh, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

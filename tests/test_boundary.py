@@ -197,3 +197,85 @@ def test_no_threshold_is_scaled_by_magnitude(module):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
     lines = _magnitude_thresholds(tree)
     assert not lines, f"{module}.py compares a magnitude(...) at lines {lines}"
+
+
+# -- one screw is six floats ---------------------------------------------------
+#
+# linalg, geometry and theorems compute on tuples of Python floats with the
+# component kernels of linalg. A numpy array on a single screw pays numpy's
+# per-call dispatch for three floats, and a round trip through tolist() for
+# every result, so arrays appear only where values enter (the checked
+# constructor) and where they leave (the re/du properties and the public
+# functions that return arrays). theorems' SVD and least squares take the
+# re properties and need none of these calls.
+
+ARRAY_CALLS = {"numpy.array", "numpy.cross"}
+ARRAY_METHODS = {"tolist", "dot"}
+ARRAY_BOUNDARY = {
+    "linalg": {"_DualArray._checked", "_DualArray._array", "frame_translation", "displacement"},
+    "geometry": {"Line.point", "field_at", "motor_reduce"},
+    "theorems": set(),
+}
+
+
+def _functions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function, method and lambda, outermost first."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from _functions(node, f"{name}.")
+        else:
+            yield from _functions(node, prefix)
+
+
+def _array_calls(tree: ast.AST, allowed=frozenset()) -> list:
+    """(function, line) of each array call inside a function that ``allowed`` does not name."""
+    aliases = _aliases(tree)
+    found = set()
+    for name, fn in _functions(tree):
+        if name in allowed:
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            if isinstance(call.func, ast.Attribute) and call.func.attr in ARRAY_METHODS:
+                found.add((name, call.lineno))
+                continue
+            dotted = _dotted(call.func)
+            if dotted is None:
+                continue
+            head, _, rest = dotted.partition(".")
+            if aliases.get(head, head) + ("." + rest if rest else "") in ARRAY_CALLS:
+                found.add((name, call.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_array_call_detector_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "from numpy import cross as c\n"
+        "import numpy\n"
+        "ZERO = np.array([0.0, 0.0, 0.0])\n"
+        "def f(v):\n"
+        "    return v.tolist() + v.dot(v) + np.array(v) + c(v, v) + numpy.cross(v, v)\n"
+        "class K:\n"
+        "    def g(self, v):\n"
+        "        return (lambda w: np.array(w))(v)\n"
+        "    def boundary(self, v):\n"
+        "        return np.array(v).tolist()\n"
+        "def h(v):\n"
+        "    return np.asarray(v) + np.stack([v]) + np.linalg.svd(v)\n"
+    )
+    assert _array_calls(ast.parse(source), {"K.boundary"}) == [("f", 6), ("K.g", 9)]
+    assert _array_calls(ast.parse(source)) == [("f", 6), ("K.g", 9), ("K.boundary", 11)]
+
+
+@pytest.mark.parametrize("module", sorted(ARRAY_BOUNDARY))
+def test_single_screw_path_builds_no_array(module):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    names = {name for name, _ in _functions(tree)}
+    assert ARRAY_BOUNDARY[module] <= names, "an allowed function is gone; shrink the list"
+    found = _array_calls(tree, ARRAY_BOUNDARY[module])
+    assert not found, f"{module}.py builds or unpacks an array at {found}"

@@ -297,10 +297,6 @@ class TestCompose:
         code, _, _ = run(capsys, "compose", "--tol", tol, "--json", json.dumps([near]))
         assert code == expected
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="exp_so3d takes |b| from dot(b, b), whose real part underflows to 0 (NullVector)",
-    )
     def test_joint_angle_whose_square_underflows_is_a_null_turn(self, capsys):
         chain = [{"axis": X_AXIS, "angle": 2.3e-199}]
         code, out, err = run(capsys, "compose", "--json", json.dumps(chain))
@@ -940,9 +936,7 @@ def test_fuzzed_screw_documents_keep_the_exit_code_contract(docs, command, tol):
 _unit_lines = st.fixed_dictionaries(
     {"point": _moderate_vec3, "direction": st.sampled_from(_UNITS)}
 )
-# A real angle whose square underflows is refused by exp_so3d, a fault apart
-# from tol that test_joint_angle_whose_square_underflows_is_a_null_turn pins.
-_turns = st.floats(-10, 10).filter(lambda a: a == 0.0 or abs(a) > 1e-150)
+_turns = st.floats(-10, 10)
 _moderate_angles = st.one_of(
     _turns,
     st.fixed_dictionaries({"re": _turns, "du": st.floats(-10, 10)}),

@@ -41,9 +41,8 @@ from screwalg import (
     thales_check,
 )
 from screwalg.errors import NonGeneric, ScrewAlgError
-from screwalg.linalg import _length
 from screwalg.theorems import PetersenMorleyReport, TripleClassification
-from test_theorems import THEOREM_KINDS, _theorem_case
+from test_theorems import THEOREM_KINDS, _length, _theorem_case
 
 OFFSETS = (0.0, 1e3, 1e6)
 TOL = 1e-9
@@ -76,7 +75,7 @@ def _reach(*zs):
     return max(1.0, *(_length(z.du) / _length(z.re) for z in zs))
 
 
-# -- the theorems, on the cases their byte-identity test draws -----------------
+# -- the theorems, on the cases their reference comparison draws -----------------
 
 _THEOREMS = {"equilibrium": equilibrium_laws, "petersen": petersen_morley,
              "classify": classify_triple}

@@ -1,12 +1,16 @@
 """Exact checks, in sympy, of the calculus that exp_so3d and dual angles rely on.
 
 The Rodrigues coefficients of exp_so3d are sin(t)/t and (1 - cos t)/t**2,
-extended to dual angles through their derivatives. Below a cut-off each is
-summed from its Taylor series, above it from its closed form. Here sympy
+extended to dual angles through their derivatives. exp_so3d takes them from
+the dual square q of the angle: below a cut-off each is summed from its
+Taylor series in q, above it from its closed form at sqrt(q). Here sympy
 supplies the exact functions, derivatives and series, evaluated to 40 digits
-at the very floats the library sees, on both sides of the cut-off. The
-dual atan2 behind every dual angle is checked against the derivative of
-atan2, and acos over the duals, spelled through it, against that of acos.
+at the dual angle t + eps, whose square is q = t*t + 2t eps, on both sides of
+the cut-off. The dual atan2 behind every dual angle is checked against the
+derivative of atan2, and acos over the duals, spelled through it, against
+that of acos. The component kernels of linalg use only + - * /, so sympy
+symbols pass through them, and the identities of the vector algebra are
+proved on them exactly.
 """
 
 import math
@@ -16,8 +20,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from screwalg import Dual, atan2, sqrt  # noqa: E402
-from screwalg import linalg  # noqa: E402
+from screwalg import Dual, atan2, dual, linalg, sqrt  # noqa: E402
 
 EPS = np.finfo(float).eps
 CUT = linalg._SERIES_BELOW
@@ -26,11 +29,17 @@ T = sp.Symbol("t")
 SIN_OVER = sp.sin(T) / T
 VERSIN_OVER = (1 - sp.cos(T)) / T**2
 
+
+def _coefficient(i: int, part: str):
+    """Part ``re`` or ``du`` of Rodrigues coefficient i at the dual angle t + eps."""
+    return lambda t: getattr(linalg._rodrigues(Dual(t * t, 2.0 * t))[i], part)
+
+
 FUNCTIONS = {
-    "sin_over": (linalg._sin_over, SIN_OVER),
-    "sin_over_prime": (linalg._sin_over_prime, sp.diff(SIN_OVER, T)),
-    "versin_over": (linalg._versin_over, VERSIN_OVER),
-    "versin_over_prime": (linalg._versin_over_prime, sp.diff(VERSIN_OVER, T)),
+    "sin_over": (_coefficient(0, "re"), SIN_OVER),
+    "sin_over_prime": (_coefficient(0, "du"), sp.diff(SIN_OVER, T)),
+    "versin_over": (_coefficient(1, "re"), VERSIN_OVER),
+    "versin_over_prime": (_coefficient(1, "du"), sp.diff(VERSIN_OVER, T)),
 }
 
 # Both sides of the cut-off, both sides of the 1e-4 where the series used to
@@ -141,3 +150,98 @@ def test_acos_dual_part_is_the_derivative_of_acos(c):
     assert _relative_error(result.re, sp.acos(X).evalf(40)) <= EPS
     expected = du * ACOS_SLOPE.subs(C, X).evalf(40)
     assert _relative_error(result.du, expected) <= 2 * EPS
+
+
+# -- the vector algebra, proved on symbols ------------------------------------
+#
+# Every component of a dual vector is a symbol, so each identity below is a
+# polynomial (or, for norm, algebraic) identity in 18 unknowns, proved by
+# expanding the difference to 0. The symbols pass through dot, cross, mixed,
+# norm, @ and hat themselves, with one stand-in for the math module of
+# linalg and dual: sympy's sqrt, and every symbol counted as finite.
+
+
+class _SymbolicMath:
+    sqrt = staticmethod(sp.sqrt)
+
+    @staticmethod
+    def isfinite(_) -> bool:
+        return True
+
+
+@pytest.fixture
+def symbolic(monkeypatch):
+    for module in (linalg, dual):
+        monkeypatch.setattr(module, "math", _SymbolicMath)
+
+
+def _vector(name: str) -> linalg.DualVec3:
+    # Nonzero real resultant components make a0**2 + a1**2 + a2**2 positive
+    # for sympy, which norm's refusal of a pure dual vector asks.
+    re = sp.symbols(f"{name}0:3", real=True, nonzero=True)
+    du = sp.symbols(f"{name}_du0:3", real=True)
+    return linalg.DualVec3._raw(re, du)
+
+
+def _matrix(name: str) -> linalg.DualMat3:
+    return linalg.DualMat3._raw(sp.symbols(f"{name}0:9"), sp.symbols(f"{name}_du0:9"))
+
+
+def _vanishes(*values) -> bool:
+    return all(sp.expand(v) == 0 for v in values)
+
+
+def _same(u, v) -> bool:
+    if isinstance(u, Dual):
+        return _vanishes(u.re - v.re, u.du - v.du)
+    return _vanishes(*(a - b for a, b in zip(u._re + u._du, v._re + v._du)))
+
+
+class TestVectorAlgebraIsExact:
+    @pytest.fixture(autouse=True)
+    def _vectors(self, symbolic):
+        self.x, self.y, self.z = _vector("x"), _vector("y"), _vector("z")
+
+    def test_jacobi(self):
+        x, y, z = self.x, self.y, self.z
+        total = linalg.cross(x, linalg.cross(y, z)) + linalg.cross(y, linalg.cross(z, x))
+        total = total + linalg.cross(z, linalg.cross(x, y))
+        assert _vanishes(*total._re, *total._du)
+
+    def test_lagrange(self):
+        x, y = self.x, self.y
+        c = linalg.cross(x, y)
+        xy = linalg.dot(x, y)
+        assert _same(linalg.dot(c, c), linalg.dot(x, x) * linalg.dot(y, y) - xy * xy)
+
+    def test_bac_cab(self):
+        x, y, z = self.x, self.y, self.z
+        expected = linalg.dot(x, z) * y - linalg.dot(x, y) * z
+        assert _same(linalg.cross(x, linalg.cross(y, z)), expected)
+
+    def test_mixed_product_is_cyclic_and_alternating(self):
+        x, y, z = self.x, self.y, self.z
+        m = linalg.mixed(x, y, z)
+        assert _same(m, linalg.mixed(y, z, x))
+        assert _same(m, linalg.mixed(z, x, y))
+        assert _same(m, -1.0 * linalg.mixed(y, x, z))
+        assert _same(m, -1.0 * linalg.mixed(x, z, y))
+
+    def test_norm_squared_is_dot(self):
+        n = linalg.norm(self.x)
+        assert _same(n * n, linalg.dot(self.x, self.x))
+
+    def test_triple_product_is_the_determinant(self):
+        a, b, c = self.x._re, self.y._re, self.z._re
+        assert _vanishes(linalg._triple(a, b, c) - sp.Matrix([a, b, c]).det())
+
+    def test_hat_is_the_cross_product_and_its_axial_vector_inverts_it(self):
+        x, y = self.x, self.y
+        assert _same(y @ linalg.hat(x), linalg.cross(x, y))
+        for part in (x._re, x._du):
+            back = linalg._axial_vector(linalg._axial_matrix(part))
+            assert _vanishes(*(a - b for a, b in zip(back, part)))
+
+    def test_row_action_is_associative(self):
+        m, n = _matrix("m"), _matrix("n")
+        assert _same(self.x @ (m @ n), (self.x @ m) @ n)

@@ -55,7 +55,7 @@ from screwalg.errors import (
     NullVector,
     ScrewAlgError,
 )
-from screwalg.linalg import _EYE, _cross3, _length, _parallel, cross, mixed, norm, normalized
+from screwalg.linalg import cross, mixed, norm, normalized
 from screwalg.theorems import (
     _ROUNDINGS,
     PetersenMorleyReport,
@@ -427,11 +427,20 @@ class TestThales:
             assert max(abs(residual.re), abs(residual.du)) <= bound
 
 
-# -- byte identity with the theorems as first written ---------------------------
+# -- the theorems against references as first written ---------------------------
 #
 # The theorem layer as it was before each product, modulus and length was
-# shared, kept verbatim apart from docstrings. The library must return the
-# same bytes in every report field, or refuse with the same error class.
+# shared, kept apart from docstrings as first written, with its real 3-vector
+# helpers (lengths, cross products, the parallel test) spelled in numpy: an
+# independent reference for them. The library must refuse with the same
+# error class, or return the same outcome (tag, proper or degenerate). Its
+# report fields must have the same bytes where the reference computes them
+# with the library's dual products. The one place the numpy helpers feed a
+# report field is the direction certificate of a degenerate Petersen-Morley
+# report: there only the summation order moves the floats (BLAS fuses
+# multiply and add), and each must lie within gamma_32 / s of the
+# reference's, s being the length of the cross product of unit moments that
+# the certificate normalizes (see _CERTIFICATE_ROUNDING).
 # The references of dual_angle and equilibrium_laws are retired: they took
 # the angle from its cosine through acos_principal, which is gone, and the
 # atan2 form moves the last bits of every angle. Those two are pinned to
@@ -439,7 +448,15 @@ class TestThales:
 # of the Petersen-Morley reference compare resultant lengths and moments
 # against tol times the product of the input resultant lengths, as the
 # library does, in place of the 6-component magnitudes that moved with the
-# origin; every other line is as first written.
+# origin.
+
+def _length(v) -> float:
+    return float(np.linalg.norm(v))
+
+
+def _parallel(u, v, tol: float) -> bool:
+    return _length(np.cross(u, v)) <= tol * _length(u) * _length(v)
+
 
 def _reference_classify_triple(
     z1: DualVec3, z2: DualVec3, z3: DualVec3, tol: float = DEFAULT_TOL
@@ -455,7 +472,7 @@ def _reference_classify_triple(
         e = res[0] / rnorm[0]
         off1 = decs[1].axis.point - decs[0].axis.point
         off2 = decs[2].axis.point - decs[0].axis.point
-        vol = abs(float(_cross3(off1, off2).dot(e)))
+        vol = abs(float(np.cross(off1, off2) @ e))
         scale = max(1.0, _length(off1) * _length(off2))
         if vol <= tol * scale:
             return TripleClassification(TripleTag.PARALLEL_COPLANAR)
@@ -532,7 +549,7 @@ def _reference_petersen_morley(
     elif not any(proper):
         normal = _reference_direction_certificate((a, b, c))
         residuals = tuple(
-            dot(normal.screw, DualVec3._raw(np.zeros(3), w.du / _length(w.du)))
+            dot(normal.screw, DualVec3(np.zeros(3), w.du / _length(w.du)))
             for w in (a, b, c)
         )
         degenerate = True
@@ -566,37 +583,37 @@ def _reference_direction_certificate(ws) -> Line:
     best_len = -1.0
     for i in range(len(moments)):
         for j in range(i + 1, len(moments)):
-            n = _cross3(moments[i], moments[j])
+            n = np.cross(moments[i], moments[j])
             if _length(n) > best_len:
                 best_len = _length(n)
                 best = n
     if best is None or best_len < 1e-12:
         # All moments share one direction; any perpendicular will do.
-        seed = _EYE[int(np.argmin(np.abs(moments[0])))]
-        best = _cross3(moments[0], seed)
+        seed = np.eye(3)[int(np.argmin(np.abs(moments[0])))]
+        best = np.cross(moments[0], seed)
     direction = best / _length(best)
     return line_from_point_direction(np.zeros(3), direction)
 
 
-def _bits(value):
-    """Every float in a result, as float.hex or array bytes, in field order."""
+def _floats(value) -> list:
+    """Every float in a result, in field order; tags and flags are in its label."""
     if isinstance(value, float):
-        return float.hex(value)
+        return [value]
     if isinstance(value, Dual):
-        return float.hex(value.re), float.hex(value.du)
+        return [value.re, value.du]
     if isinstance(value, DualVec3):
-        return value.re.tobytes(), value.du.tobytes()
+        return value.re.tolist() + value.du.tolist()
     if isinstance(value, Line):
-        return _bits(value.screw)
+        return _floats(value.screw)
     if isinstance(value, tuple):
-        return tuple(map(_bits, value))
+        return [x for v in value for x in _floats(v)]
     if dataclasses.is_dataclass(value):
-        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
-    return value
+        return [x for f in dataclasses.fields(value) for x in _floats(getattr(value, f.name))]
+    return []
 
 
 def _outcome(fn, args, tol):
-    """(bits, label) of a result, or (error class, error class) of a refusal.
+    """(result, label) of a call, or (error class, error class) of a refusal.
 
     Overflow is ignored as the CLI ignores it, so that it surfaces as NotFinite.
     """
@@ -611,12 +628,36 @@ def _outcome(fn, args, tol):
         label = "degenerate" if result.parallel_degenerate else "proper"
     else:
         label = type(result).__name__
-    return _bits(result), label
+    return result, label
+
+
+# Each unit moment w.du / |w.du| is within 4 u of the exact one per component
+# (u = eps / 2): gamma_3 in the squared length, halved by the root, plus the
+# root and the quotient. A cross product of two is then within 8 u + gamma_2,
+# and normalizing it by its length s scales that by 1 / s, as does every
+# residual taken against the certificate. Both sides are that close to the
+# exact certificate, so within gamma_32 / s of each other; 46 cases measured
+# at most 0.75 eps / s.
+_CERTIFICATE_ROUNDING = 32 * EPS / 2
+
+
+def _moment_sine(report: PetersenMorleyReport) -> float:
+    """s: the largest cross product of two unit moments of a degenerate report."""
+    units = [w.du / np.linalg.norm(w.du) for w in (report.a, report.b, report.c)]
+    return max(_length(np.cross(units[i], units[j])) for i, j in ((0, 1), (1, 2), (0, 2)))
 
 
 def _same_outcome(fn, reference, args, tol, where):
     expected, label = _outcome(reference, args, tol)
-    assert _outcome(fn, args, tol)[0] == expected, (where, fn.__name__)
+    got, got_label = _outcome(fn, args, tol)
+    assert got_label == label, (where, fn.__name__)
+    if label == "degenerate":
+        bound = _CERTIFICATE_ROUNDING / _moment_sine(expected)
+        pairs = zip(_floats(got), _floats(expected), strict=True)
+        assert all(abs(a - b) <= bound for a, b in pairs), (where, fn.__name__)
+    elif not isinstance(label, type):
+        got_bits, expected_bits = (list(map(float.hex, _floats(r))) for r in (got, expected))
+        assert got_bits == expected_bits, (where, fn.__name__)
     return label
 
 
@@ -748,7 +789,7 @@ def _interior_angles_outcome(x, y, tol, where):
     return "EquilibriumReport"
 
 
-def test_theorems_are_byte_identical_to_the_reference_theorems():
+def test_theorems_agree_with_the_reference_theorems():
     rng = np.random.default_rng(91)
     seen = {kind: set() for kind in THEOREM_KINDS}
     for i in range(2100):
