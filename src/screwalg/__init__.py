@@ -5,6 +5,10 @@ dual 3-vectors relative to one canonical frame, so every construction of
 line geometry and rigid-body kinematics becomes ordinary vector algebra
 with dual-number coefficients. A fully independent classical formulation
 lives in :mod:`screwalg.oracle` and backs the verification suite.
+
+Only the oracle imports numpy at module level. Its names are looked up in
+:mod:`screwalg.oracle` on each access from this package, so ``import
+screwalg`` does not load numpy.
 """
 
 from . import errors
@@ -41,14 +45,6 @@ from .linalg import (
     normalized,
     vee,
 )
-from .oracle import (
-    ClassicalScrew,
-    LineRelation,
-    delassus_fit,
-    line_distance_angle,
-    oracle_comoment,
-    oracle_commutator,
-)
 from .theorems import (
     EquilibriumReport,
     PetersenMorleyReport,
@@ -63,3 +59,24 @@ from .theorems import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset((
+    "ClassicalScrew",
+    "LineRelation",
+    "delassus_fit",
+    "line_distance_angle",
+    "oracle_comoment",
+    "oracle_commutator",
+))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -17,15 +17,15 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
-from .geometry import Line, axis_decompose, common_normal, dual_angle, line_from_point_direction
-from .linalg import (
-    DualMat3, DualVec3, _cross, _DualArray, _parallel, _translation, _vec, exp_so3d, is_frame,
+from .geometry import (
+    Line, _foot, axis_decompose, common_normal, dual_angle, line_from_point_direction,
 )
-from .oracle import _fit_with_residual, line_distance_angle
+from .linalg import (
+    DualMat3, DualVec3, _cross, _DualArray, _nested, _parallel, _translation, _vec, exp_so3d,
+    is_frame,
+)
 from .theorems import equilibrium_laws, petersen_morley, thales_check
 
 EXIT_OK = 0
@@ -141,12 +141,13 @@ def _json_text(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
+    # Only the oracle's results are arrays, and numpy is loaded once they exist.
+    if "numpy" in sys.modules and isinstance(obj, sys.modules["numpy"].ndarray):
         return _json_text(obj.tolist())
     if isinstance(obj, _DualArray):
-        return _json_text({"re": obj.re, "du": obj.du})
+        return _json_text({"re": _nested(obj._re), "du": _nested(obj._du)})
     if isinstance(obj, Line):
-        return _json_text({"point": obj.point, "direction": obj.direction})
+        return _json_text({"point": _foot(obj), "direction": obj.screw._re})
     if dataclasses.is_dataclass(obj):
         return _json_text(_fields(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -166,10 +167,9 @@ def _cmd_line_angle(args, tol: float) -> int:
     docs = _load_documents(args, 2)
     l1 = _parse_line(docs[0], tol)
     l2 = _parse_line(docs[1], tol)
-    e1, e2 = l1.direction, l2.direction
     rel = None
     if _parallel(l1.screw._re, l2.screw._re, tol):
-        rel = line_distance_angle(l1.point, e1, l2.point, e2, tol=tol)
+        rel = _oracle_relation(l1, l2, tol)
         if rel.distance > tol:
             print(
                 "parallel lines: the dual angle cannot represent their distance; "
@@ -179,7 +179,7 @@ def _cmd_line_angle(args, tol: float) -> int:
             return EXIT_PRECONDITION
     theta = dual_angle(l1.screw, l2.screw)
     if args.check:
-        rel = rel or line_distance_angle(l1.point, e1, l2.point, e2, tol=tol)
+        rel = rel or _oracle_relation(l1, l2, tol)
         angle_err = abs(theta.re - rel.angle)
         dist_err = abs(abs(theta.du) - rel.distance)
         if angle_err > tol or dist_err > tol * max(1.0, rel.distance):
@@ -201,22 +201,30 @@ def _cmd_line_angle(args, tol: float) -> int:
     return EXIT_OK
 
 
+def _oracle_relation(l1: Line, l2: Line, tol: float):
+    """The classical oracle's distance and angle of two lines."""
+    from .oracle import line_distance_angle
+
+    return line_distance_angle(_foot(l1), l1.screw._re, _foot(l2), l2.screw._re, tol=tol)
+
+
 def _cmd_common_normal(args, tol: float) -> int:
     docs = _load_documents(args, 2)
     z1 = _parse_screw(docs[0])
     z2 = _parse_screw(docs[1])
     line = common_normal(z1, z2, tol=tol)
+    point, direction = _foot(line), line.screw._re
     _emit(
         args,
         [
-            f"point = {_fmt_vec(line.point)}",
-            f"direction = {_fmt_vec(line.direction)}",
+            f"point = {_fmt_vec(point)}",
+            f"direction = {_fmt_vec(direction)}",
         ],
         {
-            "point": line.point,
-            "direction": line.direction,
-            "re": line.screw.re,
-            "du": line.screw.du,
+            "point": point,
+            "direction": direction,
+            "re": direction,
+            "du": line.screw._du,
         },
     )
     return EXIT_OK
@@ -229,8 +237,8 @@ def _cmd_screw_axis(args, tol: float) -> int:
     _emit(
         args,
         [
-            f"axis point = {_fmt_vec(dec.axis.point)}",
-            f"axis direction = {_fmt_vec(dec.axis.direction)}",
+            f"axis point = {_fmt_vec(_foot(dec.axis))}",
+            f"axis direction = {_fmt_vec(dec.axis.screw._re)}",
             f"magnitude = {_fmt(dec.magnitude)}",
             f"pitch = {_fmt(dec.pitch)}",
         ],
@@ -267,17 +275,18 @@ def _cmd_compose(args, tol: float) -> int:
             raise _InputError("joint needs either matrix or axis + angle fields")
         frame = frame @ m
     translation = _translation(frame)
+    rotation = _nested(frame._re)
     _emit(
         args,
         [
-            f"frame re = {frame.re.tolist()}",
-            f"frame du = {frame.du.tolist()}",
-            f"rotation rows = {frame.re.tolist()}",
+            f"frame re = {rotation}",
+            f"frame du = {_nested(frame._du)}",
+            f"rotation rows = {rotation}",
             f"translation = {_fmt_vec(translation)}",
         ],
         {
             "matrix": frame,
-            "rotation": frame.re,
+            "rotation": rotation,
             "translation": translation,
         },
     )
@@ -357,10 +366,12 @@ def _fit_from_doc(doc, tol: float):
         if not isinstance(entry, dict) or "point" not in entry or "value" not in entry:
             raise _InputError("each sample needs point and value fields")
         samples.append((_parse_vec3(entry["point"]), _parse_vec3(entry["value"])))
+    from .oracle import _fit_with_residual
+
     return _fit_with_residual(samples, tol)
 
 
-def _parse_vec3(obj) -> np.ndarray:
+def _parse_vec3(obj) -> tuple:
     try:
         return _vec(obj)
     except (ValueError, TypeError) as exc:
@@ -432,9 +443,7 @@ def main(argv=None) -> int:
         tol = args.tol if args.tol is not None else _env_tol()
         if not (math.isfinite(tol) and tol >= 0.0):
             raise _InputError(f"tolerance must be finite and non-negative, got {tol}")
-        # Overflow surfaces as NotFinite from the values it spoils, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, tol)
+        return args.func(args, tol)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

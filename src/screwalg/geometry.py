@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dual import DEFAULT_TOL, Dual, _dual, atan2
 from .errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
@@ -36,6 +35,9 @@ from .linalg import (
     dot,
     norm,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A value the library computed is known to about eps times its size; a
 # deviation below this many of those roundings cannot be told from 0.
@@ -90,6 +92,8 @@ class Line:
     @property
     def point(self) -> np.ndarray:
         """The point of the line closest to the canonical origin."""
+        import numpy as np
+
         return np.array(_foot(self))
 
     def __repr__(self) -> str:
@@ -122,6 +126,8 @@ def _line_through(p: tuple, e: tuple, tol: float) -> Line:
 
 def field_at(z: DualVec3, point) -> np.ndarray:
     """Value at ``point`` of the screw field induced by z."""
+    import numpy as np
+
     return np.array(_add(z._du, _cross(z._re, _vec(point))))
 
 
@@ -227,6 +233,8 @@ def axes_intersect(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> bool:
 
 def motor_reduce(z: DualVec3, point) -> tuple[np.ndarray, np.ndarray]:
     """Represent z by (resultant, field value at ``point``)."""
+    import numpy as np
+
     return np.array(z._re), field_at(z, point)
 
 

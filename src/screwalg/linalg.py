@@ -12,16 +12,16 @@ By the transference principle a screw is six real numbers and every dual
 formula is the real one applied to components. So values are held as tuples
 of Python floats: a real 3-vector as 3 of them, a 3x3 matrix as 9 in row
 order, and a ``DualVec3`` or ``DualMat3`` as one such tuple per part. The
-kernels below take those tuples and use only ``+ - * /``; numpy is met only
-where values enter (the checked constructor) and where arrays leave.
+kernels below take those tuples and use only ``+ - * /``. numpy is imported
+only where arrays cross the boundary: input that is not a plain list or tuple
+of numbers (the checked constructor) and the arrays handed out.
 """
 
 from __future__ import annotations
 
 import math
 from operator import add, sub
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dual import DEFAULT_TOL, Dual, _dual, sqrt
 from .errors import (
@@ -32,6 +32,9 @@ from .errors import (
     NullVector,
     ProjectionMismatch,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PIVOT_TOL = 1e-12
 
@@ -144,6 +147,26 @@ def _axial_vector(a: tuple) -> tuple:
     return (0.5 * (a12 - a21), 0.5 * (a20 - a02), 0.5 * (a01 - a10))
 
 
+_SEQUENCES = frozenset((list, tuple))
+_NUMBERS = frozenset((int, float))
+
+
+def _plain(x, rows: bool):
+    """The floats of a list or tuple of 3 ints or floats (of 3 such rows with
+    ``rows``), or None for any other input. An int beyond the floats raises
+    OverflowError."""
+    if type(x) not in _SEQUENCES or len(x) != 3:
+        return None
+    if rows:
+        r0, r1, r2 = x
+        a, b, c = _plain(r0, False), _plain(r1, False), _plain(r2, False)
+        return a + b + c if a and b and c else None
+    a, b, c = x
+    if type(a) in _NUMBERS and type(b) in _NUMBERS and type(c) in _NUMBERS:
+        return (float(a), float(b), float(c))
+    return None
+
+
 def _nested(a: tuple) -> list:
     """A 3- or 9-tuple as the (nested) list of its array."""
     return list(a) if len(a) == 3 else [list(a[0:3]), list(a[3:6]), list(a[6:9])]
@@ -175,14 +198,22 @@ class _DualArray:
 
     @classmethod
     def _checked(cls, x) -> tuple:
-        """The components of finite input of this shape; the one check for array input."""
+        """The components of finite input of this shape; the one check for array input.
+
+        A list or tuple of this shape holding ints and floats is read with
+        float(); numpy coerces any other input and keeps its refusals.
+        """
         try:
-            a = np.array(x, dtype=float)
+            values = _plain(x, len(cls._shape) == 2)
+            if values is None:
+                import numpy as np
+
+                a = np.array(x, dtype=float)
+                if a.shape != cls._shape:
+                    raise ValueError(f"expected a {cls._kind}, got shape {a.shape}")
+                values = tuple(a.ravel().tolist())
         except OverflowError as exc:
             raise NotFinite(f"{cls._kind} entries must be finite") from exc
-        if a.shape != cls._shape:
-            raise ValueError(f"expected a {cls._kind}, got shape {a.shape}")
-        values = tuple(a.ravel().tolist())
         if not _finite(values):
             raise NotFinite(f"{cls._kind} entries must be finite")
         return values
@@ -209,6 +240,8 @@ class _DualArray:
         return self._array(self._du)
 
     def _array(self, values: tuple) -> np.ndarray:
+        import numpy as np
+
         a = np.array(values, dtype=float).reshape(self._shape)
         a.setflags(write=False)
         return a
@@ -523,6 +556,8 @@ def frame_translation(u: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
     motions: frame_translation(U @ V) equals
     frame_translation(U) + re(U) @ frame_translation(V).
     """
+    import numpy as np
+
     _require_frame(u, tol)
     return np.array(_translation(u))
 
@@ -546,6 +581,8 @@ def displacement(
     real special orthogonal matrix re(a) re(b)^T; otherwise mismatched
     projections raise ProjectionMismatch. ``tol`` judges the frames, not what is built from them.
     """
+    import numpy as np
+
     _require_frame(frame_a, tol)
     _require_frame(frame_b, tol)
     if _max_abs(_sub(frame_a._re, frame_b._re)) > tol:

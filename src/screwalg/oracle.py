@@ -144,11 +144,27 @@ class LineRelation:
 def line_distance_angle(
     point1, direction1, point2, direction2, tol: float = DEFAULT_TOL
 ) -> LineRelation:
-    """Closest distance and angle between two lines given as point + unit direction."""
+    """Closest distance and angle between two lines given as point + unit direction.
+
+    It raises NotFinite when the distance or a closest point is not finite,
+    as when the difference of far-apart points overflows.
+    """
     p1 = np.asarray(point1, dtype=float)
     p2 = np.asarray(point2, dtype=float)
     e1 = np.asarray(direction1, dtype=float)
     e2 = np.asarray(direction2, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        relation = _line_relation(p1, e1, p2, e2, tol)
+    closest = relation.closest_points
+    if not (math.isfinite(relation.distance)
+            and (closest is None or np.isfinite(closest).all())):
+        raise NotFinite("the line distance overflows double precision; "
+                        "point magnitudes are out of range")
+    return relation
+
+
+def _line_relation(p1, e1, p2, e2, tol: float) -> LineRelation:
+    """line_distance_angle on float arrays, unchecked."""
     n = np.cross(e1, e2)
     # numpy's own norm of a 1-D array, sqrt(x.dot(x)), without its dispatch.
     n_len = math.sqrt(n.dot(n))

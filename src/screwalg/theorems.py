@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .dual import DEFAULT_TOL, Dual
 from .dual import atan2 as dual_atan2
 from .dual import cos as dual_cos
@@ -93,6 +91,8 @@ def _moment_near(s: DualVec3, z: DualVec3) -> float:
 
 def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
     """Module-linear independence; holds exactly when the resultants are free."""
+    import numpy as np
+
     zs = list(zs)
     _require_proper(zs)
     if not zs:
@@ -197,6 +197,8 @@ def _concurrent_sliding(zs, tol: float) -> bool:
     the moments where that is larger, so that moving the triple away from
     the origin does not change the verdict.
     """
+    import numpy as np
+
     rounding = _ROUNDINGS * sys.float_info.epsilon
     lines = []
     for z in zs:

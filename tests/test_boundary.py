@@ -5,6 +5,10 @@ it checks never call into it, directly or through an import of it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,3 +283,80 @@ def test_single_screw_path_builds_no_array(module):
     assert ARRAY_BOUNDARY[module] <= names, "an allowed function is gone; shrink the list"
     found = _array_calls(tree, ARRAY_BOUNDARY[module])
     assert not found, f"{module}.py builds or unpacks an array at {found}"
+
+
+# -- numpy is imported where arrays cross the boundary -------------------------
+#
+# A screw is six Python floats, so importing the package and running a
+# subcommand on the dual path loads no numpy; only the oracle, the checked
+# constructor's fallback for input that is not a plain list of numbers, and
+# the functions that hand out arrays import it.
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+DUAL_PATH_CASES = [
+    f"{name}:{fmt}"
+    for name in (
+        "compose-chain", "screw-axis-generic", "common-normal-lines", "common-normal-motors",
+        "line-angle-skew", "verify-cosines", "verify-petersen-morley-generic", "verify-thales",
+    )
+    for fmt in ("text", "json")
+]
+
+_RUN_IN_ORDER = """
+import contextlib, io, json, sys
+import screwalg
+import screwalg.cli
+seen = [["import", 0, "numpy" in sys.modules]]
+for name, argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = screwalg.cli.main(argv)
+    seen.append([name, code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_dual_path_subcommands_do_not_load_numpy():
+    cases = [*DUAL_PATH_CASES, "fit-screw:json"]
+    src = str(SOURCE.resolve().parent)
+    env = {k: v for k, v in os.environ.items() if k != "SCREWALG_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_IN_ORDER],
+        input=json.dumps([[name, GOLDEN[name]["argv"]] for name in cases]),
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen[0] == ["import", 0, False], "import screwalg or screwalg.cli loaded numpy"
+    for name, code, loaded in seen[1:-1]:
+        assert code == GOLDEN[name]["exit"], f"{name} exited {code}"
+        assert not loaded, f"{name} loaded numpy"
+    # The oracle's fit works on arrays, so numpy is loaded once it has run.
+    assert seen[-1] == ["fit-screw:json", 0, True]
+
+
+ORACLE_NAMES = (
+    "ClassicalScrew", "LineRelation", "delassus_fit", "line_distance_angle",
+    "oracle_comoment", "oracle_commutator",
+)
+
+
+def test_oracle_names_resolve_from_the_package(monkeypatch):
+    from screwalg import (  # noqa: F401
+        ClassicalScrew,
+        LineRelation,
+        delassus_fit,
+        line_distance_angle,
+        oracle_comoment,
+        oracle_commutator,
+    )
+    from screwalg import oracle
+
+    assert set(ORACLE_NAMES) <= set(dir(screwalg))
+    for name in ORACLE_NAMES:
+        assert getattr(screwalg, name) is getattr(oracle, name)
+    # Looked up on every access, so a patch of the oracle module is seen.
+    monkeypatch.setattr(oracle, "delassus_fit", "patched")
+    assert screwalg.delassus_fit == "patched"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        screwalg.no_such_name  # noqa: B018

@@ -136,6 +136,14 @@ class TestLineAngle:
         assert code == 0
         assert "Theta" in out
 
+    def test_check_whose_oracle_distance_overflows_exits_3(self, capsys):
+        # p2 - p1 overflows in the oracle, whose NaN distance passed every bound (exit 0).
+        docs = [{"point": [-1e308, 0, 0], "direction": [0, 0, 1]},
+                {"point": [1e308, 5, 1], "direction": [0.6, 0, 0.8]}]
+        code, out, err = run(capsys, "line-angle", "--check", "--format", "json", *_json_args(docs))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the line distance overflows")
+
     def test_json_output_round_trips(self, capsys):
         code, out, _ = run(
             capsys,

@@ -366,6 +366,61 @@ class TestDisplacement:
 NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
+def _numpy_checked(cls, x) -> tuple:
+    """The checked constructor as numpy coerces any input: the reference for its plain path."""
+    try:
+        a = np.array(x, dtype=float)
+    except OverflowError as exc:
+        raise NotFinite(f"{cls._kind} entries must be finite") from exc
+    if a.shape != cls._shape:
+        raise ValueError(f"expected a {cls._kind}, got shape {a.shape}")
+    values = tuple(a.ravel().tolist())
+    if not all(map(math.isfinite, values)):
+        raise NotFinite(f"{cls._kind} entries must be finite")
+    return values
+
+
+def _outcome(check, x):
+    """The components as hex strings, which tell -0.0 from 0.0, or the refusal's class and text."""
+    try:
+        return tuple(float.hex(v) for v in check(x))
+    except (ValueError, TypeError, NotFinite) as exc:
+        return type(exc), str(exc)
+
+
+# Finite floats include +-0.0 and subnormals; ENTRIES adds what a float cannot hold.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.integers(),
+)
+ENTRIES = st.one_of(
+    FINITE,
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(2**1024, 2**1100),
+    st.integers(-(2**1100), -(2**1024)),
+    st.booleans(),
+)
+
+
+def _triples(elements):
+    """Lists and tuples of 3 elements."""
+    return st.builds(lambda kind, xs: kind(xs), st.sampled_from([list, tuple]),
+                     st.lists(elements, min_size=3, max_size=3))
+
+
+VECTORS = _triples(FINITE) | _triples(ENTRIES)
+MATRICES = _triples(_triples(FINITE)) | _triples(_triples(ENTRIES))
+ODD_SHAPES = st.lists(ENTRIES | VECTORS, max_size=4)
+# Each class with input of its shape, and either class with input of any shape.
+CHECKED_INPUTS = st.one_of(
+    st.tuples(st.just(DualVec3), VECTORS),
+    st.tuples(st.just(DualMat3), MATRICES),
+    st.tuples(st.sampled_from([DualVec3, DualMat3]), VECTORS | MATRICES | ODD_SHAPES),
+)
+
+
 class TestInputChecks:
     """_vec and _mat are where vectors and matrices enter; each refuses non-finite input."""
 
@@ -401,6 +456,12 @@ class TestInputChecks:
         big = np.finfo(float).max
         assert _vec([big, -big, 0.0]) == (big, -big, 0.0)
         assert _mat(np.full((3, 3), -big)) == (-big,) * 9
+
+    @settings(max_examples=500, deadline=None)
+    @given(CHECKED_INPUTS)
+    def test_lists_and_tuples_read_as_numpy_coerces_them(self, case):
+        cls, x = case
+        assert _outcome(cls._checked, x) == _outcome(lambda y: _numpy_checked(cls, y), x)
 
 
 HUGE = DualVec3([1e200, 0, 0])

@@ -115,6 +115,15 @@ class TestLineDistanceAngle:
         assert_vec_close(a, [x_cross, -0.2, 0.5], tol=1e-6, scale=abs(x_cross))
         assert_vec_close(b, [x_cross, -0.2, -0.3], tol=1e-6, scale=abs(x_cross))
 
+    @pytest.mark.parametrize(
+        "e2", [Y, np.array([0.6, 0.0, 0.8]), Z], ids=["perpendicular", "oblique", "parallel"]
+    )
+    def test_points_whose_difference_overflows_raise_not_finite(self, e2):
+        # p2 - p1 overflows, which leaves an infinite or NaN distance, and
+        # no comparison of a NaN with a bound fails.
+        with pytest.raises(NotFinite, match="line distance overflows"):
+            line_distance_angle([-1e308, 0, 0], Z, [1e308, 5, 1], e2)
+
     def test_agrees_with_dual_angle(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
