@@ -24,12 +24,14 @@ from .linalg import (
     _cross,
     _dot3,
     _finite,
+    _ldexp3,
     _length,
     _max_abs,
     _modulus,
     _over,
     _parallel,
     _sub,
+    _unit_exponent,
     _vec,
     cross,
     dot,
@@ -199,13 +201,11 @@ def _unit_scaled(z: DualVec3) -> DualVec3:
 
     Scaling by a power of two moves no bit unless a component leaves the range
     of floats; a dual part scaled past the largest float raises NotFinite."""
-    k = -math.frexp(_max_abs(z._re))[1]
+    k = _unit_exponent(z._re)
     try:
-        re = tuple([math.ldexp(c, k) for c in z._re])
-        du = tuple([math.ldexp(c, k) for c in z._du])
+        return DualVec3._raw(_ldexp3(z._re, k), _ldexp3(z._du, k))
     except OverflowError as exc:
         raise NotFinite("3-vector result overflows") from exc
-    return DualVec3._raw(re, du)
 
 
 def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:

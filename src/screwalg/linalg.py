@@ -97,9 +97,68 @@ def _triple(a: tuple, b: tuple, c: tuple) -> float:
     return _dot3(_cross(a, b), c)
 
 
-def _parallel(u: tuple, v: tuple, tol: float) -> bool:
-    """Whether real 3-vectors are parallel: |u x v| <= tol |u| |v|."""
-    return _length(_cross(u, v)) <= tol * _length(u) * _length(v)
+def _unit_exponent(a: tuple) -> int:
+    """The k for which 2**k brings a's largest component into [0.5, 1); 0 for a null a."""
+    return -math.frexp(_max_abs(a))[1]
+
+
+def _ldexp3(a: tuple, k: int) -> tuple:
+    """The 3-vector a times 2**k, which moves no bit unless a component leaves the
+    normal floats; a component beyond the largest float raises OverflowError."""
+    a0, a1, a2 = a
+    return (math.ldexp(a0, k), math.ldexp(a1, k), math.ldexp(a2, k))
+
+
+def _at_unit_scale(a: tuple) -> tuple:
+    """a brought to unit scale: _ldexp3 by its _unit_exponent."""
+    return _ldexp3(a, _unit_exponent(a))
+
+
+# A length in this range squares to a normal float, and the product of three
+# such lengths is a normal float too. The dependence tests below evaluate their
+# formula as written when every length it takes lies here; otherwise they first
+# bring each vector to unit scale by a power of two.
+_SAFE_LOW = 1e-100
+_SAFE_HIGH = 1e100
+
+
+def _parallel(u: tuple, v: tuple, tol: float, lu=None, lv=None) -> bool:
+    """Whether real 3-vectors are parallel: |u x v| <= tol |u| |v|.
+
+    With _coplanar, the one place the library decides that resultants are
+    dependent. ``lu`` and ``lv``, where the caller holds them, are _length(u)
+    and _length(v). Outside the safe range the cross product's length is taken
+    with math.hypot, which squares no tiny value.
+    """
+    if lu is None:
+        lu = _length(u)
+    if lv is None:
+        lv = _length(v)
+    lc = _length(_cross(u, v))
+    if (_SAFE_LOW <= lc <= _SAFE_HIGH and _SAFE_LOW <= lu <= _SAFE_HIGH
+            and _SAFE_LOW <= lv <= _SAFE_HIGH):
+        return lc <= tol * lu * lv
+    u, v = _at_unit_scale(u), _at_unit_scale(v)
+    return math.hypot(*_cross(u, v)) <= tol * _length(u) * _length(v)
+
+
+def _coplanar(u: tuple, v: tuple, w: tuple, tol: float, lu=None, lv=None, lw=None) -> bool:
+    """Whether real 3-vectors are linearly dependent: |[u v w]| <= tol |u| |v| |w|.
+
+    With _parallel, the one place the library decides that resultants are
+    dependent; ``lu``, ``lv`` and ``lw``, where given, are their _length values.
+    """
+    if lu is None:
+        lu = _length(u)
+    if lv is None:
+        lv = _length(v)
+    if lw is None:
+        lw = _length(w)
+    if (_SAFE_LOW <= lu <= _SAFE_HIGH and _SAFE_LOW <= lv <= _SAFE_HIGH
+            and _SAFE_LOW <= lw <= _SAFE_HIGH):
+        return abs(_triple(u, v, w)) <= tol * lu * lv * lw
+    u, v, w = _at_unit_scale(u), _at_unit_scale(v), _at_unit_scale(w)
+    return abs(_triple(u, v, w)) <= tol * _length(u) * _length(v) * _length(w)
 
 
 def _vecmat(v: tuple, m: tuple) -> tuple:
@@ -151,20 +210,25 @@ _SEQUENCES = frozenset((list, tuple))
 _NUMBERS = frozenset((int, float))
 
 
+def _is_plain(x) -> bool:
+    """Whether x is a list or tuple of 3 ints or floats."""
+    return (type(x) in _SEQUENCES and len(x) == 3
+            and type(x[0]) in _NUMBERS and type(x[1]) in _NUMBERS and type(x[2]) in _NUMBERS)
+
+
 def _plain(x, rows: bool):
     """The floats of a list or tuple of 3 ints or floats (of 3 such rows with
-    ``rows``), or None for any other input. An int beyond the floats raises
-    OverflowError."""
-    if type(x) not in _SEQUENCES or len(x) != 3:
-        return None
+    ``rows``), or None for any other input. The whole shape is checked before
+    any entry is read, so an int beyond the floats raises OverflowError only
+    in input of this shape."""
     if rows:
-        r0, r1, r2 = x
-        a, b, c = _plain(r0, False), _plain(r1, False), _plain(r2, False)
-        return a + b + c if a and b and c else None
+        if type(x) not in _SEQUENCES or len(x) != 3 or not all(map(_is_plain, x)):
+            return None
+        return tuple([float(c) for row in x for c in row])
+    if not _is_plain(x):
+        return None
     a, b, c = x
-    if type(a) in _NUMBERS and type(b) in _NUMBERS and type(c) in _NUMBERS:
-        return (float(a), float(b), float(c))
-    return None
+    return (float(a), float(b), float(c))
 
 
 def _nested(a: tuple) -> list:

@@ -5,7 +5,8 @@ the residuals instead of a bare boolean, so callers (and the CLI verify
 subcommand) can report how far an input set is from satisfying the claim.
 All tolerances are relative to the size of the inputs; see the individual
 reports for the exact scaling. Reports hold library values only; their JSON
-form belongs to the CLI.
+form belongs to the CLI. Everything here, the dependence tests and the
+pencil solve included, runs on linalg's float kernels; no array is built.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ from .linalg import (
     _ZERO3,
     DualVec3,
     _add,
+    _at_unit_scale,
+    _coplanar,
     _cross,
     _dot3,
     _length,
     _max_abs,
     _modulus,
     _over,
+    _parallel,
     _scale,
     _sub,
     _triple,
@@ -66,11 +70,10 @@ def _parallel_pairs(res, tol: float, lengths=None):
     """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0), each length taken once
     or read from ``lengths``; lazy, so that a refusal at the first parallel pair takes no more."""
     u, v, w = res
-    lu, lv = (lengths[0], lengths[1]) if lengths else (_length(u), _length(v))
-    yield _length(_cross(u, v)) <= tol * lu * lv
-    lw = lengths[2] if lengths else _length(w)
-    yield _length(_cross(v, w)) <= tol * lv * lw
-    yield _length(_cross(w, u)) <= tol * lw * lu
+    lu, lv, lw = lengths or (_length(u), _length(v), _length(w))
+    yield _parallel(u, v, tol, lu, lv)
+    yield _parallel(v, w, tol, lv, lw)
+    yield _parallel(w, u, tol, lw, lu)
 
 
 def _moment_near(s: DualVec3, z: DualVec3) -> float:
@@ -90,28 +93,36 @@ def _moment_near(s: DualVec3, z: DualVec3) -> float:
 
 
 def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
-    """Module-linear independence; holds exactly when the resultants are free."""
-    import numpy as np
+    """Module-linear independence of proper screws.
 
+    In the rank-3 free module at most three proper screws are free, and they
+    are free exactly when their resultants are free over the reals. Dependent
+    has one meaning in the library, decided by linalg's float kernels: two
+    resultants with |r1 x r2| <= tol |r1| |r2| (linalg._parallel, the test
+    behind common_normal's ParallelResultants), three with
+    |[r1 r2 r3]| <= tol |r1| |r2| |r3| (linalg._coplanar, the test that
+    keeps classify_triple from IndependentBasis).
+    """
     zs = list(zs)
     _require_proper(zs)
-    if not zs:
+    if len(zs) <= 1:
         return True
-    if len(zs) > 3:
-        return False
-    mat = np.vstack([z.re for z in zs])
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return bool(svals[-1] > tol * svals[0])
+    if len(zs) == 2:
+        return not _parallel(zs[0]._re, zs[1]._re, tol)
+    if len(zs) == 3:
+        return not _coplanar(zs[0]._re, zs[1]._re, zs[2]._re, tol)
+    return False
 
 
 def are_proportional(z1: DualVec3, z2: DualVec3, tol: float = DEFAULT_TOL) -> bool:
-    """Proportionality over the duals: c = cross(z1, z2) vanishes, that is its resultant
-    and its moment about z1's axis (``_moment_near``) are at most ``tol`` times the
-    resultant lengths, sizes that no rigid motion changes."""
+    """Proportionality over the duals: c = cross(z1, z2) vanishes, that is the resultants
+    are parallel (linalg._parallel) and the moment of c about z1's axis (``_moment_near``)
+    is at most ``tol`` times the resultant lengths, sizes that no rigid motion changes."""
     _require_proper((z1, z2))
-    c = cross(z1, z2)
-    bound = tol * _length(z1._re) * _length(z2._re)
-    return _length(c._re) <= bound and _moment_near(c, z1) <= bound
+    lu, lv = _length(z1._re), _length(z2._re)
+    if not _parallel(z1._re, z2._re, tol, lu, lv):
+        return False
+    return _moment_near(cross(z1, z2), z1) <= tol * lu * lv
 
 
 class TripleTag(str, Enum):
@@ -133,10 +144,13 @@ def classify_triple(
 ) -> TripleClassification:
     """Sort three proper screws into the supported dependence classes.
 
-    A nonzero real part of the mixed product means a module basis. When it
-    vanishes the triple is resultant-dependent and splits into: all axes
-    parallel (coplanar or not, by the triple product of the axis offsets
-    with the common direction), concurrent coplanar sliding vectors, or a
+    A mixed product that is a unit of the duals, that is has a nonzero real
+    part, means a module basis: the resultants are not dependent in the one
+    sense the library uses, |[r1 r2 r3]| <= tol |r1| |r2| |r3|
+    (linalg._coplanar, a float kernel, as in independent_over_D, so that the
+    two agree). Otherwise the triple is resultant-dependent and splits into:
+    all axes parallel (coplanar or not, by the triple product of the axis
+    offsets with the common direction), concurrent coplanar sliding vectors, or a
     module-dependent triple whose axes meet one line orthogonally (the
     witness). Resultant-dependent triples that fit none of these raise
     NotClassifiable. No threshold moves with the triple: ``tol`` times resultant
@@ -159,11 +173,7 @@ def classify_triple(
             return TripleClassification(TripleTag.PARALLEL_COPLANAR)
         return TripleClassification(TripleTag.PARALLEL_NON_COPLANAR)
 
-    # A rigid motion changes neither part of the mixed product, so both parts
-    # are bounded by the resultant lengths alone.
-    m = mixed(z1, z2, z3)
-    bound = tol * rnorm[0] * rnorm[1] * rnorm[2]
-    if abs(m.re) > bound:
+    if not _coplanar(*res, tol, *rnorm):
         return TripleClassification(TripleTag.INDEPENDENT_BASIS)
 
     none_parallel = not any(pair_parallel)
@@ -171,7 +181,9 @@ def classify_triple(
     if none_parallel and _concurrent_sliding(zs, tol):
         return TripleClassification(TripleTag.CONCURRENT_COPLANAR)
 
-    if none_parallel and abs(m.du) <= bound:
+    # A rigid motion changes neither part of the mixed product, so its dual
+    # part is bounded by the resultant lengths alone, as its real part is.
+    if none_parallel and abs(mixed(z1, z2, z3).du) <= tol * rnorm[0] * rnorm[1] * rnorm[2]:
         # common_normal(z1, z2), whose checks ran above; it meets z1 and z2 by construction.
         normal = cross(z1, z2)
         witness = axis_decompose(normal).axis
@@ -193,12 +205,15 @@ def _concurrent_sliding(zs, tol: float) -> bool:
     Lines through one point form a pencil: the third unit line is the real
     combination a*l0 + b*l1 of the first two, and its moment differs from
     that combination's by the distance from the meeting point to its axis.
-    Pitch and distance are compared with ``tol``, or with the rounding of
-    the moments where that is larger, so that moving the triple away from
-    the origin does not change the verdict.
+    a and b come from Cramer's rule on n = e0 x e1: (e2 x e1) . n / n . n
+    and (e0 x e2) . n / n . n, which is the least-squares fit where e2 leaves
+    the plane. Both products are taken with m, n brought to unit scale by a
+    power of two: that moves no bit of the quotients, and the denominator
+    n . m does not underflow where n . n would. Pitch and
+    distance are compared with ``tol``, or with the rounding of the moments
+    where that is larger, so that moving the triple away from the origin
+    does not change the verdict.
     """
-    import numpy as np
-
     rounding = _ROUNDINGS * sys.float_info.epsilon
     lines = []
     for z in zs:
@@ -207,8 +222,12 @@ def _concurrent_sliding(zs, tol: float) -> bool:
             return False
         lines.append(z * n.inv())
     l0, l1, l2 = lines
-    (a, b), *_ = np.linalg.lstsq(np.column_stack([l0.re, l1.re]), l2.re, rcond=None)
-    a, b = float(a), float(b)
+    e0, e1, e2 = l0._re, l1._re, l2._re
+    n = _cross(e0, e1)
+    m = _at_unit_scale(n)
+    nm = _dot3(n, m)
+    a = _dot3(_cross(e2, e1), m) / nm
+    b = _dot3(_cross(e0, e2), m) / nm
     terms = _length(l2._du) + abs(a) * _length(l0._du) + abs(b) * _length(l1._du)
     miss = _sub(_sub(l2._du, _scale(a, l0._du)), _scale(b, l1._du))
     return _length(miss) <= max(tol, rounding * terms)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import screwalg
+from screwalg import TripleTag
 
 SOURCE = Path(screwalg.__file__).parent
 
@@ -117,7 +118,7 @@ def test_slow_call_detector_sees_every_spelling():
     assert _slow_calls(ast.parse(source)) == [8, 9, 11]
 
 
-@pytest.mark.parametrize("module", ["linalg", "geometry", "theorems", "oracle"])
+@pytest.mark.parametrize("module", ["linalg", "geometry", "oracle"])
 def test_kernels_call_no_slow_numpy_entry_point(module):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
     assert _aliases(tree).get("np") == "numpy", "the parser is not looking at the module"
@@ -125,6 +126,40 @@ def test_kernels_call_no_slow_numpy_entry_point(module):
     assert not lines, (
         f"{module}.py calls np.linalg.norm, np.linalg.det, np.eye or np.zeros at lines {lines}"
     )
+
+
+def _numpy_imports(tree: ast.AST) -> list:
+    """The imports of numpy or of a numpy submodule, at any depth."""
+    return [name for name in _imported_names(tree) if name.split(".")[0] == "numpy"]
+
+
+def test_numpy_import_detector_sees_every_depth():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "from .numpy import x\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    class K:\n"
+        "        def g(self):\n"
+        "            import numpy.linalg, os\n"
+        "if True:\n"
+        "    from numpy import array\n"
+    )
+    assert sorted(_numpy_imports(ast.parse(source))) == [
+        "numpy", "numpy", "numpy.array", "numpy.linalg", "numpy.linalg.svd",
+    ]
+
+
+def test_theorems_imports_no_numpy():
+    """The theorem layer decides dependence and solves its pencils with the
+    float kernels of linalg, so it needs numpy nowhere, not even inside a function."""
+    source = (SOURCE / "theorems.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    assert _aliases(tree).get("math") == "math", "the parser is not looking at the module"
+    assert not _numpy_imports(tree), f"theorems.py imports {_numpy_imports(tree)}"
+    assert "numpy" not in source
 
 
 # -- tol judges only the caller's input ---------------------------------------
@@ -210,8 +245,8 @@ def test_no_threshold_is_scaled_by_magnitude(module):
 # per-call dispatch for three floats, and a round trip through tolist() for
 # every result, so arrays appear only where values enter (the checked
 # constructor) and where they leave (the re/du properties and the public
-# functions that return arrays). theorems' SVD and least squares take the
-# re properties and need none of these calls.
+# functions that return arrays). theorems imports no numpy at all
+# (test_theorems_imports_no_numpy).
 
 ARRAY_CALLS = {"numpy.array", "numpy.cross"}
 ARRAY_METHODS = {"tolist", "dot"}
@@ -316,23 +351,65 @@ print(json.dumps(seen))
 """
 
 
-def test_dual_path_subcommands_do_not_load_numpy():
-    cases = [*DUAL_PATH_CASES, "fit-screw:json"]
+def _fresh_interpreter(script: str, stdin: str = "") -> list:
+    """The JSON that ``script`` prints, run by a new interpreter on this checkout's package."""
     src = str(SOURCE.resolve().parent)
     env = {k: v for k, v in os.environ.items() if k != "SCREWALG_TOL"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_IN_ORDER],
-        input=json.dumps([[name, GOLDEN[name]["argv"]] for name in cases]),
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+        [sys.executable, "-c", script],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    seen = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_dual_path_subcommands_do_not_load_numpy():
+    cases = [*DUAL_PATH_CASES, "fit-screw:json"]
+    seen = _fresh_interpreter(
+        _RUN_IN_ORDER, json.dumps([[name, GOLDEN[name]["argv"]] for name in cases])
+    )
     assert seen[0] == ["import", 0, False], "import screwalg or screwalg.cli loaded numpy"
     for name, code, loaded in seen[1:-1]:
         assert code == GOLDEN[name]["exit"], f"{name} exited {code}"
         assert not loaded, f"{name} loaded numpy"
     # The oracle's fit works on arrays, so numpy is loaded once it has run.
     assert seen[-1] == ["fit-screw:json", 0, True]
+
+
+# One triple of each class, and independence of two and of three screws.
+_THEOREMS_IN_ORDER = """
+import json, math, sys
+from screwalg import Dual, DualVec3, classify_triple, independent_over_D
+from screwalg import line_from_point_direction as line
+X, Y, Z = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+x_axis, y_offset = line([0, 0, 0], X).screw, line([0, 0, 1], Y).screw
+triples = {
+    "IndependentBasis": [DualVec3(X), DualVec3(Y), DualVec3(Z)],
+    "CommonOrthogonalLine": [x_axis, y_offset, Dual(1, 2) * x_axis + Dual(2, -1) * y_offset],
+    "ParallelCoplanar": [line([0, k, 0], X).screw for k in (0, 1, 2)],
+    "ParallelNonCoplanar": [line(p, X).screw for p in ([0, 0, 0], [0, 1, 0], [0, 0, 1])],
+    "ConcurrentCoplanar": [line([1, 1, 0], e).screw for e in (X, Y, [math.sqrt(0.5)] * 2 + [0])],
+}
+seen = [["import", None, "numpy" in sys.modules]]
+for tag, zs in triples.items():
+    seen.append([tag, classify_triple(*zs).tag.value, "numpy" in sys.modules])
+for name, zs in (("pair", triples["IndependentBasis"][:2]),
+                 ("parallel-pair", triples["ParallelCoplanar"][:2]),
+                 ("triple", triples["IndependentBasis"]),
+                 ("coplanar-triple", triples["ConcurrentCoplanar"])):
+    seen.append([name, independent_over_D(zs), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_classification_and_independence_do_not_load_numpy():
+    seen = _fresh_interpreter(_THEOREMS_IN_ORDER)
+    assert seen[0] == ["import", None, False], "import screwalg loaded numpy"
+    assert [(name, result) for name, result, _ in seen[1:]] == [
+        *((tag.value, tag.value) for tag in TripleTag),
+        ("pair", True), ("parallel-pair", False), ("triple", True), ("coplanar-triple", False),
+    ]
+    assert not [name for name, _, loaded in seen if loaded], "numpy was loaded"
 
 
 ORACLE_NAMES = (

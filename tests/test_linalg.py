@@ -44,7 +44,7 @@ from screwalg.errors import (
     NullVector,
     ProjectionMismatch,
 )
-from screwalg.linalg import _length, _mat, _vec
+from screwalg.linalg import _coplanar, _cross, _length, _mat, _parallel, _triple, _vec
 
 E1, E2, E3 = basis()
 
@@ -462,6 +462,67 @@ class TestInputChecks:
     def test_lists_and_tuples_read_as_numpy_coerces_them(self, case):
         cls, x = case
         assert _outcome(cls._checked, x) == _outcome(lambda y: _numpy_checked(cls, y), x)
+
+    def test_ragged_rows_are_refused_before_any_entry_is_read(self):
+        # The third row alone is a plain row with an int beyond the floats;
+        # numpy sees the ragged shape first, and so must the plain path.
+        x = [0.0, 0.0, [0.0, 0.0, 10**400]]
+        assert _outcome(DualMat3._checked, x) == _outcome(lambda y: _numpy_checked(DualMat3, y), x)
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            DualMat3(x)
+
+
+def _parallel_formula(u, v, tol):
+    return _length(_cross(u, v)) <= tol * _length(u) * _length(v)
+
+
+def _coplanar_formula(u, v, w, tol):
+    return abs(_triple(u, v, w)) <= tol * _length(u) * _length(v) * _length(w)
+
+
+# Components of 1e-3 to 1 in size, or 0: a power of two up to 2**900 either
+# way keeps every one of them a normal float.
+SIZED = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+SIZED_VECTORS = st.tuples(SIZED, SIZED, SIZED).filter(any)
+TOLERANCES = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3])
+
+
+class TestDependenceTests:
+    """_parallel and _coplanar are the library's one decision that resultants are dependent."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIZED_VECTORS, SIZED_VECTORS, SIZED_VECTORS, TOLERANCES)
+    def test_inside_the_safe_range_the_verdicts_are_the_formulas(self, u, v, w, tol):
+        assert _parallel(u, v, tol) is _parallel_formula(u, v, tol)
+        assert _coplanar(u, v, w, tol) is _coplanar_formula(u, v, w, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIZED_VECTORS, SIZED_VECTORS, SIZED_VECTORS, TOLERANCES,
+           st.lists(st.integers(-900, 900), min_size=3, max_size=3))
+    def test_a_power_of_two_moves_no_verdict(self, u, v, w, tol, exponents):
+        ku, kv, kw = exponents
+        su, sv, sw = (tuple(math.ldexp(c, k) for c in a) for a, k in ((u, ku), (v, kv), (w, kw)))
+        assert _parallel(su, sv, tol) is _parallel_formula(u, v, tol)
+        assert _coplanar(su, sv, sw, tol) is _coplanar_formula(u, v, w, tol)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
+    def test_the_canonical_basis_is_free_at_any_scale(self, scale):
+        x, y, z = (scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale)
+        assert not _parallel(x, y, 1e-9)
+        assert not _coplanar(x, y, z, 1e-9)
+        assert _parallel(x, (-scale, 0.0, 0.0), 0.0)
+        assert _coplanar(x, y, (scale, -scale, 0.0), 0.0)
+
+    def test_a_tiny_cross_product_is_not_lost_to_its_square(self):
+        # |u x v| = 1e-170, whose square underflows; at tol 0 only 0 is parallel.
+        assert not _parallel((1.0, 0.0, 0.0), (1.0, 1e-170, 0.0), 0.0)
+        assert _parallel((1.0, 0.0, 0.0), (1.0, 1e-170, 0.0), 1e-160)
+
+    def test_lengths_the_caller_holds_are_used(self):
+        u, v, w = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+        assert _parallel(u, v, 1e-9, 1.0, 1.0) is False
+        assert _parallel(u, v, 0.5, 2.0, 1.0) is True
+        assert _coplanar(u, v, w, 0.5, 1.0, 2.0, 1.0) is True
 
 
 HUGE = DualVec3([1e200, 0, 0])

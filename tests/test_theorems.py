@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_dual_close,
@@ -53,6 +55,7 @@ from screwalg.errors import (
     NotFinite,
     NotOnSphere,
     NullVector,
+    ParallelResultants,
     ScrewAlgError,
 )
 from screwalg.linalg import cross, mixed, norm, normalized
@@ -103,6 +106,88 @@ class TestIndependence:
             rank = np.linalg.matrix_rank(np.vstack([z.re for z in zs]), tol=1e-9)
             assert independent_over_D(zs) == (rank == 3)
 
+    def test_counts(self):
+        zs = [DualVec3(X), DualVec3(Y), DualVec3(Z), DualVec3(X + Y)]
+        assert independent_over_D([])
+        assert independent_over_D(zs[:1])
+        assert not independent_over_D(zs)
+
+    # Dependent means |r1 x r2| <= tol |r1| |r2| for two resultants and
+    # |[r1 r2 r3]| <= tol |r1| |r2| |r3| for three, the bounds of common_normal
+    # and classify_triple. The singular-value ratio used before called both
+    # 1.5e-9 cases dependent.
+    @pytest.mark.parametrize("offset, free", [(0.5e-9, False), (1.5e-9, True)])
+    def test_pair_on_either_side_of_the_bound(self, offset, free):
+        zs = [DualVec3([1, 0, 0]), DualVec3([1, offset, 0])]
+        assert independent_over_D(zs) is free
+        if free:
+            common_normal(*zs)
+        else:
+            with pytest.raises(ParallelResultants):
+                common_normal(*zs)
+
+    @pytest.mark.parametrize("offset, free", [(1.3e-9, False), (1.5e-9, True)])
+    def test_triple_on_either_side_of_the_bound(self, offset, free):
+        # The bound is tol |(1, 1, offset)| = 1.414e-9.
+        zs = [DualVec3([1, 0, 0]), DualVec3([0, 1, 0]), DualVec3([1, 1, offset])]
+        assert independent_over_D(zs) is free
+        assert (classify_triple(*zs).tag is TripleTag.INDEPENDENT_BASIS) is free
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_canonical_basis_at_extreme_scales(self, scale):
+        # Squares of 1e-200 underflow and products of 1e200 overflow; the
+        # resultants were judged parallel, so classification raised
+        # NullVector or NotFinite.
+        zs = [DualVec3(scale * e) for e in (X, Y, Z)]
+        assert independent_over_D(zs)
+        assert independent_over_D(zs[:2])
+        assert classify_triple(*zs).tag is TripleTag.INDEPENDENT_BASIS
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_three_screws_are_free_exactly_when_they_are_a_basis(self, data):
+        zs = data.draw(_near_dependent(3))
+        try:
+            basis = classify_triple(*zs).tag is TripleTag.INDEPENDENT_BASIS
+        except ScrewAlgError:
+            basis = False
+        assert independent_over_D(zs) is basis
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_two_screws_are_free_exactly_when_they_have_a_common_normal(self, data):
+        zs = data.draw(_near_dependent(2))
+        try:
+            common_normal(*zs)
+            normal = True
+        except ParallelResultants:
+            normal = False
+        assert independent_over_D(zs) is normal
+
+
+BOX = st.floats(-1.0, 1.0)
+BOX_VECTORS = st.tuples(BOX, BOX, BOX).map(np.array)
+
+
+@st.composite
+def _near_dependent(draw, count):
+    """``count`` screws whose resultants leave a line (2) or a plane (3) by a
+    relative 1e-11 to 1e-7 either way, so that tol = 1e-9 falls among them."""
+    e0, q = draw(BOX_VECTORS), draw(BOX_VECTORS)
+    n = np.cross(e0, q)
+    size = np.linalg.norm
+    assume(min(size(e0), size(q)) >= 0.1 and size(n) >= 0.2 * size(e0) * size(q))
+    off = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11.0, -7.0))
+    if count == 2:
+        base = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0])) * e0
+        res = [e0]
+    else:
+        base = draw(st.floats(-2.0, 2.0)) * e0 + draw(st.floats(-2.0, 2.0)) * q
+        assume(size(base) >= 0.1)
+        res = [e0, q]
+    res.append(base + off * size(base) / size(n) * n)
+    return [DualVec3(r, draw(BOX_VECTORS)) for r in res]
+
 
 class TestProportional:
     def test_dual_multiple(self):
@@ -119,6 +204,11 @@ class TestProportional:
 
     def test_independent_directions(self):
         assert not are_proportional(DualVec3(X), DualVec3(Y))
+
+    def test_orthogonal_tiny_screws_are_not_proportional(self):
+        # Their cross product and its bound both underflowed to 0.
+        assert not are_proportional(DualVec3([1e-200, 0, 0]), DualVec3([0, 1e-200, 0]))
+        assert are_proportional(DualVec3([1e-200, 0, 0]), DualVec3([-3e-200, 0, 0]))
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("angle, proportional", [(1e-6, False), (1e-10, True)])
@@ -192,6 +282,13 @@ class TestClassifyTriple:
         dirs = [X, Y, (X + Y) / math.sqrt(2)]
         zs = [line_from_point_direction(p, e).screw for e in dirs]
         assert classify_triple(*zs).tag is TripleTag.CONCURRENT_COPLANAR
+
+    def test_pencil_with_a_tiny_normal_stays_concurrent_at_tol_zero(self):
+        # The first two unit lines make an angle of 1e-170: the square of
+        # their cross product underflows, so Cramer's rule divides by it only
+        # once it is brought to unit scale.
+        zs = [DualVec3([1e100, 0, 0]), DualVec3([1e100, 1e-70, 0]), DualVec3([0, 1, 0])]
+        assert classify_triple(*zs, tol=0.0).tag is TripleTag.CONCURRENT_COPLANAR
 
     @staticmethod
     def _pencil(centre, moved=None, offset=(0.0, 0.0, 0.0)):
