@@ -24,14 +24,12 @@ from .linalg import (
     _cross,
     _dot3,
     _finite,
-    _ldexp3,
+    _in_range,
     _length,
-    _max_abs,
     _modulus,
     _over,
     _parallel,
     _sub,
-    _unit_exponent,
     _vec,
     cross,
     dot,
@@ -161,13 +159,18 @@ def axis_decompose(z: DualVec3) -> AxisDecomposition:
     from values the library computed, so it is checked against their
     rounding, not against a caller's tolerance.
     """
+    z, k = _in_range(z)
     ss = dot(z, z)
     n = _modulus(ss)
     a = n.re  # |s|, the square root of s o s
     s = z._re
     point = _over(_cross(s, z._du), ss.re)
     axis = _line_through(point, _over(s, a), _ROUNDINGS * sys.float_info.epsilon)
-    return AxisDecomposition(magnitude=a, pitch=n.du / a, axis=axis)
+    try:
+        magnitude = math.ldexp(a, -k)
+    except OverflowError as exc:
+        raise NotFinite("magnitude overflows") from exc
+    return AxisDecomposition(magnitude=magnitude, pitch=n.du / a, axis=axis)
 
 
 def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
@@ -179,33 +182,17 @@ def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
     cosine alone the angle stays accurate near 0 and pi. Exactly parallel
     resultants (a zero real cross product, whose modulus is undefined) give
     exactly 0 or pi with dual part 0: the distance between parallel axes
-    lives in the classical oracle. Where squares would underflow or overflow, x
-    and y are first brought to unit scale by powers of two, which move no bit.
+    lives in the classical oracle.
     """
+    if x.is_pure_dual or y.is_pure_dual:
+        raise NullVector("dual angle undefined for pure-dual screws")
+    x, _ = _in_range(x)
+    y, _ = _in_range(y)
     xy = dot(x, y)
     xy_cross = cross(x, y)
-    size = _max_abs(xy_cross._re)
-    if size == 0.0:
-        if xy.re == 0.0:
-            raise NullVector("dual angle undefined for pure-dual screws")
+    if not any(xy_cross._re):
         return _dual(0.0 if xy.re > 0.0 else math.pi, 0.0)
-    if size < 1e-150 or max(size, abs(xy.re)) > 1e150:
-        x, y = _unit_scaled(x), _unit_scaled(y)
-        xy = dot(x, y)
-        xy_cross = cross(x, y)
     return atan2(norm(xy_cross), xy)
-
-
-def _unit_scaled(z: DualVec3) -> DualVec3:
-    """z times the power of two that brings its largest resultant component into [0.5, 1).
-
-    Scaling by a power of two moves no bit unless a component leaves the range
-    of floats; a dual part scaled past the largest float raises NotFinite."""
-    k = _unit_exponent(z._re)
-    try:
-        return DualVec3._raw(_ldexp3(z._re, k), _ldexp3(z._du, k))
-    except OverflowError as exc:
-        raise NotFinite("3-vector result overflows") from exc
 
 
 def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
@@ -216,6 +203,8 @@ def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
     """
     if x.is_pure_dual or y.is_pure_dual:
         raise NullVector("common normal requires proper screws")
+    x, _ = _in_range(x)
+    y, _ = _in_range(y)
     if _parallel(x._re, y._re, tol):
         raise ParallelResultants("resultants are parallel; no unique common normal")
     # The axis of the cross product, built from point + direction, is the

@@ -97,67 +97,69 @@ def _triple(a: tuple, b: tuple, c: tuple) -> float:
     return _dot3(_cross(a, b), c)
 
 
-def _unit_exponent(a: tuple) -> int:
-    """The k for which 2**k brings a's largest component into [0.5, 1); 0 for a null a."""
-    return -math.frexp(_max_abs(a))[1]
+# The largest resultant component of a screw in range lies in
+# [2**-_RANGE, 2**_RANGE]; see _in_range.
+_RANGE = 150
+_SMALLEST = 2.0 ** -_RANGE
+_LARGEST = 2.0 ** _RANGE
 
 
-def _ldexp3(a: tuple, k: int) -> tuple:
-    """The 3-vector a times 2**k, which moves no bit unless a component leaves the
-    normal floats; a component beyond the largest float raises OverflowError."""
-    a0, a1, a2 = a
-    return (math.ldexp(a0, k), math.ldexp(a1, k), math.ldexp(a2, k))
+def _in_range(*xs) -> tuple:
+    """(x1', ..., xn', k): each x times 2**k, for real 3-vectors and DualVec3s.
+
+    The one place the library handles a screw's size. Where the largest
+    resultant component among the xs lies in [2**-150, 2**150], or is 0, they
+    come back untouched with k = 0; otherwise k is the shift of least size that
+    brings it into that range. Why that range: no formula the library
+    evaluates on screws takes a product of more than four resultant lengths
+    (c**2 + s**2 in dual_angle, tol |u| |v| |w| in _coplanar), and within
+    2**+-604 those stay normal floats, with over 400 binary orders to spare for
+    moments far from their resultants and for ``tol``. A power of two moves no
+    bit of a normal float, so a function that takes its inputs into range on
+    entry answers bit for bit the same for any power-of-two multiple of them,
+    and at normal sizes pays only this test. A dual part scaled past the
+    largest float raises NotFinite.
+    """
+    size = 0.0
+    for x in xs:
+        a, b, c = x if type(x) is tuple else x._re
+        a, b, c = abs(a), abs(b), abs(c)
+        if a > size:
+            size = a
+        if b > size:
+            size = b
+        if c > size:
+            size = c
+    if _SMALLEST <= size <= _LARGEST or size == 0.0:
+        return xs + (0,)
+    e = math.frexp(size)[1]  # 2**(e - 1) <= size < 2**e
+    k = 1 - _RANGE - e if size < _SMALLEST else _RANGE - e
+
+    def scaled(a: tuple) -> tuple:
+        try:
+            return tuple([math.ldexp(c, k) for c in a])
+        except OverflowError as exc:
+            raise NotFinite("3-vector result overflows") from exc
+
+    return (*[scaled(x) if type(x) is tuple else DualVec3._raw(scaled(x._re), scaled(x._du))
+              for x in xs], k)
 
 
-def _at_unit_scale(a: tuple) -> tuple:
-    """a brought to unit scale: _ldexp3 by its _unit_exponent."""
-    return _ldexp3(a, _unit_exponent(a))
-
-
-# A length in this range squares to a normal float, and the product of three
-# such lengths is a normal float too. The dependence tests below evaluate their
-# formula as written when every length it takes lies here; otherwise they first
-# bring each vector to unit scale by a power of two.
-_SAFE_LOW = 1e-100
-_SAFE_HIGH = 1e100
-
-
-def _parallel(u: tuple, v: tuple, tol: float, lu=None, lv=None) -> bool:
+def _parallel(u: tuple, v: tuple, tol: float) -> bool:
     """Whether real 3-vectors are parallel: |u x v| <= tol |u| |v|.
 
     With _coplanar, the one place the library decides that resultants are
-    dependent. ``lu`` and ``lv``, where the caller holds them, are _length(u)
-    and _length(v). Outside the safe range the cross product's length is taken
-    with math.hypot, which squares no tiny value.
+    dependent. The cross product's length is taken with math.hypot, which
+    squares no tiny value.
     """
-    if lu is None:
-        lu = _length(u)
-    if lv is None:
-        lv = _length(v)
-    lc = _length(_cross(u, v))
-    if (_SAFE_LOW <= lc <= _SAFE_HIGH and _SAFE_LOW <= lu <= _SAFE_HIGH
-            and _SAFE_LOW <= lv <= _SAFE_HIGH):
-        return lc <= tol * lu * lv
-    u, v = _at_unit_scale(u), _at_unit_scale(v)
     return math.hypot(*_cross(u, v)) <= tol * _length(u) * _length(v)
 
 
-def _coplanar(u: tuple, v: tuple, w: tuple, tol: float, lu=None, lv=None, lw=None) -> bool:
+def _coplanar(u: tuple, v: tuple, w: tuple, tol: float) -> bool:
     """Whether real 3-vectors are linearly dependent: |[u v w]| <= tol |u| |v| |w|.
 
-    With _parallel, the one place the library decides that resultants are
-    dependent; ``lu``, ``lv`` and ``lw``, where given, are their _length values.
+    With _parallel, the one place the library decides that resultants are dependent.
     """
-    if lu is None:
-        lu = _length(u)
-    if lv is None:
-        lv = _length(v)
-    if lw is None:
-        lw = _length(w)
-    if (_SAFE_LOW <= lu <= _SAFE_HIGH and _SAFE_LOW <= lv <= _SAFE_HIGH
-            and _SAFE_LOW <= lw <= _SAFE_HIGH):
-        return abs(_triple(u, v, w)) <= tol * lu * lv * lw
-    u, v, w = _at_unit_scale(u), _at_unit_scale(v), _at_unit_scale(w)
     return abs(_triple(u, v, w)) <= tol * _length(u) * _length(v) * _length(w)
 
 
@@ -416,7 +418,14 @@ def norm(x: DualVec3) -> Dual:
     Pure-dual vectors are rejected rather than given the conventional modulus
     0: every downstream use (normalization, pitch, axis) is undefined there.
     """
-    return _modulus(dot(x, x))
+    x, k = _in_range(x)
+    n = _modulus(dot(x, x))
+    if not k:
+        return n
+    try:
+        return _dual(math.ldexp(n.re, -k), math.ldexp(n.du, -k))
+    except OverflowError as exc:
+        raise NotFinite("modulus overflows") from exc
 
 
 def _modulus(ss: Dual) -> Dual:
@@ -428,7 +437,8 @@ def _modulus(ss: Dual) -> Dual:
 
 def normalized(x: DualVec3) -> DualVec3:
     """Unit screw x / |x|; for a proper screw this is its axis line."""
-    return x * norm(x).inv()
+    x, _ = _in_range(x)
+    return x * _modulus(dot(x, x)).inv()
 
 
 def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, DualVec3, DualVec3]:
@@ -437,8 +447,10 @@ def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, Du
     The projection coefficients are dual numbers, so the usual real-vector
     procedure applies verbatim; it only ever divides by pivots c_i o c_i with
     invertible real part. Pivots are compared against
-    ``PIVOT_TOL * scale**2`` where ``scale`` is the largest resultant length.
+    ``PIVOT_TOL * scale**2`` where ``scale`` is the largest resultant length,
+    so the three are brought into range by one common power of two.
     """
+    b1, b2, b3, _ = _in_range(b1, b2, b3)
     scale = max(_length(b._re) for b in (b1, b2, b3))
     threshold = PIVOT_TOL * scale * scale
     out: list[DualVec3] = []
@@ -631,29 +643,20 @@ def _translation(u: DualMat3) -> tuple:
     return _axial_vector(_matmat(u._du, _transpose(u._re)))
 
 
-def displacement(
-    frame_a: DualMat3,
-    frame_b: DualMat3,
-    tol: float = DEFAULT_TOL,
-    prerotate: bool = False,
-) -> np.ndarray:
+def displacement(frame_a: DualMat3, frame_b: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Displacement between the points of two frames, in canonical coordinates.
 
     Computed as the pure-dual half-sum (1/2) sum_i m_i cross m_i' over
     corresponding rows, which requires both frames to project onto the same
-    real basis. With ``prerotate`` the second frame is first realigned by the
-    real special orthogonal matrix re(a) re(b)^T; otherwise mismatched
-    projections raise ProjectionMismatch. ``tol`` judges the frames, not what is built from them.
+    real basis: mismatched projections raise ProjectionMismatch. ``tol``
+    judges the frames, not what is built from them.
     """
     import numpy as np
 
     _require_frame(frame_a, tol)
     _require_frame(frame_b, tol)
     if _max_abs(_sub(frame_a._re, frame_b._re)) > tol:
-        if not prerotate:
-            raise ProjectionMismatch("frames project to different real bases")
-        q = _matmat(frame_a._re, _transpose(frame_b._re))
-        frame_b = DualMat3._raw(_matmat(q, frame_b._re), _matmat(q, frame_b._du))
+        raise ProjectionMismatch("frames project to different real bases")
     total = DualVec3._raw(_ZERO3, _ZERO3)
     for i in range(3):
         total = total + cross(frame_a.row(i), frame_b.row(i))

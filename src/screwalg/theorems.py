@@ -34,12 +34,11 @@ from .linalg import (
     _ZERO3,
     DualVec3,
     _add,
-    _at_unit_scale,
     _coplanar,
     _cross,
     _dot3,
+    _in_range,
     _length,
-    _max_abs,
     _modulus,
     _over,
     _parallel,
@@ -66,14 +65,13 @@ def _require_proper(zs) -> None:
             raise NullVector("operation undefined for pure-dual screws")
 
 
-def _parallel_pairs(res, tol: float, lengths=None):
-    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0), each length taken once
-    or read from ``lengths``; lazy, so that a refusal at the first parallel pair takes no more."""
-    u, v, w = res
-    lu, lv, lw = lengths or (_length(u), _length(v), _length(w))
-    yield _parallel(u, v, tol, lu, lv)
-    yield _parallel(v, w, tol, lv, lw)
-    yield _parallel(w, u, tol, lw, lu)
+def _parallel_pairs(res, tol: float):
+    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0) of the real 3-vectors
+    ``res``; lazy, so that a refusal at the first parallel pair takes no more."""
+    u, v, w = [_in_range(r)[0] for r in res]
+    yield _parallel(u, v, tol)
+    yield _parallel(v, w, tol)
+    yield _parallel(w, u, tol)
 
 
 def _moment_near(s: DualVec3, z: DualVec3) -> float:
@@ -82,14 +80,15 @@ def _moment_near(s: DualVec3, z: DualVec3) -> float:
     z's axis moves with the screws, so no rigid motion changes this length, while
     |s.du| moves by p x s.re when the origin moves by p; where s.re vanishes it is |s.du|.
     """
-    k = _max_abs(z._re)
-    e = _over(z._re, k)
-    v = _sub(s._du, _cross(_over(_cross(e, _over(z._du, k)), _dot3(e, e)), s._re))
-    w = _cross(e, s._re)
+    z, _ = _in_range(z)
+    e = z._re
+    v = _sub(s._du, _cross(_over(_cross(e, z._du), _dot3(e, e)), s._re))
+    r, _ = _in_range(s._re)
+    w = _cross(e, r)
     if any(w):
-        w = _over(w, _max_abs(w))
-        v = _sub(v, _scale(_dot3(v, w) / _dot3(w, w), w))
-    return _length(v)
+        w = _over(w, math.hypot(*w))
+        v = _sub(v, _scale(_dot3(v, w), w))
+    return math.hypot(*v)
 
 
 def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
@@ -107,11 +106,12 @@ def independent_over_D(zs, tol: float = DEFAULT_TOL) -> bool:
     _require_proper(zs)
     if len(zs) <= 1:
         return True
+    if len(zs) > 3:
+        return False
+    res = [_in_range(z._re)[0] for z in zs]
     if len(zs) == 2:
-        return not _parallel(zs[0]._re, zs[1]._re, tol)
-    if len(zs) == 3:
-        return not _coplanar(zs[0]._re, zs[1]._re, zs[2]._re, tol)
-    return False
+        return not _parallel(*res, tol)
+    return not _coplanar(*res, tol)
 
 
 def are_proportional(z1: DualVec3, z2: DualVec3, tol: float = DEFAULT_TOL) -> bool:
@@ -119,10 +119,11 @@ def are_proportional(z1: DualVec3, z2: DualVec3, tol: float = DEFAULT_TOL) -> bo
     are parallel (linalg._parallel) and the moment of c about z1's axis (``_moment_near``)
     is at most ``tol`` times the resultant lengths, sizes that no rigid motion changes."""
     _require_proper((z1, z2))
-    lu, lv = _length(z1._re), _length(z2._re)
-    if not _parallel(z1._re, z2._re, tol, lu, lv):
+    z1, _ = _in_range(z1)
+    z2, _ = _in_range(z2)
+    if not _parallel(z1._re, z2._re, tol):
         return False
-    return _moment_near(cross(z1, z2), z1) <= tol * lu * lv
+    return _moment_near(cross(z1, z2), z1) <= tol * _length(z1._re) * _length(z2._re)
 
 
 class TripleTag(str, Enum):
@@ -156,11 +157,11 @@ def classify_triple(
     NotClassifiable. No threshold moves with the triple: ``tol`` times resultant
     lengths, or ``tol`` raised to the rounding of the values compared.
     """
-    zs = (z1, z2, z3)
-    _require_proper(zs)
+    _require_proper((z1, z2, z3))
+    zs = z1, z2, z3 = [_in_range(z)[0] for z in (z1, z2, z3)]
     res = [z._re for z in zs]
     rnorm = [_length(r) for r in res]
-    pair_parallel = list(_parallel_pairs(res, tol, rnorm))
+    pair_parallel = list(_parallel_pairs(res, tol))
 
     if all(pair_parallel):
         p0, p1, p2 = (_foot(axis_decompose(z).axis) for z in zs)
@@ -173,7 +174,7 @@ def classify_triple(
             return TripleClassification(TripleTag.PARALLEL_COPLANAR)
         return TripleClassification(TripleTag.PARALLEL_NON_COPLANAR)
 
-    if not _coplanar(*res, tol, *rnorm):
+    if not _coplanar(*res, tol):
         return TripleClassification(TripleTag.INDEPENDENT_BASIS)
 
     none_parallel = not any(pair_parallel)
@@ -190,7 +191,7 @@ def classify_triple(
         unit = normalized(z3)
         incidence = dot(witness.screw, unit)
         # The witness's rounding grows as 1 / sin(theta_12) of z1 and z2.
-        rounding = _ROUNDINGS * sys.float_info.epsilon * rnorm[0] * rnorm[1] / _length(normal._re)
+        rounding = _ROUNDINGS * sys.float_info.epsilon * rnorm[0] * rnorm[1] / math.hypot(*normal._re)
         moment_rounding = rounding * (_length(witness.screw._du) + _length(unit._du))
         if abs(incidence.re) > max(tol, rounding) or abs(incidence.du) > max(tol, moment_rounding):
             raise NotClassifiable("mixed product vanishes but the candidate line misses an axis")
@@ -205,26 +206,24 @@ def _concurrent_sliding(zs, tol: float) -> bool:
     Lines through one point form a pencil: the third unit line is the real
     combination a*l0 + b*l1 of the first two, and its moment differs from
     that combination's by the distance from the meeting point to its axis.
-    a and b come from Cramer's rule on n = e0 x e1: (e2 x e1) . n / n . n
-    and (e0 x e2) . n / n . n, which is the least-squares fit where e2 leaves
-    the plane. Both products are taken with m, n brought to unit scale by a
-    power of two: that moves no bit of the quotients, and the denominator
-    n . m does not underflow where n . n would. Pitch and
-    distance are compared with ``tol``, or with the rounding of the moments
-    where that is larger, so that moving the triple away from the origin
-    does not change the verdict.
+    a and b come from Cramer's rule on n = e0 x e1: (e2 x e1) . m / n . m
+    with m = n in range, which is the least-squares fit where e2 leaves the
+    plane. Pitch and distance are compared with ``tol``, or with the rounding
+    of the moments where that is larger, so that moving the triple away from
+    the origin does not change the verdict.
     """
     rounding = _ROUNDINGS * sys.float_info.epsilon
     lines = []
     for z in zs:
-        n = norm(z)
+        z, _ = _in_range(z)
+        n = _modulus(dot(z, z))
         if abs(n.du / n.re) > max(tol, rounding * _length(z._du) / n.re):
             return False
         lines.append(z * n.inv())
     l0, l1, l2 = lines
     e0, e1, e2 = l0._re, l1._re, l2._re
     n = _cross(e0, e1)
-    m = _at_unit_scale(n)
+    m, _ = _in_range(n)
     nm = _dot3(n, m)
     a = _dot3(_cross(e2, e1), m) / nm
     b = _dot3(_cross(e0, e2), m) / nm
@@ -386,7 +385,7 @@ def petersen_morley(
     triple = (x, y, z)
     _require_proper(triple)
     res_lengths = [_length(w._re) for w in triple]
-    pairs = _parallel_pairs((x._re, y._re, z._re), tol, res_lengths)
+    pairs = _parallel_pairs((x._re, y._re, z._re), tol)
     for key, parallel in zip(("x,y", "y,z", "z,x"), pairs):
         if parallel:
             raise NonGeneric(f"resultants of {key} are parallel")
@@ -396,8 +395,7 @@ def petersen_morley(
     c = cross(y, cross(z, x))
     derived = (a, b, c)
     scale = res_lengths[0] * res_lengths[1] * res_lengths[2]
-    lengths = [_length(w._re) for w in derived]
-    proper = [n > tol * scale for n in lengths]
+    proper = [_length(w._re) > tol * scale for w in derived]
     for name, w, keeps, owner in zip("abc", derived, proper, (x, z, y)):
         if not keeps and _moment_near(w, owner) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
@@ -405,7 +403,7 @@ def petersen_morley(
     jacobi_residual = magnitude(a + b + c)
 
     if all(proper):
-        if any(_parallel_pairs((a._re, b._re, c._re), tol, lengths)):
+        if any(_parallel_pairs((a._re, b._re, c._re), tol)):
             raise NonGeneric("derived screws have pairwise parallel resultants")
         # common_normal(a, b), whose checks ran above.
         normal = axis_decompose(cross(a, b)).axis

@@ -238,6 +238,78 @@ def test_no_threshold_is_scaled_by_magnitude(module):
     assert not lines, f"{module}.py compares a magnitude(...) at lines {lines}"
 
 
+# -- one scale rule ------------------------------------------------------------
+#
+# linalg._in_range is the one place the library handles a screw's size: it
+# brings screws into range by a power of two. An frexp, an ldexp or a number
+# beyond 1e100 either way anywhere else is a second rescue or a size test of
+# its own. Only norm and axis_decompose, which hand back a length, undo the
+# helper's power, with ldexp.
+
+SCALE_RULE = "linalg._in_range"
+SCALE_BACKS = {"linalg.norm", "geometry.axis_decompose"}
+SIZE_CALLS = {"math.ldexp": "ldexp", "math.frexp": "frexp"}
+
+
+def _size_handling(tree: ast.AST) -> list:
+    """(function, line, what) of each math.ldexp and math.frexp call, however
+    imported, and of each number at least 1e100 or at most 1e-100 in size;
+    ``function`` is the outermost function the node is in, or None."""
+    aliases = _aliases(tree)
+    owner = {}
+    for name, fn in _functions(tree):
+        for node in ast.walk(fn):
+            owner.setdefault(node, name)
+    found = set()
+    for node in ast.walk(tree):
+        what = None
+        if isinstance(node, ast.Call) and _dotted(node.func) is not None:
+            head, _, rest = _dotted(node.func).partition(".")
+            what = SIZE_CALLS.get(aliases.get(head, head) + ("." + rest if rest else ""))
+        elif _is_number(node) and isinstance(node, ast.Constant):
+            size = abs(node.value)
+            what = "number" if size >= 1e100 or 0 < size <= 1e-100 else None
+        if what:
+            found.add((owner.get(node), node.lineno, what))
+    return sorted(found, key=lambda item: item[1:])
+
+
+def test_size_detector_sees_every_spelling():
+    source = (
+        "import math\n"
+        "import math as m\n"
+        "from math import ldexp as scale\n"
+        "BIG = 1e150\n"
+        "def f(x):\n"
+        "    return math.ldexp(x, 3) + m.frexp(x)[0] + scale(x, -1) + math.exp(x)\n"
+        "class K:\n"
+        "    def g(self, x):\n"
+        "        return x < -1e-150 or x > 10 ** 400 or x > 1e99 or x > 1e-99\n"
+        "def _in_range(x):\n"
+        "    def scaled(c):\n"
+        "        return math.ldexp(c, 1)\n"
+        "    return scaled(x) > 1e-100\n"
+    )
+    assert _size_handling(ast.parse(source)) == [
+        (None, 4, "number"), ("f", 6, "frexp"), ("f", 6, "ldexp"), ("K.g", 9, "number"),
+        ("_in_range", 12, "ldexp"), ("_in_range", 13, "number"),
+    ]
+
+
+def test_one_place_handles_a_screws_size():
+    modules = sorted(SOURCE.rglob("*.py"))
+    assert modules, "no modules found; the test is not looking at the package"
+    found, owners = [], set()
+    for path in modules:
+        for owner, line, what in _size_handling(ast.parse(path.read_text(encoding="utf-8"))):
+            name = f"{path.stem}.{owner}"
+            owners.add(name)
+            if name != SCALE_RULE and not (what == "ldexp" and name in SCALE_BACKS):
+                found.append(f"{path.name}:{line} {what}")
+    assert {SCALE_RULE, *SCALE_BACKS} <= owners, "a scaling function is gone; shrink the list"
+    assert not found, f"a screw's size is handled outside {SCALE_RULE}: {found}"
+
+
 # -- one screw is six floats ---------------------------------------------------
 #
 # linalg, geometry and theorems compute on tuples of Python floats with the

@@ -534,7 +534,8 @@ def run_process(*argv, flags=()):
 
 class TestOverflow:
     def test_screw_whose_modulus_overflows_exits_3(self):
-        motor = {"re": [1e200, 0, 0], "du": [0, 1e200, 0]}
+        # |re| = 2.4e308 is beyond the largest float.
+        motor = {"re": [1.7e308, 1.7e308, 0], "du": [0, 0, 0]}
         code, out, err = run_process("screw-axis", "--json", json.dumps(motor))
         assert code == 3
         assert out == ""
@@ -544,7 +545,7 @@ class TestOverflow:
 
     def test_screw_whose_modulus_overflows_exits_3_under_optimize(self):
         # The finiteness tests are code, not asserts, so -O keeps them.
-        motor = {"re": [1e200, 0, 0], "du": [0, 1e200, 0]}
+        motor = {"re": [1.7e308, 1.7e308, 0], "du": [0, 0, 0]}
         code, out, err = run_process("screw-axis", "--json", json.dumps(motor), flags=("-O",))
         assert code == 3
         assert out == ""

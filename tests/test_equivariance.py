@@ -8,8 +8,10 @@ U = exp_so3d(w) @ exp_so3d(eps t), a turn after a translation of length 0,
 or a line, it must move as the theory says: a dual angle, a magnitude and a
 pitch do not change, and a line l becomes l @ U.
 
-Scaling lengths by 10**6 or 10**-6 is out of scope: the CLI compares
-distances with an absolute tol.
+Multiplying a screw by a positive real changes none of its lines, pitches,
+dual angles or verdicts either; multiplying it by a power of two moves no bit
+of them (the last section). Scaling lengths by 10**6 or 10**-6 is out of
+scope: the CLI compares distances with an absolute tol.
 """
 
 import math
@@ -40,8 +42,17 @@ from screwalg import (
     petersen_morley,
     thales_check,
 )
-from screwalg.errors import NonGeneric, ScrewAlgError
-from screwalg.theorems import PetersenMorleyReport, TripleClassification
+from screwalg.errors import NonGeneric, NullVector, ParallelResultants, ScrewAlgError
+from screwalg.geometry import AxisDecomposition, Line
+from screwalg.linalg import gram_schmidt, norm, normalized
+from screwalg.theorems import (
+    PetersenMorleyReport,
+    TripleClassification,
+    _concurrent_sliding,
+    _moment_near,
+    _parallel_pairs,
+    independent_over_D,
+)
 from test_theorems import THEOREM_KINDS, _length, _theorem_case
 
 OFFSETS = (0.0, 1e3, 1e6)
@@ -261,3 +272,116 @@ def test_thales_verdicts_do_not_move(offset):
             moved = [w @ frame for w in screws]
             assert _verdict(thales_check, *moved, radius, tol=TOL) == expected
 
+
+
+# -- scaling by a power of two --------------------------------------------------
+#
+# Each function below brings its screws into range (linalg._in_range) on entry,
+# and a power of two moves no bit of a normal float. So multiplying each input
+# by its own 2**k, k in [-1000, 1000] with every component still a normal
+# float, leaves every verdict, tag, line, pitch and dual angle bit for bit as it
+# was, and multiplies norm and the axis_decompose magnitude by exactly 2**k.
+
+def _power(rng, *zs):
+    """A k in [-1000, 1000] for which every component of the zs times 2**k is a
+    normal float, with one binary order to spare for a modulus above the largest."""
+    exponents = [math.frexp(c)[1] for z in zs for c in z._re + z._du if c]
+    low = max(-1000, *(-1021 - e for e in exponents))
+    high = min(1000, *(1022 - e for e in exponents))
+    return int(rng.integers(low, high + 1))
+
+
+def _times(z, k):
+    return DualVec3([math.ldexp(c, k) for c in z._re], [math.ldexp(c, k) for c in z._du])
+
+
+def _bits(result):
+    """The floats, tags and flags that make up a result."""
+    if isinstance(result, Dual):
+        return result.re, result.du
+    if isinstance(result, DualVec3):
+        return result._re, result._du
+    if isinstance(result, Line):
+        return _bits(result.screw)
+    if isinstance(result, AxisDecomposition):
+        return result.magnitude, result.pitch, _bits(result.axis)
+    if isinstance(result, TripleClassification):
+        return result.tag, None if result.witness is None else _bits(result.witness)
+    if isinstance(result, (tuple, list)):
+        return tuple(_bits(r) for r in result)
+    return result
+
+
+def _outcome(fn, *args):
+    """_bits of one call's result, or its refusal class."""
+    try:
+        return _bits(fn(*args))
+    except ScrewAlgError as exc:
+        return type(exc)
+
+
+def test_norm_and_magnitude_are_multiplied_by_the_power():
+    rng = np.random.default_rng(48)
+    for _ in range(100):
+        for kind, x, y in _pairs(rng):
+            for z in (x, y):
+                k = _power(rng, z)
+                scaled = _times(z, k)
+                n = _outcome(norm, z)
+                expected = n if n is NullVector else (math.ldexp(n[0], k), math.ldexp(n[1], k))
+                assert _outcome(norm, scaled) == expected, (kind, k)
+                dec = _outcome(axis_decompose, z)
+                if dec is not NullVector:
+                    dec = (math.ldexp(dec[0], k), *dec[1:])
+                assert _outcome(axis_decompose, scaled) == dec, (kind, k)
+
+
+def test_pairs_keep_every_bit():
+    rng = np.random.default_rng(49)
+    seen = set()
+    for _ in range(100):
+        for kind, x, y in _pairs(rng):
+            a, b = _power(rng, x), _power(rng, y)
+            sx, sy = _times(x, a), _times(y, b)
+            for fn in (dual_angle, common_normal, are_proportional,
+                       lambda u, v: independent_over_D([u, v])):
+                expected = _outcome(fn, x, y)
+                assert _outcome(fn, sx, sy) == expected, (kind, a, b)
+                seen.add(expected if isinstance(expected, (bool, type)) else fn)
+            assert _outcome(normalized, sx) == _outcome(normalized, x), (kind, a)
+            # _moment_near brings z into range, not s: the moment is a length in the
+            # units of s, which its callers compare in those units. So it moves by
+            # exactly 2**c where s stays in range.
+            if not x.is_pure_dual:
+                c = int(rng.integers(-100, 101))
+                moment = _moment_near(y, x)
+                assert _moment_near(_times(y, c), sx) == math.ldexp(moment, c), (kind, a, c)
+    assert {True, False, ParallelResultants, NullVector, dual_angle, common_normal} <= seen
+
+
+_CLASSIFY_KINDS = [k for k in THEOREM_KINDS if k.startswith("classify:")]
+
+
+def test_triples_keep_every_bit():
+    rng = np.random.default_rng(50)
+    seen = set()
+    for i in range(40 * len(_CLASSIFY_KINDS)):
+        kind = _CLASSIFY_KINDS[i % len(_CLASSIFY_KINDS)]
+        zs, tol = _theorem_case(rng, kind, wide=(i // len(_CLASSIFY_KINDS)) % 2 == 1)
+        scaled = [_times(z, _power(rng, z)) for z in zs]
+        res, scaled_res = [z._re for z in zs], [z._re for z in scaled]
+        for fn, args, scaled_args in (
+            (classify_triple, (*zs, tol), (*scaled, tol)),
+            (independent_over_D, (zs, tol), (scaled, tol)),
+            (lambda *r: list(_parallel_pairs(r, tol)), res, scaled_res),
+            (_concurrent_sliding, (zs, tol), (scaled, tol)),
+        ):
+            expected = _outcome(fn, *args)
+            assert _outcome(fn, *scaled_args) == expected, (i, kind)
+            if fn is classify_triple:
+                seen.add(expected if isinstance(expected, type) else expected[0])
+        # One power for all three: the pivot threshold is relative to the largest.
+        k = _power(rng, *zs)
+        common = [_times(z, k) for z in zs]
+        assert _outcome(gram_schmidt, *common) == _outcome(gram_schmidt, *zs), (i, kind, k)
+    assert {*TripleTag} <= seen

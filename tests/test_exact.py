@@ -158,7 +158,8 @@ def test_acos_dual_part_is_the_derivative_of_acos(c):
 # polynomial (or, for norm, algebraic) identity in 18 unknowns, proved by
 # expanding the difference to 0. The symbols pass through dot, cross, mixed,
 # norm, @ and hat themselves, with one stand-in for the math module of
-# linalg and dual: sympy's sqrt, and every symbol counted as finite.
+# linalg and dual: sympy's sqrt, and every symbol counted as finite; and every
+# symbol taken to lie in range, where linalg._in_range leaves a screw untouched.
 
 
 class _SymbolicMath:
@@ -173,6 +174,7 @@ class _SymbolicMath:
 def symbolic(monkeypatch):
     for module in (linalg, dual):
         monkeypatch.setattr(module, "math", _SymbolicMath)
+    monkeypatch.setattr(linalg, "_in_range", lambda *xs: (*xs, 0))
 
 
 def _vector(name: str) -> linalg.DualVec3:

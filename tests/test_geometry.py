@@ -286,6 +286,14 @@ class TestDualAngle:
         # A subnormal resultant: a float 2**1029 to rescale it overflowed.
         assert dual_angle(DualVec3([1e-310, 0.0, 0.0]), DualVec3(Y)) == Dual(math.pi / 2, 0.0)
 
+    @pytest.mark.parametrize("s", [1e-160, 1e-170])
+    def test_an_angle_whose_square_underflows_is_correctly_rounded(self, s):
+        # |x cross y| = s: at 1e-160 its square was subnormal and the angle read
+        # 1.0019e-160; at 1e-170 it underflowed to 0 and raised NullVector.
+        x = DualVec3([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        y = DualVec3([1.0, s, 0.0], [0.0, 0.0, -1.0])
+        assert dual_angle(x, y) == Dual(s, 0.0)
+
     @pytest.mark.parametrize("k", [-300, 300])
     def test_angle_is_the_same_bit_for_bit_at_scales_two_to_the_300(self, k):
         rng = np.random.default_rng(31)

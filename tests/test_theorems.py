@@ -135,13 +135,30 @@ class TestIndependence:
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_canonical_basis_at_extreme_scales(self, scale):
-        # Squares of 1e-200 underflow and products of 1e200 overflow; the
-        # resultants were judged parallel, so classification raised
-        # NullVector or NotFinite.
+        # Squares of 1e-200 underflow and products of 1e200 overflow. The
+        # resultants were judged parallel, so classification raised NullVector
+        # or NotFinite; later the dual angle and common normal of x and y, the
+        # pencil and the parallel triple did. Each now gives its scale-1 answer.
         zs = [DualVec3(scale * e) for e in (X, Y, Z)]
         assert independent_over_D(zs)
         assert independent_over_D(zs[:2])
         assert classify_triple(*zs).tag is TripleTag.INDEPENDENT_BASIS
+        assert dual_angle(zs[0], zs[1]) == Dual(math.pi / 2, 0.0)
+        assert common_normal(zs[0], zs[1]).screw._re == (0.0, 0.0, 1.0)
+        assert common_normal(zs[0], zs[1]).screw._du == (0.0, 0.0, 0.0)
+        pencil = [zs[0], zs[1], DualVec3(scale * math.sqrt(0.5) * (X + Y))]
+        assert classify_triple(*pencil).tag is TripleTag.CONCURRENT_COPLANAR
+        parallel = [DualVec3([scale, 0, 0], [0, 0, k * scale]) for k in (0, 1, 2)]
+        assert classify_triple(*parallel).tag is TripleTag.PARALLEL_COPLANAR
+        assert linalg.norm(zs[0]) == Dual(scale, 0.0)
+        assert_dualvec_close(linalg.normalized(zs[0]), DualVec3(X))
+        for got, want in zip(linalg.gram_schmidt(*zs), linalg.basis()):
+            assert_dualvec_close(got, want)
+        axis = axis_decompose(parallel[2])
+        assert (axis.magnitude, axis.pitch) == (scale, 0.0)
+        assert_vec_close(axis.axis.point, [0, -2, 0])
+        assert are_proportional(zs[0], -3.0 * zs[0])
+        assert not are_proportional(zs[0], zs[1])
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -289,6 +306,14 @@ class TestClassifyTriple:
         # once it is brought to unit scale.
         zs = [DualVec3([1e100, 0, 0]), DualVec3([1e100, 1e-70, 0]), DualVec3([0, 1, 0])]
         assert classify_triple(*zs, tol=0.0).tag is TripleTag.CONCURRENT_COPLANAR
+
+    def test_a_tiny_normal_bounds_the_witness_at_tol_zero(self):
+        # The first two resultants make an angle of 2**-600, whose square underflows:
+        # the witness's rounding divided by it and raised ZeroDivisionError.
+        z1 = DualVec3([1, 0, 0], [1, 0, 0])
+        z2 = DualVec3([1, 2.0**-600, 0], [1, 2.0**-600, 0])
+        out = classify_triple(z1, z2, z1 + z2, tol=0.0)
+        assert out.tag is TripleTag.COMMON_ORTHOGONAL_LINE
 
     @staticmethod
     def _pencil(centre, moved=None, offset=(0.0, 0.0, 0.0)):
