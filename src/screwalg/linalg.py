@@ -36,8 +36,6 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-PIVOT_TOL = 1e-12
-
 _EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 _ZERO3 = (0.0, 0.0, 0.0)
 _ZERO33 = (0.0,) * 9
@@ -104,34 +102,30 @@ _SMALLEST = 2.0 ** -_RANGE
 _LARGEST = 2.0 ** _RANGE
 
 
-def _in_range(*xs) -> tuple:
-    """(x1', ..., xn', k): each x times 2**k, for real 3-vectors and DualVec3s.
+def _in_range(x) -> tuple:
+    """(x', k): x times 2**k, for a real 3-vector or a DualVec3.
 
     The one place the library handles a screw's size. Where the largest
-    resultant component among the xs lies in [2**-150, 2**150], or is 0, they
-    come back untouched with k = 0; otherwise k is the shift of least size that
-    brings it into that range. Why that range: no formula the library
-    evaluates on screws takes a product of more than four resultant lengths
-    (c**2 + s**2 in dual_angle, tol |u| |v| |w| in _coplanar), and within
-    2**+-604 those stay normal floats, with over 400 binary orders to spare for
-    moments far from their resultants and for ``tol``. A power of two moves no
-    bit of a normal float, so a function that takes its inputs into range on
-    entry answers bit for bit the same for any power-of-two multiple of them,
-    and at normal sizes pays only this test. A dual part scaled past the
-    largest float raises NotFinite.
+    resultant component of x lies in [2**-150, 2**150], or is 0, x comes back
+    untouched with k = 0; otherwise k is the shift of least size that brings it
+    into that range. Why that range: no formula the library evaluates on
+    screws takes a product of more than four resultant lengths (c**2 + s**2 in
+    dual_angle, tol |u| |v| |w| in _coplanar), and within 2**+-604 those stay
+    normal floats, with over 400 binary orders to spare for moments far from
+    their resultants and for ``tol``. A power of two moves no bit of a normal
+    float, so a function that takes each input into range on entry answers bit
+    for bit the same for any power-of-two multiple of it, and at normal sizes
+    pays only this test. A dual part scaled past the largest float raises
+    NotFinite.
     """
-    size = 0.0
-    for x in xs:
-        a, b, c = x if type(x) is tuple else x._re
-        a, b, c = abs(a), abs(b), abs(c)
-        if a > size:
-            size = a
-        if b > size:
-            size = b
-        if c > size:
-            size = c
+    a, b, c = x if type(x) is tuple else x._re
+    size, b, c = abs(a), abs(b), abs(c)
+    if b > size:
+        size = b
+    if c > size:
+        size = c
     if _SMALLEST <= size <= _LARGEST or size == 0.0:
-        return xs + (0,)
+        return x, 0
     e = math.frexp(size)[1]  # 2**(e - 1) <= size < 2**e
     k = 1 - _RANGE - e if size < _SMALLEST else _RANGE - e
 
@@ -141,8 +135,9 @@ def _in_range(*xs) -> tuple:
         except OverflowError as exc:
             raise NotFinite("3-vector result overflows") from exc
 
-    return (*[scaled(x) if type(x) is tuple else DualVec3._raw(scaled(x._re), scaled(x._du))
-              for x in xs], k)
+    if type(x) is tuple:
+        return scaled(x), k
+    return DualVec3._raw(scaled(x._re), scaled(x._du)), k
 
 
 def _parallel(u: tuple, v: tuple, tol: float) -> bool:
@@ -444,27 +439,30 @@ def normalized(x: DualVec3) -> DualVec3:
 def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, DualVec3, DualVec3]:
     """Orthonormalize a module basis, preserving span flags and orientation.
 
-    The projection coefficients are dual numbers, so the usual real-vector
-    procedure applies verbatim; it only ever divides by pivots c_i o c_i with
-    invertible real part. Pivots are compared against
-    ``PIVOT_TOL * scale**2`` where ``scale`` is the largest resultant length,
-    so the three are brought into range by one common power of two.
+    By the transference principle Gram-Schmidt in the rank-3 oriented module
+    has the real 3-D closed form: e1 = b1/|b1|, e2 the unit along n x e1 with
+    n = (b1 x b2)/|b1 x b2|, and e3 = +-e1 x e2 by the sign of [r1 r2 r3]. The
+    cross product of orthogonal units is a unit orthogonal to both, so no step
+    loses orthogonality near dependence, as projections do, and no pivot floor
+    is needed: the inputs are refused as DegenerateBasis exactly where their
+    resultants are dependent (linalg._coplanar at DEFAULT_TOL, as in
+    independent_over_D). n x e1 is normalized although n and e1 are units:
+    where b1 and b2 are nearly parallel, b1 x b2 cancels, which tilts n towards
+    e1 by up to eps / sin(theta_12). Each input is brought into range on its own.
     """
-    b1, b2, b3, _ = _in_range(b1, b2, b3)
-    scale = max(_length(b._re) for b in (b1, b2, b3))
-    threshold = PIVOT_TOL * scale * scale
-    out: list[DualVec3] = []
-    for b in (b1, b2, b3):
-        c = b
-        for m in out:
-            c = c - dot(b, m) * m
-        cc = dot(c, c)
-        if cc.re <= threshold:
-            raise DegenerateBasis(
-                f"pivot {cc.re} below tolerance {threshold}; inputs are not a basis"
-            )
-        out.append(c * sqrt(cc).inv())
-    return out[0], out[1], out[2]
+    b1, _ = _in_range(b1)
+    b2, _ = _in_range(b2)
+    b3, _ = _in_range(b3)
+    r1, r2, r3 = b1._re, b2._re, b3._re
+    if _coplanar(r1, r2, r3, DEFAULT_TOL):
+        raise DegenerateBasis(
+            f"|[r1 r2 r3]| = {abs(_triple(r1, r2, r3))} is at most "
+            f"{DEFAULT_TOL * _length(r1) * _length(r2) * _length(r3)}; inputs are not a basis"
+        )
+    e1 = normalized(b1)
+    e2 = normalized(cross(normalized(cross(b1, b2)), e1))
+    e3 = cross(e1, e2)
+    return e1, e2, e3 if _triple(r1, r2, r3) > 0.0 else -e3
 
 
 class DualMat3(_DualArray):
@@ -525,49 +523,43 @@ def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
 
 # Near t = 0 the closed forms below cancel: 1 - cos t alone carries an absolute
 # error of about eps/2, a relative error of ~12 eps / t**4 in the slope of
-# (1 - cos t)/t**2. Below a real angle of _SERIES_BELOW both coefficients and
-# their slopes are summed from their Taylor series in t**2, up to the first
-# term that is below eps/4 of the value there. The cut-off stays below 0.7, a
-# joint angle tests/cli_golden.json pins.
+# (1 - cos t)/t**2. Below a real angle of _SERIES_BELOW both coefficients are
+# summed from their Taylor series in t**2, up to the first term that is below
+# eps/4 of the value there, and of the slope there. The cut-off stays below 0.7,
+# a joint angle tests/cli_golden.json pins.
 _SERIES_BELOW = 0.5
 
 
 def _series(denominators: list) -> tuple:
-    """Horner coefficients, highest first, of f = sum (-1)**k t**2k / d_k and of f'/t.
+    """Horner coefficients, highest first, of F(q) = sum (-1)**k q**k / d_k.
 
     Each is one correctly rounded int/int division.
     """
-    terms = list(enumerate(denominators))[::-1]
-    value = tuple((-1) ** k / d for k, d in terms)
-    slope = tuple((-1) ** k * 2 * k / d for k, d in terms if k)
-    return value, slope
+    return tuple((-1) ** k / d for k, d in reversed(list(enumerate(denominators))))
 
 
-_SIN_OVER, _SIN_OVER_SLOPE = _series([math.factorial(2 * k + 1) for k in range(8)])
-_VERSIN_OVER, _VERSIN_OVER_SLOPE = _series([math.factorial(2 * k + 2) for k in range(8)])
+_SIN_OVER = _series([math.factorial(2 * k + 1) for k in range(8)])
+_VERSIN_OVER = _series([math.factorial(2 * k + 2) for k in range(8)])
 
 
-def _horner(coefficients: tuple, x: float) -> float:
-    acc = 0.0
+def _horner(coefficients: tuple, q: Dual) -> Dual:
+    """The series F at a dual argument: F(q.re) + eps q.du F'(q.re)."""
+    x, dx = q.re, q.du
+    a = b = 0.0
     for c in coefficients:
-        acc = acc * x + c
-    return acc
+        a, b = a * x + c, b * x + a * dx
+    return _dual(a, b)
 
 
 def _rodrigues(q: Dual) -> tuple[Dual, Dual]:
     """sin(phi)/phi and (1 - cos phi)/phi**2 at the dual angle phi with phi o phi = q.
 
-    Below the cut-off both come from their series in phi**2 = q, with no
-    square root: f(phi) = F(q) and, as phi.du f'(phi.re) = phi.du phi.re (f'/t)
-    and 2 phi.re phi.du = q.du, the dual part is (q.du / 2) (f'/t)(q.re). So a
-    q.re that underflows to 0 still gives the coefficients of a null turn.
+    Below the cut-off both are their series F in phi**2 = q, evaluated over
+    the duals with no square root, so a q.re that underflows to 0 still gives
+    the coefficients of a null turn.
     """
     if q.re < _SERIES_BELOW * _SERIES_BELOW:
-        half = 0.5 * q.du
-        return (
-            _dual(_horner(_SIN_OVER, q.re), half * _horner(_SIN_OVER_SLOPE, q.re)),
-            _dual(_horner(_VERSIN_OVER, q.re), half * _horner(_VERSIN_OVER_SLOPE, q.re)),
-        )
+        return _horner(_SIN_OVER, q), _horner(_VERSIN_OVER, q)
     phi = sqrt(q)
     t = phi.re
     sin_t, cos_t = math.sin(t), math.cos(t)

@@ -159,9 +159,14 @@ def classify_triple(
     """
     _require_proper((z1, z2, z3))
     zs = z1, z2, z3 = [_in_range(z)[0] for z in (z1, z2, z3)]
-    res = [z._re for z in zs]
+    res = r1, r2, r3 = [z._re for z in zs]
+    if not _coplanar(r1, r2, r3, tol):
+        return TripleClassification(TripleTag.INDEPENDENT_BASIS)
+
+    # Deciding the basis first moves no verdict: parallel resultants are coplanar,
+    # as |(u x v) . w| <= |u x v| |w| <= tol |u| |v| |w|.
     rnorm = [_length(r) for r in res]
-    pair_parallel = list(_parallel_pairs(res, tol))
+    pair_parallel = _parallel(r1, r2, tol), _parallel(r2, r3, tol), _parallel(r3, r1, tol)
 
     if all(pair_parallel):
         p0, p1, p2 = (_foot(axis_decompose(z).axis) for z in zs)
@@ -173,9 +178,6 @@ def classify_triple(
         if vol <= tol * scale:
             return TripleClassification(TripleTag.PARALLEL_COPLANAR)
         return TripleClassification(TripleTag.PARALLEL_NON_COPLANAR)
-
-    if not _coplanar(*res, tol):
-        return TripleClassification(TripleTag.INDEPENDENT_BASIS)
 
     none_parallel = not any(pair_parallel)
 

@@ -7,6 +7,7 @@ from screwalg import (
     DualMat3,
     DualVec3,
     Line,
+    dot,
     exp_so3d,
     frame_from_point,
     line_from_point_direction,
@@ -34,6 +35,19 @@ def assert_vec_close(a, b, tol=1e-12, scale=1.0):
 def assert_dualvec_close(a: DualVec3, b: DualVec3, tol=1e-12, scale=1.0):
     assert_vec_close(a.re, b.re, tol, scale)
     assert_vec_close(a.du, b.du, tol, scale)
+
+
+def assert_orthonormal(ms, real=1e-14, dual=1e-12):
+    """The scalar products of the dual vectors ms are the Kronecker delta: within
+    ``real`` in the real part, and in the dual part within ``dual`` times the
+    largest moment component (at least 1), as in is_frame, since a moment's
+    rounding grows with the distance of its line from the origin."""
+    scale = max(1.0, *(abs(c) for m in ms for c in m._du))
+    for i, a in enumerate(ms):
+        for j, b in enumerate(ms):
+            d = dot(a, b)
+            assert abs(d.re - (i == j)) <= real, f"real part of m{i} o m{j} is {d.re}"
+            assert abs(d.du) <= dual * scale, f"dual part of m{i} o m{j} is {d.du} (scale {scale})"
 
 
 def rand_dual(rng, lo=-10.0, hi=10.0) -> Dual:

@@ -81,14 +81,11 @@ def test_derivatives_are_exact_where_the_closed_form_cancels(name, t):
 
 
 @pytest.mark.parametrize(
-    "expr, value, slope",
-    [
-        (SIN_OVER, linalg._SIN_OVER, linalg._SIN_OVER_SLOPE),
-        (VERSIN_OVER, linalg._VERSIN_OVER, linalg._VERSIN_OVER_SLOPE),
-    ],
+    "expr, value",
+    [(SIN_OVER, linalg._SIN_OVER), (VERSIN_OVER, linalg._VERSIN_OVER)],
     ids=["sin_over", "versin_over"],
 )
-def test_series_are_the_taylor_expansion_to_the_order_the_cut_off_needs(expr, value, slope):
+def test_series_are_the_taylor_expansion_to_the_order_the_cut_off_needs(expr, value):
     n = len(value)
     taylor = sp.series(expr, T, 0, 2 * n + 2).removeO()
     even = [taylor.coeff(T, 2 * k) for k in range(n + 1)]
@@ -96,8 +93,6 @@ def test_series_are_the_taylor_expansion_to_the_order_the_cut_off_needs(expr, va
 
     # The coefficients are the Taylor coefficients, each rounded once.
     assert value == tuple(float(a) for a in reversed(even[:n]))
-    derivative = sp.expand(sp.diff(sum(a * T ** (2 * k) for k, a in enumerate(even[:n])), T) / T)
-    assert slope == tuple(float(derivative.coeff(T, 2 * k)) for k in reversed(range(n - 1)))
 
     # At the cut-off the first omitted term is below eps/4 of the value, for
     # the function and for its derivative.
@@ -174,7 +169,7 @@ class _SymbolicMath:
 def symbolic(monkeypatch):
     for module in (linalg, dual):
         monkeypatch.setattr(module, "math", _SymbolicMath)
-    monkeypatch.setattr(linalg, "_in_range", lambda *xs: (*xs, 0))
+    monkeypatch.setattr(linalg, "_in_range", lambda x: (x, 0))
 
 
 def _vector(name: str) -> linalg.DualVec3:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     assert_dual_close,
     assert_dualvec_close,
+    assert_orthonormal,
     assert_vec_close,
     rand_dualvec,
     rand_frame,
@@ -21,7 +22,9 @@ from screwalg import (
     Dual,
     DualMat3,
     DualVec3,
+    TripleTag,
     basis,
+    classify_triple,
     cross,
     displacement,
     dot,
@@ -30,6 +33,7 @@ from screwalg import (
     frame_translation,
     gram_schmidt,
     hat,
+    independent_over_D,
     is_frame,
     magnitude,
     mixed,
@@ -173,6 +177,51 @@ class TestGramSchmidt:
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateBasis):
             gram_schmidt(E1, 2 * E1, E3)
+
+    def test_refuses_a_triple_whose_resultants_are_dependent(self):
+        # Dependent, |[r1 r2 r3]| = 4e-12 <= 1e-9, though every pivot of a projection
+        # (4e-12 at the smallest) is above 1e-12 of the largest squared length.
+        zs = [DualVec3([1, 0, 0]), DualVec3([1, 2e-6, 0]), DualVec3([0, 1, 2e-6])]
+        assert not independent_over_D(zs)
+        with pytest.raises(DegenerateBasis, match=r"= 4e-12 is at most 1\.00000000000\d*e-09"):
+            gram_schmidt(*zs)
+
+    def test_accepts_a_triple_whose_resultants_are_free(self):
+        # Free, |[r1 r2 r3]| = 1e-7 > 1.4e-9, though the last pivot of a projection,
+        # 1e-14, is below 1e-12 of the largest squared length, 2.
+        zs = [
+            DualVec3([1, 0, 0], [0, 0.3, 0]),
+            DualVec3([0, 1, 0], [0.2, 0, 0]),
+            DualVec3([1, 1, 1e-7], [0, 0, 1]),
+        ]
+        assert independent_over_D(zs)
+        assert classify_triple(*zs).tag is TripleTag.INDEPENDENT_BASIS
+        m1, m2, m3 = gram_schmidt(*zs)
+        assert_orthonormal((m1, m2, m3))
+        # The x-axis lifted to z = 0.3, and the lines meeting it there orthogonally.
+        assert_dualvec_close(m1, zs[0])
+        assert_dualvec_close(m2, DualVec3([0, 1, 0], [-0.3, 0, 0]))
+        assert_dualvec_close(m3, E3)
+
+    def test_a_nearly_parallel_first_pair_gives_a_frame(self):
+        # b1 x b2 cancels to a relative eps / angle, which tilts its direction
+        # towards b1; the frame stays orthonormal to rounding all the same.
+        # With |e x q| >= 1/2, |[r1 r2 r3]| is above its bound from 2e-9 rad on.
+        rng = np.random.default_rng(17)
+        for angle in np.geomspace(4e-9, 1e-2, 200):
+            e, q = rand_unit(rng), rand_unit(rng)
+            while np.linalg.norm(np.cross(e, q)) < 0.5:
+                q = rand_unit(rng)
+            perp = np.cross(e, q) / np.linalg.norm(np.cross(e, q))
+            res = [e * rng.uniform(0.5, 2), (e + angle * perp) * rng.uniform(0.5, 2), q]
+            b = [DualVec3(r, rand_vec(rng)) for r in res]
+            assert independent_over_D(b)
+            ms = gram_schmidt(*b)
+            assert_orthonormal(ms)
+            assert_dualvec_close(ms[0], b[0] * norm(b[0]).inv())
+            assert np.linalg.det(np.vstack([v.re for v in ms])) * np.linalg.det(
+                np.vstack([v.re for v in b])
+            ) > 0
 
     def test_random_bases_become_orthonormal(self):
         rng = np.random.default_rng(8)

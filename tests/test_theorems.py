@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     assert_dual_close,
     assert_dualvec_close,
+    assert_orthonormal,
     assert_vec_close,
     rand_dual,
     rand_equilibrium_pair,
@@ -48,6 +49,7 @@ from screwalg import (
 )
 from screwalg.dual import DEFAULT_TOL
 from screwalg.errors import (
+    DegenerateBasis,
     DegenerateTriangle,
     NonGeneric,
     NotAntipodal,
@@ -169,6 +171,18 @@ class TestIndependence:
         except ScrewAlgError:
             basis = False
         assert independent_over_D(zs) is basis
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_three_screws_are_free_exactly_when_gram_schmidt_makes_a_frame(self, data):
+        zs = data.draw(_near_dependent(3))
+        try:
+            frame = linalg.gram_schmidt(*zs)
+        except DegenerateBasis:
+            frame = None
+        assert independent_over_D(zs) is (frame is not None)
+        if frame is not None:
+            assert_orthonormal(frame)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
