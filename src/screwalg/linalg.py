@@ -158,31 +158,55 @@ def _coplanar(u: tuple, v: tuple, w: tuple, tol: float) -> bool:
     return abs(_triple(u, v, w)) <= tol * _length(u) * _length(v) * _length(w)
 
 
-def _vecmat(v: tuple, m: tuple) -> tuple:
-    """The row action v @ m of a 3x3 matrix."""
+def _dual_vecmat(v: tuple, vd: tuple, m: tuple, md: tuple) -> tuple:
+    """(re, du) of the row action (v + eps vd) @ (m + eps md), in one pass.
+
+    Each part is summed over the rows of the matrix in order, and du is
+    v @ md + vd @ m, the two products added last.
+    """
     v0, v1, v2 = v
+    w0, w1, w2 = vd
     m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    n00, n01, n02, n10, n11, n12, n20, n21, n22 = md
     return (
-        v0 * m00 + v1 * m10 + v2 * m20,
-        v0 * m01 + v1 * m11 + v2 * m21,
-        v0 * m02 + v1 * m12 + v2 * m22,
+        (v0 * m00 + v1 * m10 + v2 * m20,
+         v0 * m01 + v1 * m11 + v2 * m21,
+         v0 * m02 + v1 * m12 + v2 * m22),
+        ((v0 * n00 + v1 * n10 + v2 * n20) + (w0 * m00 + w1 * m10 + w2 * m20),
+         (v0 * n01 + v1 * n11 + v2 * n21) + (w0 * m01 + w1 * m11 + w2 * m21),
+         (v0 * n02 + v1 * n12 + v2 * n22) + (w0 * m02 + w1 * m12 + w2 * m22)),
     )
 
 
-def _matmat(a: tuple, b: tuple) -> tuple:
-    """The product a @ b of 3x3 matrices: each row of a acted on by b."""
+def _dual_matmat(a: tuple, ad: tuple, b: tuple, bd: tuple) -> tuple:
+    """(re, du) of the product (a + eps ad) @ (b + eps bd), in one pass.
+
+    Each row of a is acted on by b as in _dual_vecmat, so du is a @ bd + ad @ b
+    entry by entry.
+    """
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    d00, d01, d02, d10, d11, d12, d20, d21, d22 = ad
     b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = bd
     return (
-        a00 * b00 + a01 * b10 + a02 * b20,
-        a00 * b01 + a01 * b11 + a02 * b21,
-        a00 * b02 + a01 * b12 + a02 * b22,
-        a10 * b00 + a11 * b10 + a12 * b20,
-        a10 * b01 + a11 * b11 + a12 * b21,
-        a10 * b02 + a11 * b12 + a12 * b22,
-        a20 * b00 + a21 * b10 + a22 * b20,
-        a20 * b01 + a21 * b11 + a22 * b21,
-        a20 * b02 + a21 * b12 + a22 * b22,
+        (a00 * b00 + a01 * b10 + a02 * b20,
+         a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22,
+         a10 * b00 + a11 * b10 + a12 * b20,
+         a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22,
+         a20 * b00 + a21 * b10 + a22 * b20,
+         a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22),
+        ((a00 * e00 + a01 * e10 + a02 * e20) + (d00 * b00 + d01 * b10 + d02 * b20),
+         (a00 * e01 + a01 * e11 + a02 * e21) + (d00 * b01 + d01 * b11 + d02 * b21),
+         (a00 * e02 + a01 * e12 + a02 * e22) + (d00 * b02 + d01 * b12 + d02 * b22),
+         (a10 * e00 + a11 * e10 + a12 * e20) + (d10 * b00 + d11 * b10 + d12 * b20),
+         (a10 * e01 + a11 * e11 + a12 * e21) + (d10 * b01 + d11 * b11 + d12 * b21),
+         (a10 * e02 + a11 * e12 + a12 * e22) + (d10 * b02 + d11 * b12 + d12 * b22),
+         (a20 * e00 + a21 * e10 + a22 * e20) + (d20 * b00 + d21 * b10 + d22 * b20),
+         (a20 * e01 + a21 * e11 + a22 * e21) + (d20 * b01 + d21 * b11 + d22 * b21),
+         (a20 * e02 + a21 * e12 + a22 * e22) + (d20 * b02 + d21 * b12 + d22 * b22)),
     )
 
 
@@ -239,8 +263,9 @@ class _DualArray:
     By the transference principle a real vector or matrix formula holds over
     the duals unchanged, so module elements (DualVec3) and module maps
     (DualMat3) share everything here. A subclass declares its ``_shape``,
-    the ``_kind`` its errors name, its ``_zero``, the real kernel ``_act``
-    of its row action ``@`` and its own accessors.
+    the ``_kind`` its errors name, its ``_zero``, its own accessors and
+    ``_act``, the dual kernel of its row action ``@``: it takes both parts of
+    each operand and returns both parts of the result in one pass.
 
     Validation: the constructor coerces its input once and refuses anything
     that is not finite or not of the subclass's shape. Every result the
@@ -343,9 +368,7 @@ class _DualArray:
         """Row action ``(x @ m)_j = sum_i x_i m_ij``; ``n @ m`` composes; ``m @ x`` fails."""
         if not isinstance(m, DualMat3):
             return NotImplemented
-        act = self._act
-        re = self._re
-        return self._raw(act(re, m._re), _add(act(re, m._du), act(self._du, m._re)))
+        return self._raw(*self._act(self._re, self._du, m._re, m._du))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({_nested(self._re)}, {_nested(self._du)})"
@@ -365,7 +388,7 @@ class DualVec3(_DualArray):
     _shape = (3,)
     _kind = "3-vector"
     _zero = _ZERO3
-    _act = staticmethod(_vecmat)
+    _act = staticmethod(_dual_vecmat)
 
     @property
     def is_pure_dual(self) -> bool:
@@ -455,9 +478,13 @@ def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, Du
     b3, _ = _in_range(b3)
     r1, r2, r3 = b1._re, b2._re, b3._re
     if _coplanar(r1, r2, r3, DEFAULT_TOL):
+        # The ratio does not change with the inputs' sizes, so it reads the same
+        # for the resultants in range as for the caller's. A zero resultant spans no volume.
+        lengths = _length(r1) * _length(r2) * _length(r3)
+        ratio = abs(_triple(r1, r2, r3)) / lengths if lengths else 0.0
         raise DegenerateBasis(
-            f"|[r1 r2 r3]| = {abs(_triple(r1, r2, r3))} is at most "
-            f"{DEFAULT_TOL * _length(r1) * _length(r2) * _length(r3)}; inputs are not a basis"
+            f"|[r1 r2 r3]| / (|r1| |r2| |r3|) = {ratio} is at most {DEFAULT_TOL}; "
+            "inputs are not a basis"
         )
     e1 = normalized(b1)
     e2 = normalized(cross(normalized(cross(b1, b2)), e1))
@@ -476,7 +503,7 @@ class DualMat3(_DualArray):
     _shape = (3, 3)
     _kind = "3x3 matrix"
     _zero = _ZERO33
-    _act = staticmethod(_matmat)
+    _act = staticmethod(_dual_matmat)
 
     @classmethod
     def identity(cls) -> "DualMat3":
@@ -579,15 +606,58 @@ def exp_so3d(b: DualVec3) -> DualMat3:
     avoid cancellation). For a pure-dual generator c1 = 1 and hat(b)**2 = 0,
     so the series truncates after the linear term.
     """
-    h_re, h_du = _axial_matrix(b._re), _axial_matrix(b._du)
     c1, c2 = _rodrigues(dot(b, b))
-    h2_re = _matmat(h_re, h_re)
-    h2_du = _add(_matmat(h_re, h_du), _matmat(h_du, h_re))
+    return DualMat3._raw(*_rodrigues_matrix(b._re, b._du, c1, c2))
+
+
+def _rodrigues_matrix(r: tuple, d: tuple, c1: Dual, c2: Dual) -> tuple:
+    """(re, du) of I + c1 H + c2 H**2 with H = hat(r + eps d), in one pass.
+
+    H has rows (0, z, -y), (-z, 0, x), (y, -x, 0) over the duals, and H**2 is
+    symmetric: r_i r_j off the diagonal and -(r_j**2 + r_k**2) on it, with
+    the derivatives of those as its dual part. Every entry is bit for bit the
+    one the generic product I + c1 H + c2 (H @ H) gives, down to the sign of a
+    zero: the nonzero terms are summed in the same order, and a zero term of
+    the generic sums stays wherever it can fix the sign of a zero result.
+    Those are the identity's 0.0 before each off-diagonal real entry, the
+    0 * 0 that starts each diagonal sum of H**2 (``0.0 - ...``), H's zero
+    diagonal times c1 on the dual diagonal (``zero``), and off the diagonal
+    of H**2 the products of H's zero diagonal with H's entry there: s (sx,
+    sy, sz) is 0.0 times the real entry, s' (su, sv, sw) 0.0 times the dual one.
+    """
+    x, y, z = r
+    u, v, w = d
     a, da, c, dc = c1.re, c1.du, c2.re, c2.du
-    re = tuple([e + a * h + c * g for e, h, g in zip(_EYE, h_re, h2_re)])
-    du = tuple([a * hd + da * h + c * gd + dc * g
-                for hd, h, gd, g in zip(h_du, h_re, h2_du, h2_re)])
-    return DualMat3._raw(re, du)
+    xx, yy, zz = x * x, y * y, z * z
+    xy, yz, zx = x * y, y * z, z * x
+    xu, yv, zw = x * u, y * v, z * w
+    # H**2: the diagonal of each part, then the dual part's off-diagonal sums.
+    g0, g1, g2 = 0.0 - (yy + zz), 0.0 - (xx + zz), 0.0 - (xx + yy)
+    m0, m1, m2 = 0.0 - (yv + zw), 0.0 - (xu + zw), 0.0 - (xu + yv)
+    p01, p02, p12 = x * v + y * u, x * w + z * u, y * w + z * v
+    sx, sy, sz, su, sv, sw = x * 0.0, y * 0.0, z * 0.0, u * 0.0, v * 0.0, w * 0.0
+    ax, ay, az = a * x, a * y, a * z
+    cxy, cyz, czx = c * xy, c * yz, c * zx
+    au, av, aw = a * u, a * v, a * w
+    dx, dy, dz = da * x, da * y, da * z
+    zero = a * 0.0 + da * 0.0
+    re = (
+        1.0 + c * g0, (0.0 + az) + cxy, (0.0 - ay) + czx,
+        (0.0 - az) + cxy, 1.0 + c * g1, (0.0 + ax) + cyz,
+        (0.0 + ay) + czx, (0.0 - ax) + cyz, 1.0 + c * g2,
+    )
+    du = (
+        (zero + c * (m0 + m0)) + dc * g0,
+        ((aw + dz) + c * (p01 + (sz + sw))) + dc * (xy + sz),
+        ((-av - dy) + c * (p02 + (-sy - sv))) + dc * (zx - sy),
+        ((-aw - dz) + c * (p01 + (-sz - sw))) + dc * (xy - sz),
+        (zero + c * (m1 + m1)) + dc * g1,
+        ((au + dx) + c * (p12 + (sx + su))) + dc * (yz + sx),
+        ((av + dy) + c * (p02 + (sy + sv))) + dc * (zx + sy),
+        ((-au - dx) + c * (p12 + (-sx - su))) + dc * (yz - sx),
+        (zero + c * (m2 + m2)) + dc * g2,
+    )
+    return re, du
 
 
 def is_frame(u: DualMat3, tol: float = DEFAULT_TOL) -> bool:
@@ -599,15 +669,41 @@ def is_frame(u: DualMat3, tol: float = DEFAULT_TOL) -> bool:
     triple product of its rows is the orientation.
     """
     re, du = u._re, u._du
-    re_t = _transpose(re)
-    if _max_abs(_sub(_matmat(re, re_t), _EYE)) > tol:
+    gram, dual_gram = _gram_defects(re, du)
+    if _max_abs(gram) > tol:
         return False
-    # The dual Gram block re du^T + du re^T is y + y^T.
-    y = _matmat(re, _transpose(du))
-    du_error = _max_abs(_add(y, _transpose(y)))
+    du_error = _max_abs(dual_gram)
     if du_error > tol and du_error > tol * _max_abs(du):
         return False
     return _triple(re[0:3], re[3:6], re[6:9]) > 0.0
+
+
+def _gram_defects(re: tuple, du: tuple) -> tuple:
+    """The distinct entries of U U^T - I over the duals, rows i <= j in row order.
+
+    U U^T is symmetric, so these 6 real and 6 dual entries are all of it:
+    row_i . row_j - delta_ij, and re_i . du_j + re_j . du_i. The products and
+    sums are those of the full products, so the entries are theirs bit for bit.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = re
+    d00, d01, d02, d10, d11, d12, d20, d21, d22 = du
+    y00 = r00 * d00 + r01 * d01 + r02 * d02
+    y11 = r10 * d10 + r11 * d11 + r12 * d12
+    y22 = r20 * d20 + r21 * d21 + r22 * d22
+    return (
+        (r00 * r00 + r01 * r01 + r02 * r02 - 1.0,
+         r00 * r10 + r01 * r11 + r02 * r12,
+         r00 * r20 + r01 * r21 + r02 * r22,
+         r10 * r10 + r11 * r11 + r12 * r12 - 1.0,
+         r10 * r20 + r11 * r21 + r12 * r22,
+         r20 * r20 + r21 * r21 + r22 * r22 - 1.0),
+        (y00 + y00,
+         (r00 * d10 + r01 * d11 + r02 * d12) + (r10 * d00 + r11 * d01 + r12 * d02),
+         (r00 * d20 + r01 * d21 + r02 * d22) + (r20 * d00 + r21 * d01 + r22 * d02),
+         y11 + y11,
+         (r10 * d20 + r11 * d21 + r12 * d22) + (r20 * d10 + r21 * d11 + r22 * d12),
+         y22 + y22),
+    )
 
 
 def _require_frame(u: DualMat3, tol: float) -> None:
@@ -632,7 +728,14 @@ def frame_translation(u: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def _translation(u: DualMat3) -> tuple:
     """frame_translation without its frame check, for a frame the library built."""
-    return _axial_vector(_matmat(u._du, _transpose(u._re)))
+    d00, d01, d02, d10, d11, d12, d20, d21, d22 = u._du
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = u._re
+    # S_ij = du_i . re_j, and the axial vector (S_12 - S_21, S_20 - S_02, S_01 - S_10) / 2.
+    return (
+        0.5 * ((d10 * r20 + d11 * r21 + d12 * r22) - (d20 * r10 + d21 * r11 + d22 * r12)),
+        0.5 * ((d20 * r00 + d21 * r01 + d22 * r02) - (d00 * r20 + d01 * r21 + d02 * r22)),
+        0.5 * ((d00 * r10 + d01 * r11 + d02 * r12) - (d10 * r00 + d11 * r01 + d12 * r02)),
+    )
 
 
 def displacement(frame_a: DualMat3, frame_b: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:

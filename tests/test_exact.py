@@ -242,3 +242,96 @@ class TestVectorAlgebraIsExact:
     def test_row_action_is_associative(self):
         m, n = _matrix("m"), _matrix("n")
         assert _same(self.x @ (m @ n), (self.x @ m) @ n)
+
+
+# -- the rigid-motion kernels, proved on symbols -------------------------------
+#
+# exp_so3d, is_frame, frame_translation and @ each make one pass over the
+# entries they need. Here each kernel is run on symbols and compared with the
+# matrix formula it unrolls, the matrices built by sympy where the formula is
+# a plain matrix product. Then U U^T - I for U = I + c1 H + c2 H**2 is reduced
+# to one dual factor, which the Rodrigues coefficients annihilate.
+
+
+def _dual_symbol(name: str) -> Dual:
+    return dual._dual(*sp.symbols(f"{name} {name}_du", real=True))
+
+
+def _parts(m: linalg.DualMat3):
+    return sp.Matrix(3, 3, m._re), sp.Matrix(3, 3, m._du)
+
+
+class TestRigidMotionKernelsAreExact:
+    @pytest.fixture(autouse=True)
+    def _symbols(self, symbolic):
+        self.b = _vector("b")
+        self.c1, self.c2 = _dual_symbol("c1"), _dual_symbol("c2")
+
+    def _rodrigues(self) -> linalg.DualMat3:
+        b = self.b
+        return linalg.DualMat3._raw(*linalg._rodrigues_matrix(b._re, b._du, self.c1, self.c2))
+
+    def test_rodrigues_kernel_is_the_rodrigues_form(self):
+        h = linalg.hat(self.b)
+        expected = linalg.DualMat3.identity() + self.c1 * h + self.c2 * (h @ h)
+        assert _same(self._rodrigues(), expected)
+
+    def test_product_is_the_matrix_product_over_the_duals(self):
+        m, n = _matrix("m"), _matrix("n")
+        (a, ad), (b, bd) = _parts(m), _parts(n)
+        re, du = _parts(m @ n)
+        assert _vanishes(*(re - a * b), *(du - (a * bd + ad * b)))
+        v = self.b
+        x, xd = sp.Matrix([v._re]), sp.Matrix([v._du])
+        w = v @ m
+        assert _vanishes(*(sp.Matrix([w._re]) - x * a), *(sp.Matrix([w._du]) - (x * ad + xd * a)))
+
+    def test_frame_check_reads_the_entries_of_u_ut_minus_i(self):
+        m = _matrix("m")
+        r, d = _parts(m)
+        real, dual_part = r * r.T - sp.eye(3), r * d.T + d * r.T
+        upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        gram, dual_gram = linalg._gram_defects(m._re, m._du)
+        assert _vanishes(*(g - real[ij] for g, ij in zip(gram, upper)))
+        assert _vanishes(*(g - dual_part[ij] for g, ij in zip(dual_gram, upper)))
+
+    def test_translation_is_the_axial_vector_of_du_re_t(self):
+        m = _matrix("m")
+        r, d = _parts(m)
+        s = d * r.T
+        axial = [(s[1, 2] - s[2, 1]) / 2, (s[2, 0] - s[0, 2]) / 2, (s[0, 1] - s[1, 0]) / 2]
+        assert _vanishes(*(t - e for t, e in zip(linalg._translation(m), axial)))
+
+    def test_u_ut_minus_i_is_one_dual_factor_times_h_squared(self):
+        # H is antisymmetric with H**3 = -q H, q = b o b, so for U = I + c1 H + c2 H**2
+        # U U^T - I = (2 c2 - c1**2) H**2 + c2**2 H**4 = (2 c2 - c1**2 - c2**2 q) H**2.
+        u = self._rodrigues()
+        c1, c2 = self.c1, self.c2
+        h = linalg.hat(self.b)
+        factor = 2 * c2 - c1 * c1 - c2 * c2 * linalg.dot(self.b, self.b)
+        assert _same(u @ u.T - linalg.DualMat3.identity(), factor * (h @ h))
+
+
+# The factor 2 c2 - c1**2 - c2**2 q at the dual angle phi = t + eps s, where
+# c1 = sin(phi)/phi, c2 = (1 - cos phi)/phi**2 and q = phi**2. Its dual part is
+# s times the derivative of its real part.
+S_DU = sp.Symbol("s")
+FRAME_FACTOR = 2 * VERSIN_OVER - SIN_OVER**2 - VERSIN_OVER**2 * T**2
+
+
+def test_the_exact_rodrigues_coefficients_annihilate_the_frame_factor():
+    assert sp.simplify(FRAME_FACTOR) == 0
+    assert sp.simplify(S_DU * sp.diff(FRAME_FACTOR, T)) == 0
+
+
+@pytest.mark.parametrize("t", POINTS)
+def test_the_coefficients_of_rodrigues_annihilate_the_frame_factor(t):
+    # On both sides of the cut-off the float coefficients leave the factor at
+    # rounding size: each of its three terms is at most 1 in the real part
+    # (c2 <= 1/2, c1**2 <= 1, c2**2 q = (1 - cos t)**2 / t**2 <= 1), and its
+    # dual part is of the size of the derivatives, at most 1 times 2 |t|.
+    q = Dual(t * t, 2.0 * t)
+    c1, c2 = linalg._rodrigues(q)
+    factor = 2 * c2 - c1 * c1 - c2 * c2 * q
+    assert abs(factor.re) <= 4 * EPS
+    assert abs(factor.du) <= 16 * EPS * max(1.0, abs(t))

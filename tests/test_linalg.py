@@ -183,8 +183,36 @@ class TestGramSchmidt:
         # (4e-12 at the smallest) is above 1e-12 of the largest squared length.
         zs = [DualVec3([1, 0, 0]), DualVec3([1, 2e-6, 0]), DualVec3([0, 1, 2e-6])]
         assert not independent_over_D(zs)
-        with pytest.raises(DegenerateBasis, match=r"= 4e-12 is at most 1\.00000000000\d*e-09"):
+        with pytest.raises(DegenerateBasis, match=r"\) = 3\.9999999999\d*e-12 is at most 1e-09;"):
             gram_schmidt(*zs)
+
+    @staticmethod
+    def _refusal(zs) -> str:
+        with pytest.raises(DegenerateBasis) as refusal:
+            gram_schmidt(*zs)
+        return str(refusal.value)
+
+    @pytest.mark.parametrize("s", [2.0**700, 2.0**-700])
+    def test_the_refusal_reads_the_same_at_every_scale(self, s):
+        # The refusal states |[r1 r2 r3]| / (|r1| |r2| |r3|) against the default
+        # tolerance, figures that no power of two moves.
+        for third in ([1, 1, 0], [1, 1, 1e-10]):
+            zs = [DualVec3([1, 0, 0]), DualVec3([0, 1, 0]), DualVec3(third)]
+            assert self._refusal([s * z for z in zs]) == self._refusal(zs)
+        ratio = 1e-10 / math.sqrt(2.0 + 1e-20)
+        assert self._refusal(zs) == (
+            f"|[r1 r2 r3]| / (|r1| |r2| |r3|) = {ratio!r} is at most 1e-09; inputs are not a basis"
+        )
+
+    def test_the_refusal_of_tiny_coplanar_resultants_states_no_rescaled_threshold(self):
+        zs = [DualVec3([1e-200, 0, 0]), DualVec3([0, 1e-200, 0]), DualVec3([1e-200, 1e-200, 0])]
+        assert self._refusal(zs) == (
+            "|[r1 r2 r3]| / (|r1| |r2| |r3|) = 0.0 is at most 1e-09; inputs are not a basis"
+        )
+
+    def test_a_zero_resultant_is_refused_with_a_zero_ratio(self):
+        with pytest.raises(DegenerateBasis, match=r"\) = 0\.0 is at most"):
+            gram_schmidt(DualVec3([0, 0, 0], [1, 0, 0]), E2, E3)
 
     def test_accepts_a_triple_whose_resultants_are_free(self):
         # Free, |[r1 r2 r3]| = 1e-7 > 1.4e-9, though the last pivot of a projection,
