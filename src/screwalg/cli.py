@@ -23,8 +23,8 @@ from .geometry import (
     Line, _foot, axis_decompose, common_normal, dual_angle, line_from_point_direction,
 )
 from .linalg import (
-    DualMat3, DualVec3, _cross, _DualArray, _nested, _parallel, _translation, _vec, exp_so3d,
-    is_frame,
+    _NO_MOMENT, DualMat3, DualVec3, _DualArray, _moved, _nested, _parallel, _translation, _vec,
+    exp_so3d, is_frame,
 )
 from .theorems import equilibrium_laws, petersen_morley, thales_check
 
@@ -79,7 +79,7 @@ def _parse_screw(obj) -> DualVec3:
         if "point" in obj and "direction" in obj:
             p = _vec(obj["point"])
             e = _vec(obj["direction"])
-            return DualVec3(e, _cross(p, e))
+            return DualVec3(e, _moved(e, _NO_MOMENT, p))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad screw document: {exc}") from exc
     raise _InputError("screw document needs re/du or point/direction fields")

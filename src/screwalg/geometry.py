@@ -3,7 +3,10 @@
 Points are plain real 3-vectors holding coordinates relative to the
 canonical frame. A dual vector induces an equiprojective field over those
 points; its value at P is ``du + re x P``, the transport of the
-origin-reduced motor. Everything here is derived from that one formula.
+origin-reduced motor. Everything here is derived from that one formula,
+written once as linalg._moved: a move by t is du + t x re, the action of
+frame_from_point(t). field_at and motor_reduce move a screw by -P;
+motor_unreduce and the lines through P move by P.
 """
 
 from __future__ import annotations
@@ -17,19 +20,22 @@ from .dual import DEFAULT_TOL, Dual, _dual, atan2
 from .errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
 from .linalg import (
     _EYE,
+    _NO_MOMENT,
     DualMat3,
     DualVec3,
-    _add,
     _axial_matrix,
+    _axis_foot,
     _cross,
     _dot3,
     _finite,
     _in_range,
     _length,
     _modulus,
+    _moved,
     _over,
     _parallel,
-    _sub,
+    _scale,
+    _scaled,
     _vec,
     cross,
     dot,
@@ -116,7 +122,7 @@ def _line_through(p: tuple, e: tuple, tol: float) -> Line:
     length = _length(e)
     if abs(length - 1.0) > tol:
         raise NotUnit(f"direction {list(e)} is not unit length within {tol}")
-    m = _cross(p, e)
+    m = _moved(e, _NO_MOMENT, p)
     if not _finite(m):
         raise NotFinite(f"moment of the line through {list(p)} overflows")
     line = object.__new__(Line)
@@ -125,10 +131,10 @@ def _line_through(p: tuple, e: tuple, tol: float) -> Line:
 
 
 def field_at(z: DualVec3, point) -> np.ndarray:
-    """Value at ``point`` of the screw field induced by z."""
+    """Value at ``point`` of the screw field induced by z: z moved by -point."""
     import numpy as np
 
-    return np.array(_add(z._du, _cross(z._re, _vec(point))))
+    return np.array(_moved(z._re, z._du, _scale(-1.0, _vec(point))))
 
 
 def comoment(z1: DualVec3, z2: DualVec3) -> float:
@@ -164,12 +170,8 @@ def axis_decompose(z: DualVec3) -> AxisDecomposition:
     n = _modulus(ss)
     a = n.re  # |s|, the square root of s o s
     s = z._re
-    point = _over(_cross(s, z._du), ss.re)
-    axis = _line_through(point, _over(s, a), _ROUNDINGS * sys.float_info.epsilon)
-    try:
-        magnitude = math.ldexp(a, -k)
-    except OverflowError as exc:
-        raise NotFinite("magnitude overflows") from exc
+    axis = _line_through(_axis_foot(s, z._du), _over(s, a), _ROUNDINGS * sys.float_info.epsilon)
+    magnitude = _scaled((a,), -k, "magnitude")[0] if k else a
     return AxisDecomposition(magnitude=magnitude, pitch=n.du / a, axis=axis)
 
 
@@ -221,19 +223,23 @@ def axes_intersect(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> bool:
 
 
 def motor_reduce(z: DualVec3, point) -> tuple[np.ndarray, np.ndarray]:
-    """Represent z by (resultant, field value at ``point``)."""
+    """Represent z by (resultant, field value at ``point``): z moved by -point."""
     import numpy as np
 
     return np.array(z._re), field_at(z, point)
 
 
 def motor_unreduce(point, resultant, value) -> DualVec3:
-    """Rebuild the dual vector from a motor reduced at ``point``."""
+    """Rebuild the dual vector from a motor reduced at ``point``: the motor moved by point."""
     p = _vec(point)
     s = _vec(resultant)
-    return DualVec3._raw(s, _sub(_vec(value), _cross(s, p)))
+    return DualVec3._raw(s, _moved(s, _vec(value), p))
 
 
 def frame_from_point(point) -> DualMat3:
-    """The translation-only frame at ``point``: rows are its three axis lines."""
+    """The translation-only frame at ``point``: rows are its three axis lines.
+
+    It is I + eps hat(point), the matrix of the move by ``point``: x @ it has
+    the dual part linalg._moved(x.re, x.du, point).
+    """
     return DualMat3._raw(_EYE, _axial_matrix(_vec(point)))

@@ -95,6 +95,30 @@ def _triple(a: tuple, b: tuple, c: tuple) -> float:
     return _dot3(_cross(a, b), c)
 
 
+# The moment of a screw built from nothing: -0.0 + x is x for every float x,
+# so _moved(re, _NO_MOMENT, t) is t x re down to the sign of a zero.
+_NO_MOMENT = (-0.0, -0.0, -0.0)
+
+
+def _moved(re: tuple, du: tuple, t: tuple) -> tuple:
+    """du + t x re: the dual part of (re + eps du) @ exp(eps hat(t)), that is
+    of x @ frame_from_point(t), the screw carried along the translation by t.
+
+    The one change of reduction point: the moment of the same screw about the
+    point -t. The resultant does not move, and dot of two moved screws is dot
+    of the originals in both parts.
+    """
+    r0, r1, r2 = re
+    d0, d1, d2 = du
+    t0, t1, t2 = t
+    return (d0 + (t1 * r2 - t2 * r1), d1 + (t2 * r0 - t0 * r2), d2 + (t0 * r1 - t1 * r0))
+
+
+def _axis_foot(re: tuple, du: tuple) -> tuple:
+    """re x du / (re . re), the axis point nearest the origin; a zero re is refused as an overflow."""
+    return _over(_cross(re, du), _dot3(re, re))
+
+
 # The largest resultant component of a screw in range lies in
 # [2**-_RANGE, 2**_RANGE]; see _in_range.
 _RANGE = 150
@@ -128,16 +152,22 @@ def _in_range(x) -> tuple:
         return x, 0
     e = math.frexp(size)[1]  # 2**(e - 1) <= size < 2**e
     k = 1 - _RANGE - e if size < _SMALLEST else _RANGE - e
-
-    def scaled(a: tuple) -> tuple:
-        try:
-            return tuple([math.ldexp(c, k) for c in a])
-        except OverflowError as exc:
-            raise NotFinite("3-vector result overflows") from exc
-
     if type(x) is tuple:
-        return scaled(x), k
-    return DualVec3._raw(scaled(x._re), scaled(x._du)), k
+        return _scaled(x, k, "3-vector"), k
+    return DualVec3._raw(_scaled(x._re, k, "3-vector"), _scaled(x._du, k, "3-vector")), k
+
+
+def _scaled(values: tuple, k: int, what: str) -> tuple:
+    """Each float of values times 2**k; the one ldexp of the library.
+
+    _in_range scales a screw by 2**k with it, and a function that hands back a
+    length of a screw it took into range undoes that with -k, only where k is
+    not 0. A result beyond the largest float raises NotFinite, naming ``what``.
+    """
+    try:
+        return tuple([math.ldexp(c, k) for c in values])
+    except OverflowError as exc:
+        raise NotFinite(f"{what} overflows") from exc
 
 
 def _parallel(u: tuple, v: tuple, tol: float) -> bool:
@@ -438,12 +468,7 @@ def norm(x: DualVec3) -> Dual:
     """
     x, k = _in_range(x)
     n = _modulus(dot(x, x))
-    if not k:
-        return n
-    try:
-        return _dual(math.ldexp(n.re, -k), math.ldexp(n.du, -k))
-    except OverflowError as exc:
-        raise NotFinite("modulus overflows") from exc
+    return _dual(*_scaled((n.re, n.du), -k, "modulus")) if k else n
 
 
 def _modulus(ss: Dual) -> Dual:
@@ -718,7 +743,8 @@ def frame_translation(u: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:
     displacement componentwise in the frame's own basis: d_k =
     (1/2) eps_ijk S_ij. Written that way, translations compose like rigid
     motions: frame_translation(U @ V) equals
-    frame_translation(U) + re(U) @ frame_translation(V).
+    frame_translation(U) + re(U) @ frame_translation(V). A translation beyond
+    the largest float raises NotFinite.
     """
     import numpy as np
 
@@ -730,12 +756,16 @@ def _translation(u: DualMat3) -> tuple:
     """frame_translation without its frame check, for a frame the library built."""
     d00, d01, d02, d10, d11, d12, d20, d21, d22 = u._du
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = u._re
-    # S_ij = du_i . re_j, and the axial vector (S_12 - S_21, S_20 - S_02, S_01 - S_10) / 2.
-    return (
-        0.5 * ((d10 * r20 + d11 * r21 + d12 * r22) - (d20 * r10 + d21 * r11 + d22 * r12)),
-        0.5 * ((d20 * r00 + d21 * r01 + d22 * r02) - (d00 * r20 + d01 * r21 + d02 * r22)),
-        0.5 * ((d00 * r10 + d01 * r11 + d02 * r12) - (d10 * r00 + d11 * r01 + d12 * r02)),
+    # S_ij = du_i . re_j, and the axial vector (S_12 - S_21, S_20 - S_02, S_01 - S_10) / 2,
+    # each S halved before the difference, which could overflow where the half does not.
+    t = (
+        0.5 * (d10 * r20 + d11 * r21 + d12 * r22) - 0.5 * (d20 * r10 + d21 * r11 + d22 * r12),
+        0.5 * (d20 * r00 + d21 * r01 + d22 * r02) - 0.5 * (d00 * r20 + d01 * r21 + d02 * r22),
+        0.5 * (d00 * r10 + d01 * r11 + d02 * r12) - 0.5 * (d10 * r00 + d11 * r01 + d12 * r02),
     )
+    if not _finite(t):  # finite entries can hold a translation beyond the floats
+        raise NotFinite("frame translation overflows")
+    return t
 
 
 def displacement(frame_a: DualMat3, frame_b: DualMat3, tol: float = DEFAULT_TOL) -> np.ndarray:

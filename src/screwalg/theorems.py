@@ -34,12 +34,14 @@ from .linalg import (
     _ZERO3,
     DualVec3,
     _add,
+    _axis_foot,
     _coplanar,
     _cross,
     _dot3,
     _in_range,
     _length,
     _modulus,
+    _moved,
     _over,
     _parallel,
     _scale,
@@ -82,7 +84,7 @@ def _moment_near(s: DualVec3, z: DualVec3) -> float:
     """
     z, _ = _in_range(z)
     e = z._re
-    v = _sub(s._du, _cross(_over(_cross(e, z._du), _dot3(e, e)), s._re))
+    v = _moved(s._re, s._du, _scale(-1.0, _axis_foot(e, z._du)))
     r, _ = _in_range(s._re)
     w = _cross(e, r)
     if any(w):

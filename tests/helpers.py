@@ -1,5 +1,7 @@
 """Shared random generators and closeness assertions for the test suite."""
 
+import math
+
 import numpy as np
 
 from screwalg import (
@@ -100,6 +102,22 @@ def rand_rotation_frame(rng) -> DualMat3:
 def rand_frame(rng, span=2.0) -> DualMat3:
     """Uniform-ish frame: a rotation composed with a translation."""
     return rand_rotation_frame(rng) @ frame_from_point(rand_vec(rng, span))
+
+
+def frame_beyond_the_floats() -> dict:
+    """{"re": rows, "du": rows} of a frame whose entries are finite and whose
+    translation is not: the rotation with rows o0 = (1, 1, 1)/sqrt(3),
+    o1 = (1, -1, 0)/sqrt(2) and o2 = (1, 1, -2)/sqrt(6), moved 2e308 along o0,
+    so its dual rows are 2e308 (o0 x oi)."""
+    o = [
+        [1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)],
+        [1 / math.sqrt(2), -1 / math.sqrt(2), 0.0],
+        [1 / math.sqrt(6), 1 / math.sqrt(6), -2 / math.sqrt(6)],
+    ]
+    a = o[0]
+    du = [[2.0 * (1e308 * c) for c in (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                                       a[0] * b[1] - a[1] * b[0])] for b in o]
+    return {"re": o, "du": du}
 
 
 def rand_equilibrium_pair(rng, min_cross=0.1):

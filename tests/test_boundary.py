@@ -243,11 +243,11 @@ def test_no_threshold_is_scaled_by_magnitude(module):
 # linalg._in_range is the one place the library handles a screw's size: it
 # brings screws into range by a power of two. An frexp, an ldexp or a number
 # beyond 1e100 either way anywhere else is a second rescue or a size test of
-# its own. Only norm and axis_decompose, which hand back a length, undo the
-# helper's power, with ldexp.
+# its own. The one ldexp is linalg._scaled, with which _in_range applies its
+# power and norm and axis_decompose, which hand back a length, undo it.
 
 SCALE_RULE = "linalg._in_range"
-SCALE_BACKS = {"linalg.norm", "geometry.axis_decompose"}
+SCALE_BACKS = {"linalg._scaled"}
 SIZE_CALLS = {"math.ldexp": "ldexp", "math.frexp": "frexp"}
 
 

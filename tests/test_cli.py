@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import screwalg
+from helpers import frame_beyond_the_floats
 from screwalg.cli import main
 
 EPS = np.finfo(float).eps
@@ -547,6 +548,15 @@ class TestOverflow:
         # The finiteness tests are code, not asserts, so -O keeps them.
         motor = {"re": [1.7e308, 1.7e308, 0], "du": [0, 0, 0]}
         code, out, err = run_process("screw-axis", "--json", json.dumps(motor), flags=("-O",))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_frame_whose_translation_overflows_exits_3(self):
+        # Every entry of the frame is finite; its translation, 2e308, is not.
+        doc = [{"matrix": frame_beyond_the_floats()}]
+        code, out, err = run_process("compose", "--json", json.dumps(doc))
         assert code == 3
         assert out == ""
         assert err.startswith("error:")

@@ -20,7 +20,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from screwalg import Dual, atan2, dual, linalg, sqrt  # noqa: E402
+from screwalg import Dual, atan2, dual, geometry, linalg, sqrt  # noqa: E402
 
 EPS = np.finfo(float).eps
 CUT = linalg._SERIES_BELOW
@@ -242,6 +242,38 @@ class TestVectorAlgebraIsExact:
     def test_row_action_is_associative(self):
         m, n = _matrix("m"), _matrix("n")
         assert _same(self.x @ (m @ n), (self.x @ m) @ n)
+
+
+# -- a change of reduction point, proved on symbols -----------------------------
+#
+# The abstract's motor calculus "independent of any reduction point": a move by
+# t is du + t x re (linalg._moved), the row action of frame_from_point(t), and
+# moves form the group of translations, under which dot, and with it the
+# comoment, does not change.
+
+
+def _moved(x: linalg.DualVec3, t) -> linalg.DualVec3:
+    return linalg.DualVec3._raw(x._re, linalg._moved(x._re, x._du, t))
+
+
+class TestChangeOfReductionPointIsExact:
+    @pytest.fixture(autouse=True)
+    def _symbols(self, symbolic, monkeypatch):
+        monkeypatch.setattr(geometry, "_vec", tuple)
+        self.x, self.y = _vector("x"), _vector("y")
+        self.s, self.t = sp.symbols("s0:3", real=True), sp.symbols("t0:3", real=True)
+
+    def test_a_move_is_the_row_action_of_frame_from_point(self):
+        assert _same(_moved(self.x, self.t), self.x @ geometry.frame_from_point(self.t))
+
+    def test_moves_compose_by_adding(self):
+        s, t = self.s, self.t
+        both = tuple(a + b for a, b in zip(s, t))
+        assert _same(_moved(_moved(self.x, s), t), _moved(self.x, both))
+
+    def test_dot_is_the_same_at_every_reduction_point(self):
+        t = self.t
+        assert _same(linalg.dot(_moved(self.x, t), _moved(self.y, t)), linalg.dot(self.x, self.y))
 
 
 # -- the rigid-motion kernels, proved on symbols -------------------------------

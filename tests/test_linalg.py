@@ -12,6 +12,7 @@ from helpers import (
     assert_dualvec_close,
     assert_orthonormal,
     assert_vec_close,
+    frame_beyond_the_floats,
     rand_dualvec,
     rand_frame,
     rand_rotation_frame,
@@ -370,6 +371,16 @@ class TestFrames:
             assert is_frame(u)
             spoiled = DualMat3(u.re, u.du + 1e3 * np.eye(3))
             assert not is_frame(spoiled)
+
+    def test_translation_beyond_half_the_largest_float_is_exact(self):
+        # (S_01 - S_10) / 2 overflowed before the halving and gave [0, 0, inf].
+        assert frame_translation(frame_from_point([0, 0, 1.5e308])).tolist() == [0.0, 0.0, 1.5e308]
+
+    def test_translation_beyond_the_largest_float_is_refused(self):
+        frame = DualMat3(**frame_beyond_the_floats())
+        assert is_frame(frame)
+        with pytest.raises(NotFinite, match="translation overflows"):
+            frame_translation(frame)
 
     def test_translation_rejects_reflections(self):
         flipped = np.diag([1.0, 1.0, -1.0])
