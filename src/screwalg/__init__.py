@@ -39,7 +39,6 @@ from .linalg import (
     gram_schmidt,
     hat,
     is_frame,
-    magnitude,
     mixed,
     norm,
     normalized,

@@ -26,7 +26,7 @@ from .linalg import (
     _NO_MOMENT, DualMat3, DualVec3, _DualArray, _moved, _nested, _parallel, _translation, _vec,
     exp_so3d, is_frame,
 )
-from .theorems import equilibrium_laws, petersen_morley, thales_check
+from .theorems import _relative, equilibrium_laws, petersen_morley, thales_check
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -86,12 +86,12 @@ def _parse_screw(obj) -> DualVec3:
 
 
 def _parse_line(obj, tol: float) -> Line:
-    if isinstance(obj, dict) and "point" in obj and "direction" in obj:
-        try:
+    try:
+        if isinstance(obj, dict) and "point" in obj and "direction" in obj:
             return line_from_point_direction(obj["point"], obj["direction"], tol=tol)
-        except (ValueError, TypeError) as exc:
-            raise _InputError(f"bad line document: {exc}") from exc
-    return Line(_parse_screw(obj), tol=tol)
+        return Line(_parse_screw(obj), tol=tol)
+    except (ValueError, TypeError) as exc:
+        raise _InputError(f"bad line document: {exc}") from exc
 
 
 def _parse_matrix(obj) -> DualMat3:
@@ -302,13 +302,7 @@ def _cmd_verify(args, tol: float) -> int:
     if theorem in ("cosines", "sines", "anglesum"):
         x, y = (_parse_screw(d) for d in _require(doc, "x", "y"))
         report = equilibrium_laws(x, y, tol=tol)
-        family = {
-            "cosines": report.cosine_residuals,
-            "sines": report.sine_ratio_residuals,
-            "anglesum": (report.angle_sum_residual,),
-        }[theorem]
-        bound = tol * max(1.0, report.scale)
-        passed = all(max(abs(r.re), abs(r.du)) <= bound for r in family)
+        passed = report.ok(tol)
         out = {
             **_fields(report),
             "max_scaled_residual": report.max_scaled_residual(),
@@ -322,7 +316,7 @@ def _cmd_verify(args, tol: float) -> int:
         *screws, r_doc = _require(doc, "x", "y", "z", "r")
         radius = _parse_dual_value(r_doc)
         residual = thales_check(*(_parse_screw(d) for d in screws), radius, tol=tol)
-        passed = max(abs(residual.re), abs(residual.du)) <= tol * max(1.0, radius.re * radius.re)
+        passed = _relative((residual,), radius.re, radius.re) <= tol
         out = {"theorem": theorem, "residual": residual}
     else:  # delassus
         fitted, residual = _fit_from_doc(doc, tol)

@@ -33,7 +33,7 @@ class NullVector(ScrewAlgError):
 
 
 class DegenerateBasis(ScrewAlgError):
-    """Gram-Schmidt pivot fell below tolerance; inputs are not a basis."""
+    """Resultants are dependent (linalg._coplanar at DEFAULT_TOL); inputs are not a basis."""
 
 
 class NotAntisymmetric(ScrewAlgError):

@@ -434,11 +434,6 @@ def basis() -> tuple[DualVec3, DualVec3, DualVec3]:
     return tuple(DualVec3._raw(_EYE[i:i + 3], _ZERO3) for i in (0, 3, 6))
 
 
-def magnitude(x: DualVec3) -> float:
-    """Euclidean length of the underlying 6 real components; for tolerances."""
-    return math.sqrt(_dot3(x._re, x._re) + _dot3(x._du, x._du))
-
-
 def dot(x: DualVec3, y: DualVec3) -> Dual:
     """Dual-bilinear scalar product.
 
@@ -563,12 +558,12 @@ def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
     """Invert hat: the unique b with ``b cross == m``.
 
     Antisymmetric operators are exactly those of the form ``b cross``, and
-    hat(b) holds b in the entries of _axial_matrix on both parts.
+    hat(b) holds b in the entries of _axial_matrix on both parts. The symmetric
+    part is compared with ``tol`` times the largest entry, whatever the size.
     """
     re, du = m._re, m._du
-    scale = max(1.0, _max_abs(re), _max_abs(du))
-    if (_max_abs(_add(re, _transpose(re))) > tol * scale
-            or _max_abs(_add(du, _transpose(du))) > tol * scale):
+    bound = tol * max(_max_abs(re), _max_abs(du))
+    if _max_abs(_add(re, _transpose(re))) > bound or _max_abs(_add(du, _transpose(du))) > bound:
         raise NotAntisymmetric("matrix is not antisymmetric within tolerance")
     return DualVec3._raw(_axial_vector(re), _axial_vector(du))
 

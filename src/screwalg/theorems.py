@@ -3,10 +3,10 @@
 Each entry point evaluates one classical statement numerically and returns
 the residuals instead of a bare boolean, so callers (and the CLI verify
 subcommand) can report how far an input set is from satisfying the claim.
-All tolerances are relative to the size of the inputs; see the individual
-reports for the exact scaling. Reports hold library values only; their JSON
-form belongs to the CLI. Everything here, the dependence tests and the
-pencil solve included, runs on linalg's float kernels; no array is built.
+Every verdict on a residual is decided here by one rule, ``_relative``.
+Reports hold library values only; their JSON form belongs to the CLI.
+Everything here, the dependence tests and the pencil solve included, runs on
+linalg's float kernels; no array is built.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .dual import DEFAULT_TOL, Dual
+from .dual import DEFAULT_TOL, Dual, _dual
 from .dual import atan2 as dual_atan2
 from .dual import cos as dual_cos
 from .dual import sin as dual_sin
@@ -25,6 +25,7 @@ from .errors import (
     NonGeneric,
     NotAntipodal,
     NotClassifiable,
+    NotFinite,
     NotOnSphere,
     NullVector,
 )
@@ -49,7 +50,6 @@ from .linalg import (
     _triple,
     cross,
     dot,
-    magnitude,
     mixed,
     norm,
     normalized,
@@ -65,6 +65,22 @@ def _require_proper(zs) -> None:
     for z in zs:
         if z.is_pure_dual:
             raise NullVector("operation undefined for pure-dual screws")
+
+
+def _relative(residuals, *moduli: float) -> float:
+    """The largest component of the dual ``residuals`` over the product of input
+    ``moduli``, as many as the residuals' degree in the inputs' size. So scaling every
+    screw by a real unit, a module automorphism, moves no verdict, and by 2^k no bit.
+    Moduli are divided one at a time, as their product may underflow; a modulus of 0
+    leaves no finite figure and is refused as an overflow, as in linalg._over."""
+    figure = 0.0
+    for r in residuals:
+        figure = max(figure, abs(r.re), abs(r.du))
+    for m in moduli:
+        if m == 0.0:
+            raise NotFinite("a modulus underflows to 0, so the relative residual overflows")
+        figure /= m
+    return figure
 
 
 def _parallel_pairs(res, tol: float):
@@ -241,9 +257,10 @@ class EquilibriumReport:
     """Residuals of the triangle laws for three screws summing to zero.
 
     Angles are the interior ones, alpha = pi - Theta. Every residual is a
-    dual number whose components should vanish; ``ok`` compares them against
-    ``tol * max(1, scale)`` where ``scale`` is the product of the three
-    moduli's real parts.
+    dual number whose components should vanish. ``max_scaled_residual`` judges
+    each family by ``_relative``, with m = ``scale`` the largest real part of the
+    moduli: the cosines over m^2, the sine ratios over 1/m, the 4R^2 identity
+    over m^4 and the angle sum as it is. ``ok`` is that figure at most ``tol``.
     """
 
     alpha_xy: Dual
@@ -256,15 +273,14 @@ class EquilibriumReport:
     two_r: Dual
     scale: float
 
-    def _all_residuals(self):
-        yield from self.cosine_residuals
-        yield from self.sine_ratio_residuals
-        yield from self.four_r_squared_residuals
-        yield self.angle_sum_residual
-
     def max_scaled_residual(self) -> float:
-        s = max(1.0, self.scale)
-        return max(max(abs(r.re), abs(r.du)) for r in self._all_residuals()) / s
+        m = self.scale
+        return max(
+            _relative(self.cosine_residuals, m, m),
+            _relative(self.sine_ratio_residuals, 1.0 / m),
+            _relative(self.four_r_squared_residuals, m, m, m, m),
+            _relative((self.angle_sum_residual,)),
+        )
 
     def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_scaled_residual() <= tol
@@ -339,7 +355,7 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
         four_r_squared_residuals=four_r_squared_residuals,
         angle_sum_residual=alpha_xy + alpha_yz + alpha_zx - _PI,
         two_r=two_r,
-        scale=nx.re * ny.re * nz.re,
+        scale=max(nx.re, ny.re, nz.re),
     )
 
 
@@ -348,10 +364,12 @@ class PetersenMorleyReport:
     """Certificate that the three derived normals admit a common normal.
 
     ``incidence_residuals`` are the full dual products of the certifying
-    line with the normalized derived screws; all components vanish when the
-    theorem holds. ``parallel_degenerate`` marks the limit configuration in
-    which the derived screws lose their resultants and the common normal
-    survives only as a direction.
+    line with the normalized derived screws, so of degree 0; all components
+    vanish when the theorem holds, as does J = a + b + c, whose
+    ``jacobi_residual`` is max(|J.re|, |J.du|) over |r_x| |r_y| |r_z|
+    (``_relative``). ``ok`` is both at most ``tol``. ``parallel_degenerate``
+    marks the limit configuration in which the derived screws lose their
+    resultants and the common normal survives only as a direction.
     """
 
     a: DualVec3
@@ -363,7 +381,7 @@ class PetersenMorleyReport:
     parallel_degenerate: bool
 
     def max_residual(self) -> float:
-        return max(max(abs(r.re), abs(r.du)) for r in self.incidence_residuals)
+        return _relative(self.incidence_residuals)
 
     def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_residual() <= tol and self.jacobi_residual <= tol
@@ -404,8 +422,6 @@ def petersen_morley(
         if not keeps and _moment_near(w, owner) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
 
-    jacobi_residual = magnitude(a + b + c)
-
     if all(proper):
         if any(_parallel_pairs((a._re, b._re, c._re), tol)):
             raise NonGeneric("derived screws have pairwise parallel resultants")
@@ -421,11 +437,12 @@ def petersen_morley(
     else:
         raise NonGeneric("some derived screws lost their resultants; no common axis")
 
+    j = a + b + c
     return PetersenMorleyReport(
         a=a,
         b=b,
         c=c,
-        jacobi_residual=jacobi_residual,
+        jacobi_residual=_relative((_dual(_length(j._re), _length(j._du)),), *res_lengths),
         normal=normal,
         incidence_residuals=residuals,
         parallel_degenerate=degenerate,
@@ -434,22 +451,13 @@ def petersen_morley(
 
 def _direction_certificate(moments) -> Line:
     """A line through the origin orthogonal to the unit moments of pure-dual screws."""
-    best = None
-    best_len = -1.0
-    for i in range(len(moments)):
-        for j in range(i + 1, len(moments)):
-            n = _cross(moments[i], moments[j])
-            n_len = _length(n)
-            if n_len > best_len:
-                best_len = n_len
-                best = n
-    if best is None or best_len < 1e-12:
+    u, v, w = moments
+    best = max((_cross(u, v), _cross(u, w), _cross(v, w)), key=_length)
+    if _length(best) < 1e-12:
         # All moments share one direction; any perpendicular will do.
-        m = moments[0]
-        i = min(range(3), key=lambda k: abs(m[k]))
-        best = _cross(m, _EYE[3 * i:3 * i + 3])
-    direction = _over(best, _length(best))
-    return _line_through(_ZERO3, direction, _ROUNDINGS * sys.float_info.epsilon)
+        i = min(range(3), key=lambda k: abs(u[k]))
+        best = _cross(u, _EYE[3 * i:3 * i + 3])
+    return _line_through(_ZERO3, _over(best, _length(best)), _ROUNDINGS * sys.float_info.epsilon)
 
 
 def thales_check(
@@ -459,12 +467,13 @@ def thales_check(
 
     For x, y, z of equal dual modulus r with x = -y, the chords y - z and
     z - x are orthogonal under the full dual product; the returned residual
-    is (y - z) o (z - x), which should vanish in both components. Both
-    parts of |w| - r, the resultant of s = x + y and the moment of s about x's
-    axis (``_moment_near``) are compared with tol * max(1, |r.re|).
+    is (y - z) o (z - x), which should vanish in both components: it passes
+    when ``_relative`` of it over r.re r.re is at most ``tol``. Both parts of
+    |w| - r, the resultant of s = x + y and the moment of s about x's axis
+    (``_moment_near``) are compared with tol * |r.re|.
     """
     radius = r if isinstance(r, Dual) else Dual(float(r))
-    bound = tol * max(1.0, abs(radius.re))
+    bound = tol * abs(radius.re)
     for name, w in (("x", x), ("y", y), ("z", z)):
         n = norm(w)
         if abs(n.re - radius.re) > bound or abs(n.du - radius.du) > bound:

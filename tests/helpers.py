@@ -16,6 +16,16 @@ from screwalg import (
 )
 
 
+def screw_size(*screws, moments=True) -> float:
+    """Product of the screws' Euclidean lengths over all six components, or over
+    the resultants alone; a scale for the suite's bounds, which no verdict of the
+    library uses (the theorem reports judge relative to their inputs' moduli)."""
+    out = 1.0
+    for z in screws:
+        out *= math.sqrt(sum(c * c for c in z.re) + (sum(c * c for c in z.du) if moments else 0))
+    return out
+
+
 def assert_close(a, b, tol=1e-12, scale=1.0):
     s = max(1.0, abs(scale))
     assert abs(a - b) <= tol * s, f"{a} != {b} (tol {tol}, scale {s})"
@@ -137,7 +147,7 @@ def rand_equilibrium_pair(rng, min_cross=0.1):
 
 def rand_generic_triple(rng, margin=0.1):
     """Triple passing the Petersen-Morley genericity checks with a margin."""
-    from screwalg.linalg import cross, magnitude
+    from screwalg.linalg import cross
 
     while True:
         x = rand_proper_screw(rng)
@@ -149,7 +159,7 @@ def rand_generic_triple(rng, margin=0.1):
         ):
             continue
         a, b, c = cross(x, yz), cross(z, xy), cross(y, zx)
-        if any(np.linalg.norm(w.re) < margin * magnitude(w) for w in (a, b, c)):
+        if any(np.linalg.norm(w.re) < margin * screw_size(w) for w in (a, b, c)):
             continue
         if any(
             np.linalg.norm(np.cross(u.re, v.re))

@@ -23,6 +23,7 @@ from helpers import (
     rand_skew_lines,
     rand_sphere_triple,
     rand_vec,
+    screw_size,
 )
 from screwalg import (
     ClassicalScrew,
@@ -41,7 +42,6 @@ from screwalg import (
     frame_translation,
     gram_schmidt,
     line_distance_angle,
-    magnitude,
     mixed,
     norm,
     oracle_comoment,
@@ -134,15 +134,15 @@ def test_criterion_2_module_identities():
     start = time.perf_counter()
     for _ in range(cases):
         x, y, z, u = (rand_dualvec(rng) for _ in range(4))
-        scale3 = magnitude(x) * magnitude(y) * magnitude(z)
+        scale3 = screw_size(x, y, z)
 
         jac = cross(x, cross(y, z)) + cross(z, cross(x, y)) + cross(y, cross(z, x))
-        assert magnitude(jac) <= 1e-12 * max(1.0, scale3)
+        assert screw_size(jac) <= 1e-12 * max(1.0, scale3)
 
         lag = dot(cross(x, y), cross(z, u)) - (
             dot(x, z) * dot(y, u) - dot(x, u) * dot(y, z)
         )
-        assert max(abs(lag.re), abs(lag.du)) <= 1e-12 * max(1.0, scale3 * magnitude(u))
+        assert max(abs(lag.re), abs(lag.du)) <= 1e-12 * max(1.0, scale3 * screw_size(u))
 
         m = mixed(x, y, z)
         cyc = m - mixed(y, z, x)
@@ -153,7 +153,7 @@ def test_criterion_2_module_identities():
         k = Dual(rng.uniform(-2, 2), rng.uniform(-2, 2))
         bil = dot(k * x, y) - k * dot(x, y)
         assert max(abs(bil.re), abs(bil.du)) <= 1e-12 * max(
-            1.0, 4 * magnitude(x) * magnitude(y)
+            1.0, 4 * screw_size(x, y)
         )
 
     # Signature of the screw pairing on {m_i, eps m_i} for 10^4 random frames:
@@ -183,7 +183,7 @@ def test_criterion_3_isomorphism():
     for _ in range(1_000):
         z1, z2 = rand_dualvec(rng), rand_dualvec(rng)
         c1, c2 = ClassicalScrew.from_motor(z1), ClassicalScrew.from_motor(z2)
-        scale = max(1.0, magnitude(z1) * magnitude(z2))
+        scale = max(1.0, screw_size(z1, z2))
 
         total = (c1 + c2).to_motor()
         want = z1 + z2
@@ -230,7 +230,7 @@ def test_criterion_4_line_geometry():
         y = Dual(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)) * l2.screw
         lhs = norm(cross(x, y))
         rhs = norm(x) * norm(y) * sin(dual_angle(x, y))
-        s = magnitude(x) * magnitude(y)
+        s = screw_size(x, y)
         assert abs(lhs.re - rhs.re) <= 1e-9 * max(1.0, s)
         assert abs(lhs.du - rhs.du) <= 1e-9 * max(1.0, s)
 
@@ -239,8 +239,8 @@ def test_criterion_4_line_geometry():
         u = common_normal(x, y)
         for w in (x, y):
             inc = dot(u.screw, w)
-            assert abs(inc.re) <= 1e-9 * max(1.0, magnitude(w))
-            assert abs(inc.du) <= 1e-9 * max(1.0, magnitude(w) ** 2)
+            assert abs(inc.re) <= 1e-9 * max(1.0, screw_size(w))
+            assert abs(inc.du) <= 1e-9 * max(1.0, screw_size(w) ** 2)
 
 
 @criterion(5, "Euclidean construction")
@@ -293,10 +293,10 @@ def test_criterion_6_axis_pitch():
         z = rand_proper_screw(rng)
         dec = axis_decompose(z)
         value = field_at(z, dec.axis.point)
-        assert np.linalg.norm(np.cross(value, z.re)) <= 1e-9 * max(1.0, magnitude(z) ** 2)
+        assert np.linalg.norm(np.cross(value, z.re)) <= 1e-9 * max(1.0, screw_size(z) ** 2)
         back = dec.reconstruct()
-        assert np.abs(back.re - z.re).max() <= 1e-10 * max(1.0, magnitude(z))
-        assert np.abs(back.du - z.du).max() <= 1e-10 * max(1.0, magnitude(z))
+        assert np.abs(back.re - z.re).max() <= 1e-10 * max(1.0, screw_size(z))
+        assert np.abs(back.du - z.du).max() <= 1e-10 * max(1.0, screw_size(z))
 
 
 @criterion(7, "theorem suite")
@@ -307,7 +307,7 @@ def test_criterion_7_theorems():
     for _ in range(10_000):
         x, y = rand_equilibrium_pair(rng)
         report = equilibrium_laws(x, y)
-        bound = 1e-9 * max(1.0, report.scale)
+        bound = 1e-9 * max(1.0, screw_size(x, y, -(x + y), moments=False))
         for r in report.cosine_residuals + report.sine_ratio_residuals:
             assert abs(r.re) <= bound and abs(r.du) <= bound
         assert abs(report.angle_sum_residual.re) <= bound
@@ -316,8 +316,8 @@ def test_criterion_7_theorems():
     for _ in range(1_000):
         x, y, z = rand_generic_triple(rng)
         report = petersen_morley(x, y, z)
-        scale = magnitude(x) * magnitude(y) * magnitude(z)
-        assert report.jacobi_residual <= 1e-12 * max(1.0, scale)
+        jacobi = report.jacobi_residual * screw_size(x, y, z, moments=False)
+        assert jacobi <= 1e-12 * max(1.0, screw_size(x, y, z))
         assert report.max_residual() <= 1e-9
 
     for _ in range(1_000):

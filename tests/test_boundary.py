@@ -238,6 +238,66 @@ def test_no_threshold_is_scaled_by_magnitude(module):
     assert not lines, f"{module}.py compares a magnitude(...) at lines {lines}"
 
 
+# -- one verdict rule for the theorem reports -----------------------------------
+#
+# The theorem reports judge each residual relative to a product of input moduli
+# of its own degree, in theorems._relative. A max(1.0, ...) under a size floors
+# it at an absolute unit, and magnitude(...) mixed resultant and moment, so
+# neither may come back into the code that decides a theorem's verdict.
+
+VERDICT_CODE = {
+    "theorems": {
+        "_relative", "EquilibriumReport.max_scaled_residual", "EquilibriumReport.ok",
+        "PetersenMorleyReport.max_residual", "PetersenMorleyReport.ok", "thales_check",
+    },
+    "cli": {"_cmd_verify"},
+}
+
+
+def _verdict_floors(tree: ast.AST, functions) -> list:
+    """(function, line) of each max() over a number and each magnitude() call in
+    ``functions``, the qualified names of the verdict code; nested code included."""
+    found = set()
+    for name, fn in _functions(tree):
+        if name in functions:
+            found.update(
+                (name, node.lineno)
+                for node in ast.walk(fn)
+                if (_called(node, "max") and any(_is_number(a) for a in node.args))
+                or _called(node, "magnitude")
+            )
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_verdict_floor_detector_sees_every_spelling():
+    source = (
+        "class R:\n"
+        "    def ok(self, tol):\n"
+        "        return self.r / max(1.0, self.s) <= tol\n"
+        "    def other(self):\n"
+        "        return max(1.0, self.s)\n"
+        "def check(x, tol):\n"
+        "    a = max(x, 1) + builtins.max(2 * x, -1e-3) + max(x, tol)\n"
+        "    b = linalg.magnitude(x)\n"
+        "    def inner():\n"
+        "        return magnitude(x) <= tol * max(abs(x), 0)\n"
+        "    return a + b + max(x, tol)\n"
+        "def helper(x):\n"
+        "    return max(1.0, magnitude(x))\n"
+    )
+    found = _verdict_floors(ast.parse(source), {"R.ok", "check"})
+    assert found == [("R.ok", 3), ("check", 7), ("check", 8), ("check", 10)]
+
+
+@pytest.mark.parametrize("module", sorted(VERDICT_CODE))
+def test_verdict_code_has_no_absolute_floor(module):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    names = {name for name, _ in _functions(tree)}
+    assert VERDICT_CODE[module] <= names, "a verdict function is gone; update VERDICT_CODE"
+    found = _verdict_floors(tree, VERDICT_CODE[module])
+    assert not found, f"{module}.py floors a verdict at {found}"
+
+
 # -- one scale rule ------------------------------------------------------------
 #
 # linalg._in_range is the one place the library handles a screw's size: it

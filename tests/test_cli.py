@@ -396,6 +396,41 @@ class TestVerify:
         report = json.loads(out)
         assert report["resultant"] == pytest.approx([0, 0, 1], abs=1e-10)
 
+    GENERIC = {
+        "x": {"re": [1.3, 0.2, -0.7], "du": [0.5, 1.1, 2]},
+        "y": {"re": [0.1, 1.7, 0.4], "du": [-1, 0.3, 0.2]},
+        "z": {"re": [-0.6, 0.3, 1.9], "du": [0.8, -0.4, 1.5]},
+    }
+
+    @staticmethod
+    def _times(k, doc):
+        return {name: {part: [k * c for c in v] for part, v in screw.items()}
+                for name, screw in doc.items()}
+
+    def _verdict(self, capsys, theorem, doc, *flags):
+        code, out, _ = run(capsys, "verify", theorem, *flags, "--json", json.dumps(doc))
+        assert code == (0 if json.loads(out)["passed"] else 1)
+        return code
+
+    @pytest.mark.parametrize("k", [1.0, 1024.0, 2.0**-30])
+    def test_petersen_morley_passes_on_the_generic_triple_at_any_size(self, capsys, k):
+        assert self._verdict(capsys, "petersen-morley", self._times(k, self.GENERIC)) == 0
+
+    @pytest.mark.parametrize("k", [1.0, 1024.0, 2.0**-30])
+    def test_triangle_laws_pass_on_the_generic_pair_at_any_size(self, capsys, k):
+        doc = self._times(k, {"x": self.GENERIC["x"], "y": self.GENERIC["y"]})
+        for theorem in ("cosines", "sines", "anglesum"):
+            assert self._verdict(capsys, theorem, doc) == 0, theorem
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-15", "4e-16", "1e-30"])
+    def test_triangle_families_share_one_verdict(self, capsys, tol):
+        docs = ({"x": X_AXIS, "y": Y_AXIS_OFFSET},
+                {"x": self.GENERIC["x"], "y": self.GENERIC["y"]})
+        for doc in docs:
+            codes = {self._verdict(capsys, t, doc, "--tol", tol)
+                     for t in ("cosines", "sines", "anglesum")}
+            assert len(codes) == 1, (doc, tol, codes)
+
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "pythagoras", "--json", "{}")
         assert code == 2
@@ -654,6 +689,23 @@ def test_line_direction_that_is_not_a_3_vector_exits_2(capsys, command, directio
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: bad line document")
+
+
+@pytest.mark.parametrize("line", [
+    {"point": [0, 0, 0], "direction": [2, 0, 0]},
+    {"re": [2, 0, 0]},
+    {"re": [1, 0, 0], "du": [0.5, 0, 0]},
+], ids=["non-unit-point-direction", "non-unit-re-du", "pitched-re-du"])
+@pytest.mark.parametrize("command", ["line-angle", "compose"])
+def test_line_document_that_is_no_line_exits_2(capsys, command, line):
+    # Either form of a line document is parsed as one: a screw that is no line is bad input.
+    if command == "line-angle":
+        argv = ["line-angle", "--json", json.dumps(line), "--json", json.dumps(Y_AXIS_OFFSET)]
+    else:
+        argv = ["compose", "--json", json.dumps([{"axis": line, "angle": 1.0}])]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
     assert err.startswith("error: bad line document")
 
 

@@ -10,8 +10,10 @@ pitch do not change, and a line l becomes l @ U.
 
 Multiplying a screw by a positive real changes none of its lines, pitches,
 dual angles or verdicts either; multiplying it by a power of two moves no bit
-of them (the last section). Scaling lengths by 10**6 or 10**-6 is out of
-scope: the CLI compares distances with an absolute tol.
+of them (the last two sections). Multiplying every screw of a theorem by one
+factor, 2**k or 10**+-6, moves none of the theorem reports' verdicts. Scaling
+lengths by 10**6 or 10**-6 is out of scope: the CLI compares distances with
+an absolute tol.
 """
 
 import math
@@ -42,7 +44,15 @@ from screwalg import (
     petersen_morley,
     thales_check,
 )
-from screwalg.errors import NonGeneric, NullVector, ParallelResultants, ScrewAlgError
+from screwalg.errors import (
+    DegenerateTriangle,
+    NonGeneric,
+    NotAntipodal,
+    NotOnSphere,
+    NullVector,
+    ParallelResultants,
+    ScrewAlgError,
+)
 from screwalg.geometry import AxisDecomposition, Line
 from screwalg.linalg import gram_schmidt, norm, normalized
 from screwalg.theorems import (
@@ -51,6 +61,7 @@ from screwalg.theorems import (
     _concurrent_sliding,
     _moment_near,
     _parallel_pairs,
+    _relative,
     independent_over_D,
 )
 from test_theorems import THEOREM_KINDS, _length, _theorem_case
@@ -382,3 +393,81 @@ def test_triples_keep_every_bit():
             if fn is classify_triple:
                 seen.add(expected if isinstance(expected, type) else expected[0])
     assert {*TripleTag} <= seen
+
+
+# -- the theorem reports under one factor ---------------------------------------
+#
+# The reports judge each residual relative to a product of input moduli of its
+# own degree (theorems._relative). Multiplying every screw, and the radius, by
+# one real unit is a module automorphism: it moves no verdict, and by 2**k,
+# k in [-100, 100], no bit of a relative figure either.
+
+def _reports(kind, args):
+    """The relative figures and the verdict of one theorem call, or its refusal class."""
+    try:
+        if kind.startswith("equilibrium"):
+            report = equilibrium_laws(*args, tol=TOL)
+            return report.max_scaled_residual(), report.ok(TOL)
+        if kind.startswith("petersen"):
+            report = petersen_morley(*args, tol=TOL)
+            return report.jacobi_residual, report.max_residual(), report.ok(TOL)
+        *screws, r = args
+        figure = _relative((thales_check(*screws, r, tol=TOL),), r.re, r.re)
+        return figure, figure <= TOL
+    except ScrewAlgError as exc:
+        return type(exc)
+
+
+def _report_cases(rng):
+    """(kind, args): 1000 each of equilibrium pairs, generic triples and sphere
+    triples with their radius, then the theorem kinds of test_theorems and
+    sphere triples off the sphere or not antipodal, for the refusals."""
+    for _ in range(1000):
+        yield "equilibrium", rand_equilibrium_pair(rng)
+        yield "petersen", rand_generic_triple(rng)
+        radius = Dual(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
+        yield "thales", (*rand_sphere_triple(rng, radius), radius)
+    kinds = [k for k in THEOREM_KINDS if k.startswith(("equilibrium", "petersen"))
+             and k != "equilibrium:extreme"]
+    for i in range(20 * len(kinds)):
+        kind = kinds[i % len(kinds)]
+        yield kind, _theorem_case(rng, kind, wide=(i // len(kinds)) % 2 == 1)[0]
+    for _ in range(50):
+        radius = Dual(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
+        x, y, z = rand_sphere_triple(rng, radius)
+        yield "thales", (x, y, 1.01 * z, radius)
+        yield "thales", (x, z, y, radius)
+
+
+def _common(factor, args):
+    """Every screw and dual in ``args`` times ``factor``, a float or a power of two."""
+    def times(c):
+        return math.ldexp(c, factor) if isinstance(factor, int) else factor * c
+
+    return [Dual(times(a.re), times(a.du)) if isinstance(a, Dual)
+            else DualVec3([times(c) for c in a._re], [times(c) for c in a._du]) for a in args]
+
+
+def test_theorem_reports_keep_every_bit_under_a_power_of_two():
+    rng = np.random.default_rng(51)
+    seen = set()
+    for kind, args in _report_cases(rng):
+        k = int(rng.integers(-100, 101))
+        expected = _reports(kind, args)
+        assert _reports(kind, _common(k, args)) == expected, (kind, k)
+        seen.add((kind.partition(":")[0], expected if isinstance(expected, type) else expected[-1]))
+    assert {("equilibrium", True), ("petersen", True), ("thales", True)} <= seen
+    assert {("equilibrium", DegenerateTriangle), ("petersen", NonGeneric),
+            ("thales", NotOnSphere), ("thales", NotAntipodal)} <= seen
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_theorem_verdicts_survive_a_factor_of_ten_to_the_six(factor):
+    rng = np.random.default_rng(52)
+    for kind, args in _report_cases(rng):
+        expected = _reports(kind, args)
+        got = _reports(kind, _common(factor, args))
+        if isinstance(expected, type):
+            assert got is expected, (kind, factor)
+        else:
+            assert not isinstance(got, type) and got[-1] == expected[-1], (kind, factor)

@@ -15,6 +15,7 @@ from helpers import (
     rand_skew_lines,
     rand_unit,
     rand_vec,
+    screw_size,
 )
 from screwalg import (
     Dual,
@@ -33,7 +34,6 @@ from screwalg import (
     frame_from_point,
     frame_translation,
     line_from_point_direction,
-    magnitude,
     motor_reduce,
     motor_unreduce,
     norm,
@@ -154,7 +154,7 @@ class TestField:
             p, q = rand_vec(rng), rand_vec(rng)
             lhs = field_at(z, p) @ (q - p)
             rhs = field_at(z, q) @ (q - p)
-            scale = magnitude(z) * max(1.0, np.linalg.norm(q - p)) ** 2
+            scale = screw_size(z) * max(1.0, np.linalg.norm(q - p)) ** 2
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale)
 
     def test_axis_translation_invariance(self):
@@ -165,7 +165,7 @@ class TestField:
             base = field_at(z, dec.axis.point)
             for t in (-3.0, 0.7, 12.0):
                 shifted = field_at(z, dec.axis.point + t * dec.axis.direction)
-                assert_vec_close(shifted, base, tol=1e-12, scale=magnitude(z) * (1 + abs(t)))
+                assert_vec_close(shifted, base, tol=1e-12, scale=screw_size(z) * (1 + abs(t)))
 
 
 class TestPairings:
@@ -228,8 +228,8 @@ class TestAxis:
             z = rand_proper_screw(rng)
             dec = axis_decompose(z)
             value = field_at(z, dec.axis.point)
-            assert np.linalg.norm(np.cross(value, z.re)) <= 1e-9 * max(1.0, magnitude(z) ** 2)
-            assert_dualvec_close(dec.reconstruct(), z, tol=1e-10, scale=magnitude(z))
+            assert np.linalg.norm(np.cross(value, z.re)) <= 1e-9 * max(1.0, screw_size(z) ** 2)
+            assert_dualvec_close(dec.reconstruct(), z, tol=1e-10, scale=screw_size(z))
 
 
 class TestDualAngle:
@@ -337,8 +337,8 @@ class TestCommonNormal:
             n = common_normal(z1, z2)
             for z in (z1, z2):
                 incidence = dot(n.screw, z)
-                assert abs(incidence.re) <= 1e-9 * magnitude(z)
-                assert abs(incidence.du) <= 1e-9 * max(1.0, magnitude(z) ** 2)
+                assert abs(incidence.re) <= 1e-9 * screw_size(z)
+                assert abs(incidence.du) <= 1e-9 * max(1.0, screw_size(z) ** 2)
 
 
 class TestLineFormulas:
@@ -371,7 +371,7 @@ class TestLineFormulas:
             theta = dual_angle(z1, z2)
             lhs = norm(cross(z1, z2))
             rhs = norm(z1) * norm(z2) * sin(theta)
-            assert_dual_close(lhs, rhs, tol=1e-9, scale=magnitude(z1) * magnitude(z2))
+            assert_dual_close(lhs, rhs, tol=1e-9, scale=screw_size(z1, z2))
 
 
 class TestIntersection:
@@ -418,7 +418,7 @@ class TestMotorReduction:
             z = rand_dualvec(rng)
             p = rand_vec(rng)
             s, v = motor_reduce(z, p)
-            assert_dualvec_close(motor_unreduce(p, s, v), z, tol=1e-12, scale=magnitude(z) * 4)
+            assert_dualvec_close(motor_unreduce(p, s, v), z, tol=1e-12, scale=screw_size(z) * 4)
 
 
 class TestPointsAndFrames:
@@ -469,7 +469,7 @@ class TestConcurrentSlidingVectors:
             for s in screws[1:]:
                 total = total + s
             # Zero pitch and vanishing field at the common point.
-            assert abs(dot(total, total).du) <= 1e-12 * max(1.0, magnitude(total) ** 2)
+            assert abs(dot(total, total).du) <= 1e-12 * max(1.0, screw_size(total) ** 2)
             assert_vec_close(
-                field_at(total, p), [0, 0, 0], tol=1e-12, scale=magnitude(total) * 4
+                field_at(total, p), [0, 0, 0], tol=1e-12, scale=screw_size(total) * 4
             )

@@ -23,6 +23,7 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from helpers import screw_size  # noqa: E402
 from screwalg import cli  # noqa: E402
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
@@ -160,7 +161,8 @@ def test_common_normal_of_motors_within_eight_ulps():
 )
 def test_triangle_law_residuals_vanish_to_rounding(case):
     out = _output(case)
-    bound = RESIDUAL_EPS * EPS * max(1.0, out["scale"])
+    x, y = (cli._parse_screw(_document(case)[k]) for k in ("x", "y"))
+    bound = RESIDUAL_EPS * EPS * max(1.0, screw_size(x, y, -(x + y), moments=False))
     residuals = (*out["cosine_residuals"], *out["sine_ratio_residuals"],
                  *out["four_r_squared_residuals"], out["angle_sum_residual"])
     assert all(abs(r["re"]) <= bound and abs(r["du"]) <= bound for r in residuals)

@@ -18,6 +18,7 @@ from helpers import (
     rand_rotation_frame,
     rand_unit,
     rand_vec,
+    screw_size,
 )
 from screwalg import (
     Dual,
@@ -36,7 +37,6 @@ from screwalg import (
     hat,
     independent_over_D,
     is_frame,
-    magnitude,
     mixed,
     norm,
     vee,
@@ -100,7 +100,7 @@ class TestProducts:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x, y, z = (rand_dualvec(rng) for _ in range(3))
-            scale = magnitude(x) * magnitude(y) * magnitude(z)
+            scale = screw_size(x, y, z)
             m = mixed(x, y, z)
             assert_dual_close(m, mixed(y, z, x), tol=1e-12, scale=scale)
             assert_dual_close(m, mixed(z, x, y), tol=1e-12, scale=scale)
@@ -128,8 +128,8 @@ class TestIdentities:
         for _ in range(300):
             x, y, z = (rand_dualvec(rng) for _ in range(3))
             total = cross(x, cross(y, z)) + cross(z, cross(x, y)) + cross(y, cross(z, x))
-            scale = magnitude(x) * magnitude(y) * magnitude(z)
-            assert magnitude(total) <= 1e-12 * max(1.0, scale)
+            scale = screw_size(x, y, z)
+            assert screw_size(total) <= 1e-12 * max(1.0, scale)
 
     def test_lagrange(self):
         rng = np.random.default_rng(5)
@@ -137,7 +137,7 @@ class TestIdentities:
             x, y, u, v = (rand_dualvec(rng) for _ in range(4))
             lhs = dot(cross(x, y), cross(u, v))
             rhs = dot(x, u) * dot(y, v) - dot(x, v) * dot(y, u)
-            scale = magnitude(x) * magnitude(y) * magnitude(u) * magnitude(v)
+            scale = screw_size(x, y, u, v)
             assert_dual_close(lhs, rhs, tol=1e-12, scale=scale)
 
     def test_double_cross_product(self):
@@ -146,7 +146,7 @@ class TestIdentities:
             x, y, z = (rand_dualvec(rng) for _ in range(3))
             lhs = cross(x, cross(y, z))
             rhs = dot(x, z) * y - dot(x, y) * z
-            scale = magnitude(x) * magnitude(y) * magnitude(z)
+            scale = screw_size(x, y, z)
             assert_dualvec_close(lhs, rhs, tol=1e-12, scale=scale)
 
     def test_screw_pairing_signature(self):
@@ -263,7 +263,7 @@ class TestGramSchmidt:
             produced += 1
             ms = gram_schmidt(*b)
             # Orthonormality defect grows with the conditioning of the input.
-            cond = sum(magnitude(v) for v in b) ** 2 / det
+            cond = sum(screw_size(v) for v in b) ** 2 / det
             for i in range(3):
                 for j in range(3):
                     want = Dual(1 if i == j else 0, 0)
@@ -292,7 +292,7 @@ class TestHatVee:
         for _ in range(100):
             b, x = rand_dualvec(rng), rand_dualvec(rng)
             assert_dualvec_close(
-                x @ hat(b), cross(b, x), tol=1e-13, scale=magnitude(b) * magnitude(x)
+                x @ hat(b), cross(b, x), tol=1e-13, scale=screw_size(b, x)
             )
 
     def test_hat_is_pairing_antisymmetric(self):
@@ -309,11 +309,47 @@ class TestHatVee:
         rng = np.random.default_rng(11)
         for _ in range(100):
             b = rand_dualvec(rng)
-            assert_dualvec_close(vee(hat(b)), b, tol=1e-12, scale=magnitude(b))
+            assert_dualvec_close(vee(hat(b)), b, tol=1e-12, scale=screw_size(b))
 
     def test_vee_rejects_symmetric_part(self):
         with pytest.raises(NotAntisymmetric):
             vee(DualMat3.identity())
+
+    @pytest.mark.parametrize("factor", [1.0, 1e12])
+    def test_vee_judges_a_small_matrix_as_a_large_one(self, factor):
+        # One off-diagonal entry: its symmetric part is as large as the matrix.
+        with pytest.raises(NotAntisymmetric):
+            vee(DualMat3([[0, 1e-12 * factor, 0], [0, 0, 0], [0, 0, 0]]))
+
+    def test_vee_of_zero_is_zero(self):
+        b = vee(DualMat3(np.zeros((3, 3))))
+        assert (b.re.tolist(), b.du.tolist()) == ([0, 0, 0], [0, 0, 0])
+
+    def test_vee_keeps_every_bit_under_a_power_of_two(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(500):
+            re = rng.normal(size=(3, 3))
+            du = rng.normal(size=(3, 3))
+            skew = 10.0 ** rng.uniform(-12, -6)
+            re, du = re - re.T + skew * (re + re.T), du - du.T
+            k = int(rng.integers(-900, 901))
+
+            def outcome(m):
+                try:
+                    b = vee(m)
+                except NotAntisymmetric:
+                    return NotAntisymmetric
+                return [b.re.tolist(), b.du.tolist()]
+
+            expected = outcome(DualMat3(re, du))
+            scaled = outcome(DualMat3(np.ldexp(re, k), np.ldexp(du, k)))
+            seen.add(expected is NotAntisymmetric)
+            if expected is NotAntisymmetric:
+                assert scaled is NotAntisymmetric, k
+            else:
+                assert scaled == [np.ldexp(part, k).tolist() for part in expected], k
+        assert seen == {True, False}
 
 
 class TestExp:

@@ -12,6 +12,7 @@ from helpers import (
     rand_dualvec,
     rand_skew_lines,
     rand_vec,
+    screw_size,
 )
 from screwalg import (
     ClassicalScrew,
@@ -22,7 +23,6 @@ from screwalg import (
     dot,
     dual_angle,
     line_distance_angle,
-    magnitude,
     oracle_comoment,
     oracle_commutator,
 )
@@ -152,7 +152,7 @@ class TestMotorIsomorphism:
             eps_side = c1.resultant_field().to_motor()
             assert_dualvec_close(eps_side, Dual(0, 1) * z1, tol=1e-15)
 
-            scale = magnitude(z1) * magnitude(z2)
+            scale = screw_size(z1, z2)
             assert abs(oracle_comoment(c1, c2) - comoment(z1, z2)) <= 1e-12 * max(1.0, scale)
             assert_dualvec_close(
                 oracle_commutator(c1, c2).to_motor(),

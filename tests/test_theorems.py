@@ -21,6 +21,7 @@ from helpers import (
     rand_sphere_triple,
     rand_unit,
     rand_vec,
+    screw_size,
 )
 from screwalg import (
     Dual,
@@ -40,7 +41,6 @@ from screwalg import (
     independent_over_D,
     linalg,
     line_from_point_direction,
-    magnitude,
     motor_unreduce,
     petersen_morley,
     sin,
@@ -460,6 +460,21 @@ class TestEquilibriumLaws:
             assert abs(report.angle_sum_residual.re) <= 1e-9
             assert abs(report.angle_sum_residual.du) <= 1e-9
 
+    @pytest.mark.parametrize("size", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("angle", [1e-8, 1e-6, 1e-4])
+    def test_nearly_flat_triangles_satisfy_all_laws(self, angle, size):
+        # The sine ratios are judged over 1/m: as the triangle flattens their real
+        # parts shrink with the angle, their dual parts do not.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            e, p, q = rand_unit(rng), rand_vec(rng), rand_vec(rng)
+            u = np.cross(e, rand_unit(rng))
+            turned = e + angle * u / np.linalg.norm(u)
+            x = line_from_point_direction(p, e).screw
+            y = line_from_point_direction(q, turned / np.linalg.norm(turned)).screw
+            weights = (Dual(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for _ in range(2))
+            assert equilibrium_laws(*(size * w * z for w, z in zip(weights, (x, y)))).ok()
+
     def test_triple_angle_sine_identity_over_duals(self):
         # The sine addition law transfers to dual angles coefficientwise.
         rng = np.random.default_rng(5)
@@ -517,8 +532,8 @@ class TestPetersenMorley:
             x, y, z = rand_generic_triple(rng)
             report = petersen_morley(x, y, z)
             assert not report.parallel_degenerate
-            scale = magnitude(x) * magnitude(y) * magnitude(z)
-            assert report.jacobi_residual <= 1e-12 * max(1.0, scale)
+            jacobi = report.jacobi_residual * screw_size(x, y, z, moments=False)
+            assert jacobi <= 1e-12 * max(1.0, screw_size(x, y, z))
             assert report.max_residual() <= 1e-9
 
 
@@ -672,7 +687,11 @@ def _reference_petersen_morley(
         if _length(w.re) <= tol * scale and _reference_moment_near(w, owner) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
 
-    jacobi_residual = magnitude(a + b + c)
+    # Lengths as the library takes them, the square root of the squares summed in order.
+    j = a + b + c
+    jre, jdu, xl, yl, zl = (screw_size(DualVec3(v), moments=False)
+                            for v in (j.re, j.du, x.re, y.re, z.re))
+    jacobi_residual = max(jre, jdu) / xl / yl / zl
 
     proper = [_length(w.re) > tol * scale for w in (a, b, c)]
     if all(proper):
