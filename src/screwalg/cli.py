@@ -26,7 +26,7 @@ from .linalg import (
     _NO_MOMENT, DualMat3, DualVec3, _DualArray, _moved, _nested, _parallel, _translation, _vec,
     exp_so3d, is_frame,
 )
-from .theorems import _relative, equilibrium_laws, petersen_morley, thales_check
+from .theorems import _thales_figure, equilibrium_laws, petersen_morley, thales_check
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -300,14 +300,10 @@ def _cmd_verify(args, tol: float) -> int:
     theorem = args.theorem
 
     if theorem in ("cosines", "sines", "anglesum"):
-        x, y = (_parse_screw(d) for d in _require(doc, "x", "y"))
-        report = equilibrium_laws(x, y, tol=tol)
+        report = equilibrium_laws(*(_parse_screw(d) for d in _require(doc, "x", "y")), tol=tol)
         passed = report.ok(tol)
-        out = {
-            **_fields(report),
-            "max_scaled_residual": report.max_scaled_residual(),
-            "theorem": theorem,
-        }
+        out = {**_fields(report), "max_scaled_residual": report.max_scaled_residual(),
+               "theorem": theorem}
     elif theorem == "petersen-morley":
         report = petersen_morley(*(_parse_screw(d) for d in _require(doc, "x", "y", "z")), tol=tol)
         passed = report.ok(tol)
@@ -316,7 +312,7 @@ def _cmd_verify(args, tol: float) -> int:
         *screws, r_doc = _require(doc, "x", "y", "z", "r")
         radius = _parse_dual_value(r_doc)
         residual = thales_check(*(_parse_screw(d) for d in screws), radius, tol=tol)
-        passed = _relative((residual,), radius.re, radius.re) <= tol
+        passed = _thales_figure(residual, radius) <= tol
         out = {"theorem": theorem, "residual": residual}
     else:  # delassus
         fitted, residual = _fit_from_doc(doc, tol)

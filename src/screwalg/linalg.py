@@ -557,9 +557,8 @@ def hat(b: DualVec3) -> DualMat3:
 def vee(m: DualMat3, tol: float = DEFAULT_TOL) -> DualVec3:
     """Invert hat: the unique b with ``b cross == m``.
 
-    Antisymmetric operators are exactly those of the form ``b cross``, and
-    hat(b) holds b in the entries of _axial_matrix on both parts. The symmetric
-    part is compared with ``tol`` times the largest entry, whatever the size.
+    Antisymmetric operators are exactly those of the form ``b cross``, and hat(b) holds b
+    in the entries of _axial_matrix; the symmetric part may reach ``tol`` times the largest entry.
     """
     re, du = m._re, m._du
     bound = tol * max(_max_abs(re), _max_abs(du))

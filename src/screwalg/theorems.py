@@ -68,14 +68,10 @@ def _require_proper(zs) -> None:
 
 
 def _relative(residuals, *moduli: float) -> float:
-    """The largest component of the dual ``residuals`` over the product of input
-    ``moduli``, as many as the residuals' degree in the inputs' size. So scaling every
-    screw by a real unit, a module automorphism, moves no verdict, and by 2^k no bit.
-    Moduli are divided one at a time, as their product may underflow; a modulus of 0
-    leaves no finite figure and is refused as an overflow, as in linalg._over."""
-    figure = 0.0
-    for r in residuals:
-        figure = max(figure, abs(r.re), abs(r.du))
+    """The largest component of the dual ``residuals`` over input ``moduli``, one per degree
+    in the inputs' size, so that a real unit times every screw moves no verdict, and 2^k no
+    bit. Dividing one at a time, no product underflows; a modulus of 0 is refused (linalg._over)."""
+    figure = max([max(abs(r.re), abs(r.du)) for r in residuals])
     for m in moduli:
         if m == 0.0:
             raise NotFinite("a modulus underflows to 0, so the relative residual overflows")
@@ -256,11 +252,10 @@ def _concurrent_sliding(zs, tol: float) -> bool:
 class EquilibriumReport:
     """Residuals of the triangle laws for three screws summing to zero.
 
-    Angles are the interior ones, alpha = pi - Theta. Every residual is a
-    dual number whose components should vanish. ``max_scaled_residual`` judges
-    each family by ``_relative``, with m = ``scale`` the largest real part of the
-    moduli: the cosines over m^2, the sine ratios over 1/m, the 4R^2 identity
-    over m^4 and the angle sum as it is. ``ok`` is that figure at most ``tol``.
+    Angles are the interior ones, alpha = pi - Theta. Every residual is a dual number whose
+    components should vanish. ``ok`` is ``max_scaled_residual`` at most ``tol``: each family by
+    ``_relative``, with m = ``scale`` the largest real part of the moduli, the cosines over m^2,
+    the sine ratios over 1/m, the 4R^2 identity over m^4 and the angle sum as it is.
     """
 
     alpha_xy: Dual
@@ -363,13 +358,11 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
 class PetersenMorleyReport:
     """Certificate that the three derived normals admit a common normal.
 
-    ``incidence_residuals`` are the full dual products of the certifying
-    line with the normalized derived screws, so of degree 0; all components
-    vanish when the theorem holds, as does J = a + b + c, whose
-    ``jacobi_residual`` is max(|J.re|, |J.du|) over |r_x| |r_y| |r_z|
-    (``_relative``). ``ok`` is both at most ``tol``. ``parallel_degenerate``
-    marks the limit configuration in which the derived screws lose their
-    resultants and the common normal survives only as a direction.
+    ``incidence_residuals`` (the full dual products of the certifying line with the
+    normalized derived screws, degree 0) and J = a + b + c vanish when the theorem holds;
+    ``jacobi_residual`` is max(|J.re|, |J.du|) over |r_x| |r_y| |r_z| (``_relative``), and
+    ``ok`` is both at most ``tol``. ``parallel_degenerate`` marks the limit configuration in
+    which the derived screws lose their resultants and the normal survives only as a direction.
     """
 
     a: DualVec3
@@ -406,7 +399,7 @@ def petersen_morley(
     """
     triple = (x, y, z)
     _require_proper(triple)
-    res_lengths = [_length(w._re) for w in triple]
+    res_lengths = [math.hypot(*w._re) for w in triple]
     pairs = _parallel_pairs((x._re, y._re, z._re), tol)
     for key, parallel in zip(("x,y", "y,z", "z,x"), pairs):
         if parallel:
@@ -417,7 +410,7 @@ def petersen_morley(
     c = cross(y, cross(z, x))
     derived = (a, b, c)
     scale = res_lengths[0] * res_lengths[1] * res_lengths[2]
-    proper = [_length(w._re) > tol * scale for w in derived]
+    proper = [math.hypot(*w._re) > tol * scale for w in derived]
     for name, w, keeps, owner in zip("abc", derived, proper, (x, z, y)):
         if not keeps and _moment_near(w, owner) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
@@ -442,7 +435,7 @@ def petersen_morley(
         a=a,
         b=b,
         c=c,
-        jacobi_residual=_relative((_dual(_length(j._re), _length(j._du)),), *res_lengths),
+        jacobi_residual=_relative((_dual(math.hypot(*j._re), math.hypot(*j._du)),), *res_lengths),
         normal=normal,
         incidence_residuals=residuals,
         parallel_degenerate=degenerate,
@@ -451,13 +444,22 @@ def petersen_morley(
 
 def _direction_certificate(moments) -> Line:
     """A line through the origin orthogonal to the unit moments of pure-dual screws."""
-    u, v, w = moments
-    best = max((_cross(u, v), _cross(u, w), _cross(v, w)), key=_length)
-    if _length(best) < 1e-12:
+    best = None
+    best_len = -1.0
+    for i in range(len(moments)):
+        for j in range(i + 1, len(moments)):
+            n = _cross(moments[i], moments[j])
+            n_len = _length(n)
+            if n_len > best_len:
+                best_len = n_len
+                best = n
+    if best is None or best_len < 1e-12:
         # All moments share one direction; any perpendicular will do.
-        i = min(range(3), key=lambda k: abs(u[k]))
-        best = _cross(u, _EYE[3 * i:3 * i + 3])
-    return _line_through(_ZERO3, _over(best, _length(best)), _ROUNDINGS * sys.float_info.epsilon)
+        m = moments[0]
+        i = min(range(3), key=lambda k: abs(m[k]))
+        best = _cross(m, _EYE[3 * i:3 * i + 3])
+    direction = _over(best, _length(best))
+    return _line_through(_ZERO3, direction, _ROUNDINGS * sys.float_info.epsilon)
 
 
 def thales_check(
@@ -467,10 +469,9 @@ def thales_check(
 
     For x, y, z of equal dual modulus r with x = -y, the chords y - z and
     z - x are orthogonal under the full dual product; the returned residual
-    is (y - z) o (z - x), which should vanish in both components: it passes
-    when ``_relative`` of it over r.re r.re is at most ``tol``. Both parts of
-    |w| - r, the resultant of s = x + y and the moment of s about x's axis
-    (``_moment_near``) are compared with tol * |r.re|.
+    is (y - z) o (z - x), which should vanish: it passes where ``_thales_figure`` of it
+    is at most ``tol``. Both parts of |w| - r, the resultant of s = x + y and the
+    moment of s about x's axis (``_moment_near``) are compared with tol * |r.re|.
     """
     radius = r if isinstance(r, Dual) else Dual(float(r))
     bound = tol * abs(radius.re)
@@ -482,3 +483,8 @@ def thales_check(
     if _length(s._re) > bound or _moment_near(s, x) > bound:
         raise NotAntipodal("x and y are not opposite")
     return dot(y - z, z - x)
+
+
+def _thales_figure(residual: Dual, r: Dual) -> float:
+    """The verdict figure of thales_check's residual for radius r: degree 2, over r.re r.re."""
+    return _relative((residual,), r.re, r.re)

@@ -249,6 +249,7 @@ VERDICT_CODE = {
     "theorems": {
         "_relative", "EquilibriumReport.max_scaled_residual", "EquilibriumReport.ok",
         "PetersenMorleyReport.max_residual", "PetersenMorleyReport.ok", "thales_check",
+        "_thales_figure",
     },
     "cli": {"_cmd_verify"},
 }

@@ -61,7 +61,7 @@ from screwalg.theorems import (
     _concurrent_sliding,
     _moment_near,
     _parallel_pairs,
-    _relative,
+    _thales_figure,
     independent_over_D,
 )
 from test_theorems import THEOREM_KINDS, _length, _theorem_case
@@ -412,7 +412,7 @@ def _reports(kind, args):
             report = petersen_morley(*args, tol=TOL)
             return report.jacobi_residual, report.max_residual(), report.ok(TOL)
         *screws, r = args
-        figure = _relative((thales_check(*screws, r, tol=TOL),), r.re, r.re)
+        figure = _thales_figure(thales_check(*screws, r, tol=TOL), r)
         return figure, figure <= TOL
     except ScrewAlgError as exc:
         return type(exc)

@@ -532,9 +532,21 @@ class TestPetersenMorley:
             x, y, z = rand_generic_triple(rng)
             report = petersen_morley(x, y, z)
             assert not report.parallel_degenerate
-            jacobi = report.jacobi_residual * screw_size(x, y, z, moments=False)
+            jacobi = screw_size(report.a + report.b + report.c)
             assert jacobi <= 1e-12 * max(1.0, screw_size(x, y, z))
             assert report.max_residual() <= 1e-9
+
+    def test_resultant_whose_square_underflows_keeps_the_figures(self):
+        # x times 2**-565 (about 1.5e-170): the squares of its resultant underflow to 0, so
+        # a length summed from them would leave the relative Jacobi figure no divisor.
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            x, y, z = rand_generic_triple(rng)
+            report = petersen_morley(x, y, z)
+            moved = petersen_morley(x * 2.0**-565, y * 2.0**332, z * 2.0**332)
+            assert moved.jacobi_residual == report.jacobi_residual
+            assert moved.max_residual() == report.max_residual()
+            assert moved.ok()
 
 
 class TestThales:
@@ -674,7 +686,8 @@ def _reference_petersen_morley(
 ) -> PetersenMorleyReport:
     triple = (x, y, z)
     _require_proper(triple)
-    mags = [_length(w.re) for w in triple]
+    # Resultant lengths as the library takes them, with math.hypot, which squares no tiny value.
+    mags = [math.hypot(*w.re) for w in triple]
     for (u, v), key in (((x, y), "x,y"), ((y, z), "y,z"), ((z, x), "z,x")):
         if _parallel(u.re, v.re, tol):
             raise NonGeneric(f"resultants of {key} are parallel")
@@ -684,16 +697,13 @@ def _reference_petersen_morley(
     c = cross(y, cross(z, x))
     scale = mags[0] * mags[1] * mags[2]
     for name, w, owner in (("a", a, x), ("b", b, z), ("c", c, y)):
-        if _length(w.re) <= tol * scale and _reference_moment_near(w, owner) <= tol * scale:
+        if math.hypot(*w.re) <= tol * scale and _reference_moment_near(w, owner) <= tol * scale:
             raise NonGeneric(f"derived screw {name} vanishes")
 
-    # Lengths as the library takes them, the square root of the squares summed in order.
     j = a + b + c
-    jre, jdu, xl, yl, zl = (screw_size(DualVec3(v), moments=False)
-                            for v in (j.re, j.du, x.re, y.re, z.re))
-    jacobi_residual = max(jre, jdu) / xl / yl / zl
+    jacobi_residual = max(math.hypot(*j.re), math.hypot(*j.du)) / mags[0] / mags[1] / mags[2]
 
-    proper = [_length(w.re) > tol * scale for w in (a, b, c)]
+    proper = [math.hypot(*w.re) > tol * scale for w in (a, b, c)]
     if all(proper):
         for u, v in ((a, b), (b, c), (c, a)):
             if _parallel(u.re, v.re, tol):
