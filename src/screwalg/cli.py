@@ -56,14 +56,25 @@ def _load_documents(args, expected: int) -> list:
     return docs
 
 
+def _numbers(*values):
+    """The values, where each is a JSON number or a (nested) array of them; a boolean or a
+    string raises ValueError, before any constructor reads it."""
+    for v in values:
+        if isinstance(v, (bool, str)):
+            raise ValueError(f"{v!r} is not a JSON number")
+        if isinstance(v, list):
+            _numbers(*v)
+    return values
+
+
 def _parse_dual_value(obj) -> Dual:
     try:
         if isinstance(obj, str):
             return parse_dual(obj)
         if isinstance(obj, (int, float)):
-            return Dual(obj)
+            return Dual(*_numbers(obj))
         if isinstance(obj, dict) and set(obj) <= {"re", "du"}:
-            return Dual(obj.get("re", 0.0), obj.get("du", 0.0))
+            return Dual(*_numbers(obj.get("re", 0.0), obj.get("du", 0.0)))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"cannot interpret {obj!r} as a dual number: {exc}") from exc
     raise _InputError(f"cannot interpret {obj!r} as a dual number")
@@ -75,10 +86,9 @@ def _parse_screw(obj) -> DualVec3:
         raise _InputError("screw must be a JSON object")
     try:
         if "re" in obj:
-            return DualVec3(obj["re"], obj.get("du"))
+            return DualVec3(*_numbers(obj["re"], obj.get("du")))
         if "point" in obj and "direction" in obj:
-            p = _vec(obj["point"])
-            e = _vec(obj["direction"])
+            p, e = map(_vec, _numbers(obj["point"], obj["direction"]))
             return DualVec3(e, _moved(e, _NO_MOMENT, p))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad screw document: {exc}") from exc
@@ -88,7 +98,7 @@ def _parse_screw(obj) -> DualVec3:
 def _parse_line(obj, tol: float) -> Line:
     try:
         if isinstance(obj, dict) and "point" in obj and "direction" in obj:
-            return line_from_point_direction(obj["point"], obj["direction"], tol=tol)
+            return line_from_point_direction(*_numbers(obj["point"], obj["direction"]), tol=tol)
         return Line(_parse_screw(obj), tol=tol)
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad line document: {exc}") from exc
@@ -98,7 +108,7 @@ def _parse_matrix(obj) -> DualMat3:
     if not isinstance(obj, dict) or "re" not in obj:
         raise _InputError("matrix document needs re (and optionally du) 3x3 arrays")
     try:
-        return DualMat3(obj["re"], obj.get("du"))
+        return DualMat3(*_numbers(obj["re"], obj.get("du")))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad matrix document: {exc}") from exc
 
@@ -363,7 +373,7 @@ def _fit_from_doc(doc, tol: float):
 
 def _parse_vec3(obj) -> tuple:
     try:
-        return _vec(obj)
+        return _vec(*_numbers(obj))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"sample point or value is not 3 finite numbers: {obj!r}") from exc
 

@@ -466,10 +466,15 @@ def norm(x: DualVec3) -> Dual:
     return _dual(*_scaled((n.re, n.du), -k, "modulus")) if k else n
 
 
+# The refusal of a modulus: x o x has real part 0 for a pure dual, and for a
+# proper screw whose squared resultant length underflows.
+_NO_MODULUS = "modulus undefined: the squared resultant length is 0 (a pure dual, or an underflow)"
+
+
 def _modulus(ss: Dual) -> Dual:
     """norm(x) from ``ss = dot(x, x)``, for a caller that already holds the product."""
     if ss.re == 0.0:
-        raise NullVector("modulus undefined for a pure-dual vector")
+        raise NullVector(_NO_MODULUS)
     return sqrt(ss)
 
 

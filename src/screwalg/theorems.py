@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dual import DEFAULT_TOL, Dual, _dual
-from .dual import atan2 as dual_atan2
-from .dual import cos as dual_cos
-from .dual import sin as dual_sin
 from .errors import (
     DegenerateTriangle,
     NonGeneric,
@@ -32,6 +29,7 @@ from .errors import (
 from .geometry import _ROUNDINGS, Line, _foot, _line_through, axis_decompose
 from .linalg import (
     _EYE,
+    _NO_MODULUS,
     _ZERO3,
     DualVec3,
     _add,
@@ -55,12 +53,6 @@ from .linalg import (
     normalized,
 )
 
-# Built once: Dual(...) and 2 * dual run the checked constructor on every call;
-# nx * _TWO takes the products that Python evaluates for 2 * nx.
-_PI = Dual(math.pi)
-_TWO = Dual(2.0)
-
-
 def _require_proper(zs) -> None:
     for z in zs:
         if z.is_pure_dual:
@@ -71,7 +63,13 @@ def _relative(residuals, *moduli: float) -> float:
     """The largest component of the dual ``residuals`` over input ``moduli``, one per degree
     in the inputs' size, so that a real unit times every screw moves no verdict, and 2^k no
     bit. Dividing one at a time, no product underflows; a modulus of 0 is refused (linalg._over)."""
-    figure = max([max(abs(r.re), abs(r.du)) for r in residuals])
+    figure = 0.0
+    for r in residuals:
+        re, du = abs(r.re), abs(r.du)
+        if re > figure:
+            figure = re
+        if du > figure:
+            figure = du
     for m in moduli:
         if m == 0.0:
             raise NotFinite("a modulus underflows to 0, so the relative residual overflows")
@@ -79,13 +77,59 @@ def _relative(residuals, *moduli: float) -> float:
     return figure
 
 
-def _parallel_pairs(res, tol: float):
-    """linalg._parallel on the cyclic pairs (0, 1), (1, 2), (2, 0) of the real 3-vectors
-    ``res``; lazy, so that a refusal at the first parallel pair takes no more."""
-    u, v, w = [_in_range(r)[0] for r in res]
-    yield _parallel(u, v, tol)
-    yield _parallel(v, w, tol)
-    yield _parallel(w, u, tol)
+def _parallel_pair(res, tol: float) -> int:
+    """The index of the first of the cyclic pairs (0, 1), (1, 2), (2, 0) of the real 3-vectors
+    ``res``, each brought into range, that linalg._parallel finds parallel; -1 for none."""
+    u, v, w = _in_range(res[0])[0], _in_range(res[1])[0], _in_range(res[2])[0]
+    if _parallel(u, v, tol):
+        return 0
+    return 1 if _parallel(v, w, tol) else 2 if _parallel(w, u, tol) else -1
+
+
+# -- one pass over float pairs ---------------------------------------------------
+#
+# By the transference principle a dual formula is the real one on (re, du) pairs.
+# equilibrium_laws and petersen_morley hold each intermediate dual as two floats,
+# computed with the products and sums, in the order, that the Dual and DualVec3
+# operators take, so every bit is theirs, down to the sign of a zero. Each
+# refusal of those operators runs before the next branch that reads the value:
+# a non-finite part of a sum or product leaves a non-finite part in every result
+# built from it, so one test of a stage's results stands for its intermediates.
+
+def _refuse_non_finite(values: tuple, vector: bool = False) -> None:
+    """NotFinite where a value is not finite, with the message of DualVec3._raw or dual._dual."""
+    if not all(map(math.isfinite, values)):
+        raise NotFinite("3-vector result overflows" if vector
+                        else f"dual components must be finite, got {', '.join(map(str, values))}")
+
+
+def _root(ss: float, ss_du: float) -> tuple:
+    """linalg._modulus on the parts of x o x, with its refusals: |x| and its dual part.
+
+    One test after the root stands for dot's too: a non-finite part of x o x leaves one
+    in the root, and x o x has the real part 0 only where every resultant component is
+    below 2**-537, where 2 (re . du) cannot overflow.
+    """
+    if ss == 0.0:
+        raise NullVector(_NO_MODULUS)
+    root = math.sqrt(ss)
+    du = ss_du / (2.0 * root)
+    _refuse_non_finite((root, du))
+    return root, du
+
+
+def _cross_parts(a: tuple, ad: tuple, b: tuple, bd: tuple) -> tuple:
+    """(re, du) of linalg.cross of a + eps ad and b + eps bd: a x b, and a x bd + ad x b."""
+    a0, a1, a2 = a
+    p0, p1, p2 = ad
+    b0, b1, b2 = b
+    q0, q1, q2 = bd
+    return (
+        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
+        ((a1 * q2 - a2 * q1) + (p1 * b2 - p2 * b1),
+         (a2 * q0 - a0 * q2) + (p2 * b0 - p0 * b2),
+         (a0 * q1 - a1 * q0) + (p0 * b1 - p1 * b0)),
+    )
 
 
 def _moment_near(s: DualVec3, z: DualVec3) -> float:
@@ -292,65 +336,85 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     the interior-angle sum minus pi.
 
     Each of the six products x o x, ..., z o x and each modulus is evaluated
-    once. The three interior angles are atan2(|x cross y|, -(u o v)) over
+    once, in one pass over float pairs that builds only the report's Duals. The
+    three interior angles are atan2(|x cross y|, -(u o v)) over
     the duals: as z = -(x + y), the cross products x cross y, y cross z and
     z cross x are all equal, so one modulus serves all three.
     """
     _require_proper((x, y))
-    # -(x + y), tested finite once rather than once per operator.
-    z = DualVec3._raw(_scale(-1.0, _add(x._re, y._re)), _scale(-1.0, _add(x._du, y._du)))
-    if z.is_pure_dual:
+    a = a0, a1, a2 = x._re
+    p0, p1, p2 = x._du
+    b = b0, b1, b2 = y._re
+    q0, q1, q2 = y._du
+    # z = -(x + y), tested finite once rather than once per operator.
+    c = c0, c1, c2 = -1.0 * (a0 + b0), -1.0 * (a1 + b1), -1.0 * (a2 + b2)
+    r0, r1, r2 = -1.0 * (p0 + q0), -1.0 * (p1 + q1), -1.0 * (p2 + q2)
+    _refuse_non_finite(c + (r0, r1, r2), vector=True)
+    if not any(c):
         raise NullVector("x + y has zero resultant; the triple leaves the module basis")
-    if any(_parallel_pairs((x._re, y._re, z._re), tol)):
+    if _parallel_pair((a, b, c), tol) >= 0:
         raise DegenerateTriangle("a pair of the triple has proportional resultants")
 
-    xx = dot(x, x)
-    nx = _modulus(xx)
-    yy = dot(y, y)
-    ny = _modulus(yy)
-    zz = dot(z, z)
-    nz = _modulus(zz)
-    xy = dot(x, y)
-    yz = dot(y, z)
-    zx = dot(z, x)
-    xy_cross = cross(x, y)
-    sine = _modulus(dot(xy_cross, xy_cross))
-    alpha_xy = dual_atan2(sine, -xy)
-    alpha_yz = dual_atan2(sine, -yz)
-    alpha_zx = dual_atan2(sine, -zx)
+    # The six dual products, and the moduli; u o u has the dual part 2 (re . du),
+    # as the two equal sums of dot are one float.
+    xx = a0 * a0 + a1 * a1 + a2 * a2, 2.0 * (a0 * p0 + a1 * p1 + a2 * p2)
+    nx = _root(*xx)
+    yy = b0 * b0 + b1 * b1 + b2 * b2, 2.0 * (b0 * q0 + b1 * q1 + b2 * q2)
+    ny = _root(*yy)
+    zz = c0 * c0 + c1 * c1 + c2 * c2, 2.0 * (c0 * r0 + c1 * r1 + c2 * r2)
+    nz = _root(*zz)
+    xy = a0 * b0 + a1 * b1 + a2 * b2, (a0 * q0 + a1 * q1 + a2 * q2) + (p0 * b0 + p1 * b1 + p2 * b2)
+    yz = b0 * c0 + b1 * c1 + b2 * c2, (b0 * r0 + b1 * r1 + b2 * r2) + (q0 * c0 + q1 * c1 + q2 * c2)
+    zx = c0 * a0 + c1 * a1 + c2 * a2, (c0 * p0 + c1 * p1 + c2 * p2) + (r0 * a0 + r1 * a1 + r2 * a2)
+    _refuse_non_finite(xy + yz + zx)
+    (e0, e1, e2), (f0, f1, f2) = _cross_parts(a, x._du, b, y._du)
+    _refuse_non_finite((e0, e1, e2, f0, f1, f2), vector=True)
+    s, sd = _root(e0 * e0 + e1 * e1 + e2 * e2, 2.0 * (e0 * f0 + e1 * f1 + e2 * f2))
 
-    cosine_residuals = (
-        zz - xx - yy + nx * _TWO * ny * dual_cos(alpha_xy),
-        xx - yy - zz + ny * _TWO * nz * dual_cos(alpha_yz),
-        yy - zz - xx + nz * _TWO * nx * dual_cos(alpha_zx),
-    )
+    # From here on each refusal is dual._dual's NotFinite, and the Duals handed out,
+    # built by _dual, test every value computed from them. No divisor is 0: s and each
+    # modulus are roots of a positive x o x, so their squares round to at least it.
+    # For the pair (u, v) and the third screw w: alpha = atan2(|x cross y|, -(u o v)) as
+    # dual.atan2 takes it, ww - uu - vv + nu * Dual(2) * nv * cos(alpha), and the sine
+    # ratio sin(alpha) / nw, sin times Dual.inv of nw.
+    alphas, cosine_residuals, ratios = [], [], []
+    for (uv, uvd), (ww, wwd), (uu, uud), (vv, vvd), (nu, nud), (nv, nvd), (nw, nwd) in (
+        (xy, zz, xx, yy, nx, ny, nz), (yz, xx, yy, zz, ny, nz, nx), (zx, yy, zz, xx, nz, nx, ny),
+    ):
+        t, td = math.atan2(s, -uv), (-uv * sd - s * -uvd) / (-uv * -uv + s * s)
+        cos, sin = math.cos(t), math.sin(t)
+        k, kd = nu * 2.0, nu * 0.0 + nud * 2.0
+        k, kd = k * nv, k * nvd + kd * nv
+        alphas.append(_dual(t, td))
+        cosine_residuals.append(
+            _dual((ww - uu) - vv + k * cos, ((wwd - uud) - vvd) + (k * (-td * sin) + kd * cos)))
+        i, idu = 1.0 / nw, -nwd / (nw * nw)
+        ratios.append((sin * i, sin * idu + td * cos * i))
+    (g0, g0d), (g1, g1d), (g2, g2d) = ratios
 
-    ratio_xy = dual_sin(alpha_xy) / nz
-    ratio_yz = dual_sin(alpha_yz) / nx
-    ratio_zx = dual_sin(alpha_zx) / ny
-    sine_ratio_residuals = (
-        ratio_xy - ratio_yz,
-        ratio_yz - ratio_zx,
-        ratio_zx - ratio_xy,
+    # 4R^2 |x|^2 |y|^2 |z|^2 = two_r * two_r * (xx * yy * zz), against uu * vv - uv * uv.
+    rr, rrd = g0 * g0, g0 * g0d + g0d * g0
+    vol, vold = xx[0] * yy[0], xx[0] * yy[1] + xx[1] * yy[0]
+    vol, vold = vol * zz[0], vol * zz[1] + vold * zz[0]
+    four, fourd = rr * vol, rr * vold + rrd * vol
+    four_r_squared_residuals = tuple(
+        _dual(four - (uu * vv - uv * uv), fourd - ((uu * vvd + uud * vv) - (uv * uvd + uvd * uv)))
+        for (uu, uud), (vv, vvd), (uv, uvd) in ((xx, yy, xy), (yy, zz, yz), (zz, xx, zx))
     )
-    two_r = ratio_xy
-    four_r_sq_volume = two_r * two_r * (xx * yy * zz)
-    four_r_squared_residuals = (
-        four_r_sq_volume - (xx * yy - xy * xy),
-        four_r_sq_volume - (yy * zz - yz * yz),
-        four_r_sq_volume - (zz * xx - zx * zx),
-    )
-
+    alpha_xy, alpha_yz, alpha_zx = alphas
     return EquilibriumReport(
         alpha_xy=alpha_xy,
         alpha_yz=alpha_yz,
         alpha_zx=alpha_zx,
-        cosine_residuals=cosine_residuals,
-        sine_ratio_residuals=sine_ratio_residuals,
+        cosine_residuals=tuple(cosine_residuals),
+        sine_ratio_residuals=(_dual(g0 - g1, g0d - g1d), _dual(g1 - g2, g1d - g2d),
+                              _dual(g2 - g0, g2d - g0d)),
         four_r_squared_residuals=four_r_squared_residuals,
-        angle_sum_residual=alpha_xy + alpha_yz + alpha_zx - _PI,
-        two_r=two_r,
-        scale=max(nx.re, ny.re, nz.re),
+        # Minus Dual(pi), whose dual part 0.0 leaves every float as it is.
+        angle_sum_residual=_dual(alpha_xy.re + alpha_yz.re + alpha_zx.re - math.pi,
+                                 alpha_xy.du + alpha_yz.du + alpha_zx.du),
+        two_r=_dual(g0, g0d),
+        scale=max(nx[0], ny[0], nz[0]),
     )
 
 
@@ -400,15 +464,16 @@ def petersen_morley(
     triple = (x, y, z)
     _require_proper(triple)
     res_lengths = [math.hypot(*w._re) for w in triple]
-    pairs = _parallel_pairs((x._re, y._re, z._re), tol)
-    for key, parallel in zip(("x,y", "y,z", "z,x"), pairs):
-        if parallel:
-            raise NonGeneric(f"resultants of {key} are parallel")
+    pair = _parallel_pair((x._re, y._re, z._re), tol)
+    if pair >= 0:
+        raise NonGeneric(f"resultants of {('x,y', 'y,z', 'z,x')[pair]} are parallel")
 
-    a = cross(x, cross(y, z))
-    b = cross(z, cross(x, y))
-    c = cross(y, cross(z, x))
-    derived = (a, b, c)
+    # a = x cross (y cross z), b = z cross (x cross y), c = y cross (z cross x); a
+    # non-finite inner product leaves the outer one non-finite, which _raw refuses.
+    derived = a, b, c = [
+        DualVec3._raw(*_cross_parts(u._re, u._du, *_cross_parts(v._re, v._du, w._re, w._du)))
+        for u, v, w in ((x, y, z), (z, x, y), (y, z, x))
+    ]
     scale = res_lengths[0] * res_lengths[1] * res_lengths[2]
     proper = [math.hypot(*w._re) > tol * scale for w in derived]
     for name, w, keeps, owner in zip("abc", derived, proper, (x, z, y)):
@@ -416,11 +481,11 @@ def petersen_morley(
             raise NonGeneric(f"derived screw {name} vanishes")
 
     if all(proper):
-        if any(_parallel_pairs((a._re, b._re, c._re), tol)):
+        if _parallel_pair((a._re, b._re, c._re), tol) >= 0:
             raise NonGeneric("derived screws have pairwise parallel resultants")
         # common_normal(a, b), whose checks ran above.
         normal = axis_decompose(cross(a, b)).axis
-        residuals = tuple(dot(normal.screw, normalized(w)) for w in derived)
+        residuals = tuple(_incidence(normal.screw, w) for w in derived)
         degenerate = False
     elif not any(proper):
         moments = [_over(w._du, _length(w._du)) for w in derived]
@@ -430,16 +495,37 @@ def petersen_morley(
     else:
         raise NonGeneric("some derived screws lost their resultants; no common axis")
 
-    j = a + b + c
+    j, jd = _add(_add(a._re, b._re), c._re), _add(_add(a._du, b._du), c._du)
+    _refuse_non_finite(j + jd, vector=True)
     return PetersenMorleyReport(
         a=a,
         b=b,
         c=c,
-        jacobi_residual=_relative((_dual(math.hypot(*j._re), math.hypot(*j._du)),), *res_lengths),
+        jacobi_residual=_relative((_dual(math.hypot(*j), math.hypot(*jd)),), *res_lengths),
         normal=normal,
         incidence_residuals=residuals,
         parallel_degenerate=degenerate,
     )
+
+
+def _incidence(line: DualVec3, w: DualVec3) -> Dual:
+    """dot(line, normalized(w)) in one pass, for a proper w, with normalized's refusals.
+
+    In range w o w is at least 2**-300, so _modulus cannot refuse, and a non-finite part
+    of w o w or of |w| leaves the inverse's dual part non-finite: one test stands for three.
+    """
+    w, _ = _in_range(w)
+    (r0, r1, r2), (d0, d1, d2) = w._re, w._du
+    n = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+    k = 1.0 / n, -((2.0 * (r0 * d0 + r1 * d1 + r2 * d2)) / (2.0 * n)) / (n * n)
+    _refuse_non_finite(k)
+    k, kd = k
+    u = u0, u1, u2 = k * r0, k * r1, k * r2
+    v = v0, v1, v2 = k * d0 + kd * r0, k * d1 + kd * r1, k * d2 + kd * r2
+    _refuse_non_finite(u + v, vector=True)
+    (e0, e1, e2), (m0, m1, m2) = line._re, line._du
+    return _dual(e0 * u0 + e1 * u1 + e2 * u2,
+                 (e0 * v0 + e1 * v1 + e2 * v2) + (m0 * u0 + m1 * u1 + m2 * u2))
 
 
 def _direction_certificate(moments) -> Line:

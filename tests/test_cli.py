@@ -734,6 +734,92 @@ def test_integer_too_large_for_a_float_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def _not_a_number_cases():
+    """(id, argv, message) with a boolean or a numeric string in each slot where the input
+    forms allow only a JSON number; a dual value may also be "a + beps" text, so "1" is
+    refused there only inside the {"re", "du"} form."""
+    def screw(doc, other=X_AXIS):
+        return ["common-normal", "--json", json.dumps(doc), "--json", json.dumps(other)]
+
+    def line(doc):
+        return ["line-angle", "--json", json.dumps(doc), "--json", json.dumps(Y_AXIS_OFFSET)]
+
+    def matrix(part, rows):
+        doc = {"re": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], part: rows}
+        return ["compose", "--json", json.dumps([{"matrix": doc}])]
+
+    def sample(field, v):
+        entry = {"point": [0, 0, 0], "value": [0, 0, 0], field: v}
+        return ["fit", "--json", json.dumps({"samples": [entry] * 4})]
+
+    def angle(value):
+        return ["compose", "--json", json.dumps([{"axis": LINE_AXIS, "angle": value}])]
+
+    def radius(value):
+        doc = {"x": X_AXIS, "y": {"re": [-1, 0, 0], "du": [0, 0, 0]}, "z": Y_AXIS_OFFSET,
+               "r": value}
+        return ["verify", "thales", "--json", json.dumps(doc)]
+
+    for bad in (True, "1"):
+        kind = "bool" if bad is True else "string"
+        yield f"screw-re-{kind}", screw({"re": [bad, 0, 0], "du": [0, 1, 0]}), "bad screw document"
+        yield f"screw-du-{kind}", screw({"re": [0, 1, 0], "du": [0, 0, bad]}), "bad screw document"
+        yield (f"screw-point-{kind}", screw({"point": [0, bad, 0], "direction": [0, 1, 0]}),
+               "bad screw document")
+        yield (f"screw-direction-{kind}", screw({"point": [0, 0, 1], "direction": [0, bad, 0]}),
+               "bad screw document")
+        yield f"line-point-{kind}", line({"point": [bad, 0, 0], "direction": [1, 0, 0]}), "bad line document"
+        yield (f"line-direction-{kind}", line({"point": [0, 0, 0], "direction": [bad, 0, 0]}),
+               "bad line document")
+        # A line in the re/du form is parsed as a screw first, as any malformed one is.
+        yield f"line-re-{kind}", line({"re": [bad, 0, 0], "du": [0, 0, 0]}), "bad screw document"
+        yield (f"matrix-re-{kind}", matrix("re", [[bad, 0, 0], [0, 1, 0], [0, 0, 1]]),
+               "bad matrix document")
+        yield f"matrix-du-{kind}", matrix("du", [[0, 0, 0], [0, 0, bad], [0, 0, 0]]), "bad matrix document"
+        yield f"sample-point-{kind}", sample("point", [bad, 0, 0]), "sample point or value"
+        yield f"sample-value-{kind}", sample("value", [0, 0, bad]), "sample point or value"
+        yield f"angle-re-{kind}", angle({"re": bad}), "cannot interpret"
+        yield f"angle-du-{kind}", angle({"du": bad}), "cannot interpret"
+        yield f"radius-re-{kind}", radius({"re": bad, "du": 0}), "cannot interpret"
+    yield "angle-bool", angle(True), "cannot interpret"
+    yield "radius-bool", radius(False), "cannot interpret"
+
+
+_NOT_A_NUMBER = list(_not_a_number_cases())
+
+
+@pytest.mark.parametrize("argv, message", [c[1:] for c in _NOT_A_NUMBER],
+                         ids=[c[0] for c in _NOT_A_NUMBER])
+def test_boolean_or_numeric_string_where_a_number_belongs_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}"), err
+
+
+def test_dual_value_text_and_numbers_still_parse(capsys):
+    # The text form of a dual value is a string, and a JSON integer a number.
+    for value in ("1", "0 + 1eps", 1, {"re": 0, "du": 1}):
+        argv = ["compose", "--json", json.dumps([{"axis": LINE_AXIS, "angle": value}])]
+        assert run(capsys, *argv)[0] == 0, value
+
+
+def test_numeric_string_is_refused_before_numpy_is_loaded():
+    code, _, err = run_process("screw-axis", "--json", json.dumps({"re": ["1", 0, 0]}),
+                               flags=("-X", "importtime"))
+    assert code == 2
+    assert "numpy" not in err
+
+
+def test_squared_length_that_underflows_is_named_as_such(capsys):
+    # Neither screw is pure dual: |x cross y|^2 = 1e-640 underflows to 0 in the sine's modulus.
+    doc = {"x": {"re": [1e-160, 0, 0], "du": [0, 0, 0]},
+           "y": {"re": [0, 1e-160, 0], "du": [0, 0, 0]}}
+    code, out, err = run(capsys, "verify", "cosines", "--json", json.dumps(doc))
+    assert (code, out) == (3, "")
+    assert err == ("error: modulus undefined: the squared resultant length is 0 "
+                   "(a pure dual, or an underflow)\n")
+
+
 # -- fuzzed fit documents ------------------------------------------------------
 
 # JSON numbers as json.loads may return them: any float, NaN and the

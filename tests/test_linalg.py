@@ -49,7 +49,9 @@ from screwalg.errors import (
     NullVector,
     ProjectionMismatch,
 )
-from screwalg.linalg import _coplanar, _cross, _in_range, _length, _mat, _parallel, _triple, _vec
+from screwalg.linalg import (
+    _coplanar, _cross, _in_range, _length, _mat, _modulus, _parallel, _triple, _vec,
+)
 
 E1, E2, E3 = basis()
 
@@ -115,6 +117,15 @@ class TestProducts:
     def test_norm_rejects_pure_dual(self):
         with pytest.raises(NullVector):
             norm(DualVec3([0, 0, 0], [1, 2, 3]))
+
+    @pytest.mark.parametrize("x", [DualVec3([0, 0, 0], [1, 2, 3]), DualVec3([1e-170, 0, 0])],
+                             ids=["pure-dual", "underflow"])
+    def test_modulus_refusal_names_the_squared_length(self, x):
+        # Both causes leave x o x a real part of 0; the message says so, not "pure dual".
+        with pytest.raises(NullVector, match="squared resultant length is 0") as refusal:
+            _modulus(dot(x, x))
+        assert str(refusal.value) == (
+            "modulus undefined: the squared resultant length is 0 (a pure dual, or an underflow)")
 
     @pytest.mark.parametrize("size", [1e-170, 1e170])
     def test_norm_of_a_resultant_whose_square_leaves_the_floats(self, size):

@@ -992,27 +992,38 @@ def test_equilibrium_refusal_keeps_the_order_of_its_checks():
         equilibrium_laws(x, y, tol=0.0)
 
 
-def test_equilibrium_laws_takes_six_products_and_builds_no_checked_dual(monkeypatch):
+def test_equilibrium_laws_builds_only_the_duals_it_hands_out(monkeypatch):
+    # One pass over float pairs: no vector, no checked Dual, no product through
+    # dot, cross or norm; the only objects built are the report's Duals.
     x, y = rand_equilibrium_pair(np.random.default_rng(8))
-    products, checked = [], []
-    real_dot, post_init = linalg.dot, Dual.__post_init__
+    built, vectors, checked, calls = [], [], [], []
+    real_dual, real_raw, post_init = theorems._dual, linalg._DualArray._raw.__func__, Dual.__post_init__
 
-    def counting_dot(u, v):
-        products.append((id(u), id(v)))
-        return real_dot(u, v)
+    def counting_dual(re, du):
+        built.append(real_dual(re, du))
+        return built[-1]
+
+    def counting_raw(cls, re, du):
+        vectors.append(cls)
+        return real_raw(cls, re, du)
 
     def counting_post_init(self):
         checked.append(self)
         post_init(self)
 
-    # The six products of the triple, and |x cross y|^2 for the interior
-    # angles. Through norm or dual_angle a product would be counted too.
     for module in (theorems, geometry, linalg):
-        monkeypatch.setattr(module, "dot", counting_dot)
+        for name in ("dot", "cross", "norm"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    monkeypatch.setattr(theorems, "_dual", counting_dual)
+    monkeypatch.setattr(linalg._DualArray, "_raw", classmethod(counting_raw))
     monkeypatch.setattr(Dual, "__post_init__", counting_post_init)
     Dual(1.0)
     assert len(checked) == 1, "the counter does not see the checked constructor"
     checked.clear()
-    equilibrium_laws(x, y)
-    assert len(products) == len(set(products)) == 7
-    assert checked == []
+    report = equilibrium_laws(x, y)
+    handed_out = [report.alpha_xy, report.alpha_yz, report.alpha_zx, *report.cosine_residuals,
+                  *report.sine_ratio_residuals, *report.four_r_squared_residuals,
+                  report.angle_sum_residual, report.two_r]
+    assert sorted(map(id, built)) == sorted(map(id, handed_out))
+    assert vectors == checked == calls == []
