@@ -89,7 +89,8 @@ def _parallel_pair(res, tol: float) -> int:
 # -- one pass over float pairs ---------------------------------------------------
 #
 # By the transference principle a dual formula is the real one on (re, du) pairs.
-# equilibrium_laws and petersen_morley hold each intermediate dual as two floats,
+# equilibrium_laws and petersen_morley hold each intermediate dual as two floats
+# (but for petersen_morley's normal and its branches for vanishing derived screws),
 # computed with the products and sums, in the order, that the Dual and DualVec3
 # operators take, so every bit is theirs, down to the sign of a zero. Each
 # refusal of those operators runs before the next branch that reads the value:
