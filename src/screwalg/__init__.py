@@ -6,9 +6,11 @@ line geometry and rigid-body kinematics becomes ordinary vector algebra
 with dual-number coefficients. A fully independent classical formulation
 lives in :mod:`screwalg.oracle` and backs the verification suite.
 
-Only the oracle imports numpy at module level. Its names are looked up in
-:mod:`screwalg.oracle` on each access from this package, so ``import
-screwalg`` does not load numpy.
+``import screwalg`` loads the dual path only: :mod:`~screwalg.dual`,
+:mod:`~screwalg.linalg` and :mod:`~screwalg.geometry`. The names of
+:mod:`screwalg.theorems` and of the numpy-backed :mod:`screwalg.oracle` are
+resolved on first access, which imports their module once and binds its
+names into this package.
 """
 
 from . import errors
@@ -44,38 +46,36 @@ from .linalg import (
     normalized,
     vee,
 )
-from .theorems import (
-    EquilibriumReport,
-    PetersenMorleyReport,
-    TripleClassification,
-    TripleTag,
-    are_proportional,
-    classify_triple,
-    equilibrium_laws,
-    independent_over_D,
-    petersen_morley,
-    thales_check,
-)
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = frozenset((
-    "ClassicalScrew",
-    "LineRelation",
-    "delassus_fit",
-    "line_distance_angle",
-    "oracle_comoment",
-    "oracle_commutator",
-))
+# The names of the modules that only some callers run, loaded on first use:
+# the theorems, which bring dataclasses, and the oracle, which brings numpy.
+_LAZY = {
+    **dict.fromkeys((
+        "EquilibriumReport", "PetersenMorleyReport", "TripleClassification", "TripleTag",
+        "are_proportional", "classify_triple", "equilibrium_laws", "independent_over_D",
+        "petersen_morley", "thales_check",
+    ), "theorems"),
+    **dict.fromkeys((
+        "ClassicalScrew", "LineRelation", "delassus_fit", "line_distance_angle",
+        "oracle_comoment", "oracle_commutator",
+    ), "oracle"),
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    """Import the module that defines ``name`` and bind all of its lazy names
+    here, so that later reads are plain attribute loads."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    defining = import_module(f".{module}", __name__)
+    globals().update((n, getattr(defining, n)) for n, m in _LAZY.items() if m == module)
+    return globals()[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | set(_LAZY))

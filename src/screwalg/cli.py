@@ -9,13 +9,11 @@ overridable by the SCREWALG_TOL environment variable and then by ``--tol``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
@@ -26,7 +24,6 @@ from .linalg import (
     _NO_MOMENT, DualMat3, DualVec3, _DualArray, _moved, _nested, _parallel, _translation, _vec,
     exp_so3d, is_frame,
 )
-from .theorems import _thales_figure, equilibrium_laws, petersen_morley, thales_check
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -46,10 +43,12 @@ def _load_documents(args, expected: int) -> list:
     docs = []
     try:
         for path in args.files:
-            docs.append(json.loads(Path(path).read_text()))
+            # JSON text is UTF-8 (RFC 8259), whatever the locale says.
+            with open(path, encoding="utf-8") as f:
+                docs.append(json.load(f))
         for text in args.json or []:
             docs.append(json.loads(text))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _InputError(f"cannot read input: {exc}") from exc
     if len(docs) != expected:
         raise _InputError(f"expected {expected} input document(s), got {len(docs)}")
@@ -131,6 +130,8 @@ def _fmt_vec(v) -> str:
 
 
 def _fields(obj) -> dict:
+    import dataclasses
+
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
@@ -154,11 +155,14 @@ def _json_text(obj) -> str:
     # Only the oracle's results are arrays, and numpy is loaded once they exist.
     if "numpy" in sys.modules and isinstance(obj, sys.modules["numpy"].ndarray):
         return _json_text(obj.tolist())
+    if isinstance(obj, Dual):
+        return _json_text({"re": obj.re, "du": obj.du})
     if isinstance(obj, _DualArray):
         return _json_text({"re": _nested(obj._re), "du": _nested(obj._du)})
     if isinstance(obj, Line):
         return _json_text({"point": _foot(obj), "direction": obj.screw._re})
-    if dataclasses.is_dataclass(obj):
+    # Only the theorems' reports and the oracle's relations are dataclasses.
+    if "dataclasses" in sys.modules and sys.modules["dataclasses"].is_dataclass(obj):
         return _json_text(_fields(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -304,6 +308,8 @@ def _cmd_compose(args, tol: float) -> int:
 
 
 def _cmd_verify(args, tol: float) -> int:
+    from .theorems import _thales_figure, equilibrium_laws, petersen_morley, thales_check
+
     doc = _load_documents(args, 1)[0]
     if not isinstance(doc, dict):
         raise _InputError("verify expects a JSON object")

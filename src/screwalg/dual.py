@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re as _regex
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import DomainError, NotFinite, NotInvertible
@@ -20,7 +19,6 @@ DEFAULT_TOL = 1e-9
 Real = Union[int, float]
 
 
-@dataclass(frozen=True, slots=True)
 class Dual:
     """Immutable dual number ``re + du*eps``.
 
@@ -38,17 +36,39 @@ class Dual:
     overflow raises ``NotFinite`` (CLI exit 3) at the result it spoils.
     """
 
+    __slots__ = ("re", "du")
     re: float
-    du: float = 0.0
+    du: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, re: float, du: float = 0.0) -> None:
         try:
-            object.__setattr__(self, "re", float(self.re))
-            object.__setattr__(self, "du", float(self.du))
+            re, du = float(re), float(du)
         except OverflowError as exc:
             raise NotFinite(f"dual component does not fit a float: {exc}") from exc
-        if not (math.isfinite(self.re) and math.isfinite(self.du)):
-            raise NotFinite(f"dual components must be finite, got {self.re}, {self.du}")
+        if not (math.isfinite(re) and math.isfinite(du)):
+            raise NotFinite(f"dual components must be finite, got {re}, {du}")
+        _set_re(self, re)
+        _set_du(self, du)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Dual is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Dual is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.du) == (other.re, other.du)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.du))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(re={self.re!r}, du={self.du!r})"
+
+    def __reduce__(self):
+        return type(self), (self.re, self.du)
 
     # -- ring structure ------------------------------------------------------
 
@@ -217,8 +237,8 @@ def parse_dual(text: str) -> Dual:
     return Dual(re_part, du_part)
 
 
-# A frozen dataclass refuses attribute assignment; the slots' own descriptors
-# fill them without the lookup that object.__setattr__ pays.
+# Dual refuses attribute assignment; the slots' own descriptors fill them
+# without the lookup that object.__setattr__ pays.
 _new = object.__new__
 _set_re = Dual.re.__set__
 _set_du = Dual.du.__set__
@@ -227,8 +247,8 @@ _set_du = Dual.du.__set__
 def _dual(re: float, du: float) -> Dual:
     """The constructor for floats the library computed from checked values.
 
-    It skips coercion and ``__post_init__`` but keeps the finiteness test, so
-    an overflow still raises NotFinite at the result it spoils.
+    It skips the coercion in ``Dual.__init__`` but keeps the finiteness test,
+    so an overflow still raises NotFinite at the result it spoils.
     """
     if not (math.isfinite(re) and math.isfinite(du)):
         raise NotFinite(f"dual components must be finite, got {re}, {du}")

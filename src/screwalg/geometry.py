@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dual import DEFAULT_TOL, Dual, _dual, atan2
@@ -142,13 +141,39 @@ def comoment(z1: DualVec3, z2: DualVec3) -> float:
     return dot(z1, z2).du
 
 
-@dataclass(frozen=True)
 class AxisDecomposition:
     """Polar form of a proper screw: magnitude * exp(eps * pitch) * axis."""
 
+    __slots__ = ("magnitude", "pitch", "axis")
     magnitude: float
     pitch: float
     axis: Line
+
+    def __init__(self, magnitude: float, pitch: float, axis: Line) -> None:
+        object.__setattr__(self, "magnitude", magnitude)
+        object.__setattr__(self, "pitch", pitch)
+        object.__setattr__(self, "axis", axis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AxisDecomposition is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AxisDecomposition is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.magnitude, self.pitch, self.axis) == (other.magnitude, other.pitch, other.axis)
+
+    def __hash__(self) -> int:
+        return hash((self.magnitude, self.pitch, self.axis))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(magnitude={self.magnitude!r}, "
+                f"pitch={self.pitch!r}, axis={self.axis!r})")
+
+    def __reduce__(self):
+        return type(self), (self.magnitude, self.pitch, self.axis)
 
     def reconstruct(self) -> DualVec3:
         return Dual(self.magnitude, self.magnitude * self.pitch) * self.axis.screw

@@ -458,7 +458,8 @@ def test_single_screw_path_builds_no_array(module):
 # A screw is six Python floats, so importing the package and running a
 # subcommand on the dual path loads no numpy; only the oracle, the checked
 # constructor's fallback for input that is not a plain list of numbers, and
-# the functions that hand out arrays import it.
+# the functions that hand out arrays import it. Likewise only `verify` runs
+# the theorems, whose reports are the only dataclasses on that path.
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
@@ -471,15 +472,20 @@ DUAL_PATH_CASES = [
     for fmt in ("text", "json")
 ]
 
+# Each entry: [step, exit code, the watched modules loaded after it].
 _RUN_IN_ORDER = """
 import contextlib, io, json, sys
+WATCHED = ("dataclasses", "numpy", "screwalg.oracle", "screwalg.theorems")
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
 import screwalg
+seen = [["import screwalg", 0, loaded()]]
 import screwalg.cli
-seen = [["import", 0, "numpy" in sys.modules]]
+seen.append(["import screwalg.cli", 0, loaded()])
 for name, argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = screwalg.cli.main(argv)
-    seen.append([name, code, "numpy" in sys.modules])
+    seen.append([name, code, loaded()])
 print(json.dumps(seen))
 """
 
@@ -498,15 +504,35 @@ def _fresh_interpreter(script: str, stdin: str = "") -> list:
 
 def test_dual_path_subcommands_do_not_load_numpy():
     cases = [*DUAL_PATH_CASES, "fit-screw:json"]
+    seen = _run_golden_in_order(cases)
+    for name, code, loaded in seen[:-1]:
+        assert "numpy" not in loaded, f"{name} loaded numpy"
+    # The oracle's fit works on arrays, so numpy is loaded once it has run.
+    assert "numpy" in seen[-1][2]
+
+
+def test_geometry_subcommands_load_neither_theorems_oracle_dataclasses_nor_numpy():
+    cases = [
+        f"{name}:{fmt}"
+        for name in ("compose-chain", "screw-axis-generic", "common-normal-lines",
+                     "common-normal-motors", "line-angle-skew", "line-angle-perpendicular")
+        for fmt in ("text", "json")
+    ]
+    seen = _run_golden_in_order([*cases, "verify-cosines:json"])
+    assert [loaded for _, _, loaded in seen[:-1]] == [[]] * (len(seen) - 1), seen
+    # verify runs the theorems, and their reports are dataclasses.
+    assert seen[-1][2] == ["dataclasses", "screwalg.theorems"]
+
+
+def _run_golden_in_order(cases: list) -> list:
+    """_RUN_IN_ORDER on the golden argv of ``cases``, each checked for its golden exit code."""
     seen = _fresh_interpreter(
         _RUN_IN_ORDER, json.dumps([[name, GOLDEN[name]["argv"]] for name in cases])
     )
-    assert seen[0] == ["import", 0, False], "import screwalg or screwalg.cli loaded numpy"
-    for name, code, loaded in seen[1:-1]:
+    assert [step for step, _, _ in seen] == ["import screwalg", "import screwalg.cli", *cases]
+    for name, code, _ in seen[2:]:
         assert code == GOLDEN[name]["exit"], f"{name} exited {code}"
-        assert not loaded, f"{name} loaded numpy"
-    # The oracle's fit works on arrays, so numpy is loaded once it has run.
-    assert seen[-1] == ["fit-screw:json", 0, True]
+    return seen
 
 
 # One triple of each class, and independence of two and of three screws.
@@ -549,6 +575,25 @@ ORACLE_NAMES = (
     "ClassicalScrew", "LineRelation", "delassus_fit", "line_distance_angle",
     "oracle_comoment", "oracle_commutator",
 )
+THEOREM_NAMES = (
+    "EquilibriumReport", "PetersenMorleyReport", "TripleClassification", "TripleTag",
+    "are_proportional", "classify_triple", "equilibrium_laws", "independent_over_D",
+    "petersen_morley", "thales_check",
+)
+
+
+def _resolve_once(module, names, monkeypatch):
+    """Each name reads as ``module``'s own object, and after its first read it
+    is bound in the package: neither the package's __getattr__ nor a later
+    patch of ``module`` is seen."""
+    assert set(names) <= set(dir(screwalg))
+    for name in names:
+        assert getattr(screwalg, name) is getattr(module, name)
+    bound = {name: vars(screwalg)[name] for name in names}
+    monkeypatch.delattr(screwalg, "__getattr__")
+    for name in names:
+        monkeypatch.setattr(module, name, "patched")
+    assert {name: getattr(screwalg, name) for name in names} == bound
 
 
 def test_oracle_names_resolve_from_the_package(monkeypatch):
@@ -562,11 +607,12 @@ def test_oracle_names_resolve_from_the_package(monkeypatch):
     )
     from screwalg import oracle
 
-    assert set(ORACLE_NAMES) <= set(dir(screwalg))
-    for name in ORACLE_NAMES:
-        assert getattr(screwalg, name) is getattr(oracle, name)
-    # Looked up on every access, so a patch of the oracle module is seen.
-    monkeypatch.setattr(oracle, "delassus_fit", "patched")
-    assert screwalg.delassus_fit == "patched"
     with pytest.raises(AttributeError, match="no_such_name"):
         screwalg.no_such_name  # noqa: B018
+    _resolve_once(oracle, ORACLE_NAMES, monkeypatch)
+
+
+def test_theorem_names_resolve_once_from_the_package(monkeypatch):
+    from screwalg import theorems
+
+    _resolve_once(theorems, THEOREM_NAMES, monkeypatch)

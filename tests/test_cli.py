@@ -553,19 +553,39 @@ class TestParserReuse:
         assert out.startswith("axis point = (0, 0, 1)\n")
 
 
-def run_process(*argv, flags=()):
+def run_process(*argv, flags=(), env=()):
     """The CLI in a fresh interpreter, so that warnings reach stderr as a user sees them.
 
-    ``flags`` go to the interpreter, e.g. ``("-O",)`` to strip ``assert``s.
+    ``flags`` go to the interpreter, e.g. ``("-O",)`` to strip ``assert``s, and
+    ``env`` adds to its environment.
     """
     src = str(Path(screwalg.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "screwalg.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestInputFiles:
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "compose", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read input:")
+
+    def test_files_are_read_as_utf8_under_an_ascii_locale(self, tmp_path, capsys):
+        # JSON text is UTF-8 (RFC 8259); the C locale without UTF-8 mode decodes ASCII.
+        chain = [{"axis": X_AXIS, "angle": "0.5 + 0.25ε"}]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain, ensure_ascii=False), encoding="utf-8")
+        expected = run(capsys, "compose", "--json", json.dumps(chain))
+        assert expected[0] == 0
+        c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        assert run_process("compose", str(path), flags=("-X", "utf8=0"), env=c_locale) == expected
 
 
 class TestOverflow:

@@ -1,6 +1,9 @@
 """Dual-number arithmetic, analytic extension, and the dual atan2."""
 
+import copy
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +115,49 @@ class TestArithmetic:
         prod = x * x.inv()
         assert abs(prod.re - 1.0) <= 1e-14
         assert abs(prod.du) <= 1e-14 * max(1.0, abs(x.du / x.re))
+
+
+class TestValue:
+    """Dual keeps the contract of the frozen dataclass it was."""
+
+    def test_construction_coerces_to_float(self):
+        assert [*inspect.signature(Dual).parameters] == ["re", "du"]
+        assert Dual(re=1, du=-2) == Dual(1.0, -2.0) == Dual(np.float64(1.0), -2)
+        x = Dual(True, np.int64(3))
+        assert (type(x.re), type(x.du)) == (float, float)
+        assert Dual(2) == Dual(2.0, 0.0)
+
+    def test_refusals_keep_their_class_and_message(self):
+        with pytest.raises(NotFinite, match=r"must be finite, got nan, 0.0"):
+            Dual(float("nan"))
+        with pytest.raises(NotFinite, match="does not fit a float"):
+            Dual(1.0, -(10**400))
+        with pytest.raises(ValueError, match="could not convert"):
+            Dual("x")
+
+    def test_repr_eq_and_hash_read_both_components(self):
+        x = Dual(1, -0.5)
+        assert repr(x) == "Dual(re=1.0, du=-0.5)"
+        assert x == Dual(1.0, -0.5) and hash(x) == hash(Dual(1.0, -0.5)) == hash((1.0, -0.5))
+        assert x != Dual(1.0, 0.5) and x != Dual(-1.0, -0.5)
+        assert Dual(0.0, -0.0) == Dual(-0.0, 0.0)
+        assert x != (1.0, -0.5) and Dual(2.0) != 2.0
+        assert len({x, Dual(1.0, -0.5), Dual(1.0)}) == 2
+
+    def test_is_immutable(self):
+        x = Dual(1.0, 2.0)
+        for statement in ("x.re = 3.0", "del x.du", "x.other = 1"):
+            with pytest.raises(AttributeError):
+                exec(statement)
+        assert x == Dual(1.0, 2.0)
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_duals(self, round_trip):
+        x = Dual(-0.25, 1e-300)
+        y = round_trip(x)
+        assert type(y) is Dual and y == x and repr(y) == repr(x)
 
 
 class TestExtension:

@@ -1,6 +1,9 @@
 """Geometric layer: fields, lines, axes, dual angles, motor reduction."""
 
+import copy
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from helpers import (
     screw_size,
 )
 from screwalg import (
+    AxisDecomposition,
     Dual,
     DualMat3,
     DualVec3,
@@ -230,6 +234,34 @@ class TestAxis:
             value = field_at(z, dec.axis.point)
             assert np.linalg.norm(np.cross(value, z.re)) <= 1e-9 * max(1.0, screw_size(z) ** 2)
             assert_dualvec_close(dec.reconstruct(), z, tol=1e-10, scale=screw_size(z))
+
+    # AxisDecomposition keeps the contract of the frozen dataclass it was.
+
+    def test_decomposition_value_reads_its_three_fields(self):
+        dec = axis_decompose(DualVec3([2, 0, 0], [3, 2, 0]))
+        assert [*inspect.signature(AxisDecomposition).parameters] == ["magnitude", "pitch", "axis"]
+        same = AxisDecomposition(axis=dec.axis, pitch=1.5, magnitude=2.0)
+        assert same == dec and hash(same) == hash(dec) == hash((2.0, 1.5, dec.axis))
+        assert dec != AxisDecomposition(2.0, -1.5, dec.axis)
+        assert dec != AxisDecomposition(2.0, 1.5, x_axis())  # a Line equals only itself
+        assert dec != (2.0, 1.5, dec.axis)
+        assert repr(dec) == f"AxisDecomposition(magnitude=2.0, pitch=1.5, axis={dec.axis!r})"
+        assert copy.copy(dec) == dec
+
+    def test_decomposition_is_immutable(self):
+        dec = axis_decompose(DualVec3([2, 0, 0], [3, 0, 0]))
+        for statement in ("dec.pitch = 0.0", "del dec.axis", "dec.other = 1"):
+            with pytest.raises(AttributeError):
+                exec(statement)
+        assert dec.pitch == 1.5
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_decomposition_copies_are_equal(self, round_trip):
+        # The fields are what the class holds, not a Line, which copies only shallowly.
+        dec = AxisDecomposition(2.0, -0.5, ("axis", Dual(1.0, 2.0)))
+        assert type(round_trip(dec)) is AxisDecomposition and round_trip(dec) == dec
 
 
 class TestDualAngle:
