@@ -50,7 +50,7 @@ from .linalg import (
 __version__ = "0.1.0"
 
 # The names of the modules that only some callers run, loaded on first use:
-# the theorems, which bring dataclasses, and the oracle, which brings numpy.
+# the theorems, which only `verify` runs, and the oracle, which brings numpy.
 _LAZY = {
     **dict.fromkeys((
         "EquilibriumReport", "PetersenMorleyReport", "TripleClassification", "TripleTag",

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .dual import DEFAULT_TOL, Dual, format_dual, parse_dual
+from .dual import DEFAULT_TOL, Dual, _Value, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import (
     Line, _foot, axis_decompose, common_normal, dual_angle, line_from_point_direction,
@@ -129,10 +129,8 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(_fmt(c) for c in v) + ")"
 
 
-def _fields(obj) -> dict:
-    import dataclasses
-
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+def _as_dict(value: _Value) -> dict:
+    return dict(zip(value._fields, value._values()))
 
 
 def _json_text(obj) -> str:
@@ -155,24 +153,25 @@ def _json_text(obj) -> str:
     # Only the oracle's results are arrays, and numpy is loaded once they exist.
     if "numpy" in sys.modules and isinstance(obj, sys.modules["numpy"].ndarray):
         return _json_text(obj.tolist())
-    if isinstance(obj, Dual):
-        return _json_text({"re": obj.re, "du": obj.du})
     if isinstance(obj, _DualArray):
         return _json_text({"re": _nested(obj._re), "du": _nested(obj._du)})
     if isinstance(obj, Line):
         return _json_text({"point": _foot(obj), "direction": obj.screw._re})
-    # Only the theorems' reports and the oracle's relations are dataclasses.
-    if "dataclasses" in sys.modules and sys.modules["dataclasses"].is_dataclass(obj):
-        return _json_text(_fields(obj))
+    if isinstance(obj, _Value):
+        return _json_text(_as_dict(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _emit(args, text_lines, json_obj) -> None:
     if args.format == "json":
         print(_json_text(json_obj))
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    text = "\n".join(text_lines)
+    try:
+        text.encode(sys.stdout.encoding or "utf-8")  # a text buffer has no encoding
+    except UnicodeEncodeError:
+        text = text.replace("ε", "eps")  # which parse_dual reads as well
+    print(text)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -318,12 +317,12 @@ def _cmd_verify(args, tol: float) -> int:
     if theorem in ("cosines", "sines", "anglesum"):
         report = equilibrium_laws(*(_parse_screw(d) for d in _require(doc, "x", "y")), tol=tol)
         passed = report.ok(tol)
-        out = {**_fields(report), "max_scaled_residual": report.max_scaled_residual(),
+        out = {**_as_dict(report), "max_scaled_residual": report.max_scaled_residual(),
                "theorem": theorem}
     elif theorem == "petersen-morley":
         report = petersen_morley(*(_parse_screw(d) for d in _require(doc, "x", "y", "z")), tol=tol)
         passed = report.ok(tol)
-        out = {**_fields(report), "theorem": theorem}
+        out = {**_as_dict(report), "theorem": theorem}
     elif theorem == "thales":
         *screws, r_doc = _require(doc, "x", "y", "z", "r")
         radius = _parse_dual_value(r_doc)

@@ -19,7 +19,63 @@ DEFAULT_TOL = 1e-9
 Real = Union[int, float]
 
 
-class Dual:
+class _Value:
+    """An immutable value held in slots, its fields named in ``_fields``.
+
+    ``==`` and hash compare the fields of two values of one class, and
+    ``repr`` reads ``Name(field=value, ...)``. Copy and pickle restore the
+    slots as they are, through the slots' own descriptors, so no constructor
+    re-validates or renormalizes what a value holds. Assigning or deleting an
+    attribute raises AttributeError. A subclass that is equal only to itself
+    sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        # Each field's slot descriptor, which fills it without the lookup that
+        # object.__setattr__ pays.
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in ``_fields`` order; only for a value being built."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _restored, (type(self), *self._values())
+
+
+def _restored(cls: type, *values) -> _Value:
+    """A value of ``cls`` holding ``values``, as copy and pickle rebuild one."""
+    value = _new(cls)
+    value._fill(*values)
+    return value
+
+
+class Dual(_Value):
     """Immutable dual number ``re + du*eps``.
 
     Components must be finite; arithmetic mixes freely with ints and floats.
@@ -36,7 +92,7 @@ class Dual:
     overflow raises ``NotFinite`` (CLI exit 3) at the result it spoils.
     """
 
-    __slots__ = ("re", "du")
+    __slots__ = _fields = ("re", "du")
     re: float
     du: float
 
@@ -49,26 +105,6 @@ class Dual:
             raise NotFinite(f"dual components must be finite, got {re}, {du}")
         _set_re(self, re)
         _set_du(self, du)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dual is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Dual is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.re, self.du) == (other.re, other.du)
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.du))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(re={self.re!r}, du={self.du!r})"
-
-    def __reduce__(self):
-        return type(self), (self.re, self.du)
 
     # -- ring structure ------------------------------------------------------
 
@@ -237,11 +273,8 @@ def parse_dual(text: str) -> Dual:
     return Dual(re_part, du_part)
 
 
-# Dual refuses attribute assignment; the slots' own descriptors fill them
-# without the lookup that object.__setattr__ pays.
 _new = object.__new__
-_set_re = Dual.re.__set__
-_set_du = Dual.du.__set__
+_set_re, _set_du = Dual._setters
 
 
 def _dual(re: float, du: float) -> Dual:

@@ -15,7 +15,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .dual import DEFAULT_TOL, Dual, _dual, atan2
+from .dual import DEFAULT_TOL, Dual, _dual, _new, _Value, atan2
 from .errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
 from .linalg import (
     _EYE,
@@ -49,16 +49,18 @@ if TYPE_CHECKING:
 _ROUNDINGS = 16
 
 
-class Line:
+class Line(_Value):
     """Oriented line: a unit zero-pitch screw (a sliding unit vector).
 
     Construction canonicalizes the motor: the resultant is renormalized to
     unit length and the residual pitch component of the moment (which must be
     below ``tol`` times the moment's length, at least 1) is projected away, so
-    equal lines compare stably.
+    equal lines compare stably. A line equals only itself.
     """
 
-    __slots__ = ("screw",)
+    __slots__ = _fields = ("screw",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, screw: DualVec3, tol: float = DEFAULT_TOL):
         length = _length(screw._re)
@@ -76,15 +78,9 @@ class Line:
         e0, e1, e2 = e = _over(e, length)
         m0, m1, m2 = m = _over(m, length)
         k = _dot3(m, e)
-        screw = DualVec3._raw(e, (m0 - k * e0, m1 - k * e1, m2 - k * e2))
-        object.__setattr__(self, "screw", screw)
+        (set_screw,) = self._setters
+        set_screw(self, DualVec3._raw(e, (m0 - k * e0, m1 - k * e1, m2 - k * e2)))
         return k
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Line is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Line is immutable")
 
     @property
     def direction(self) -> np.ndarray:
@@ -124,7 +120,7 @@ def _line_through(p: tuple, e: tuple, tol: float) -> Line:
     m = _moved(e, _NO_MOMENT, p)
     if not _finite(m):
         raise NotFinite(f"moment of the line through {list(p)} overflows")
-    line = object.__new__(Line)
+    line = _new(Line)
     line._canonicalize(e, m, length)
     return line
 
@@ -141,42 +137,35 @@ def comoment(z1: DualVec3, z2: DualVec3) -> float:
     return dot(z1, z2).du
 
 
-class AxisDecomposition:
+class AxisDecomposition(_Value):
     """Polar form of a proper screw: magnitude * exp(eps * pitch) * axis."""
 
-    __slots__ = ("magnitude", "pitch", "axis")
+    __slots__ = _fields = ("magnitude", "pitch", "axis")
     magnitude: float
     pitch: float
     axis: Line
 
     def __init__(self, magnitude: float, pitch: float, axis: Line) -> None:
-        object.__setattr__(self, "magnitude", magnitude)
-        object.__setattr__(self, "pitch", pitch)
-        object.__setattr__(self, "axis", axis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AxisDecomposition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AxisDecomposition is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.magnitude, self.pitch, self.axis) == (other.magnitude, other.pitch, other.axis)
-
-    def __hash__(self) -> int:
-        return hash((self.magnitude, self.pitch, self.axis))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(magnitude={self.magnitude!r}, "
-                f"pitch={self.pitch!r}, axis={self.axis!r})")
-
-    def __reduce__(self):
-        return type(self), (self.magnitude, self.pitch, self.axis)
+        self._fill(magnitude, pitch, axis)
 
     def reconstruct(self) -> DualVec3:
         return Dual(self.magnitude, self.magnitude * self.pitch) * self.axis.screw
+
+
+def _axis(z: DualVec3) -> Line:
+    """The axis line of a proper screw: axis_decompose(z).axis, with its refusals.
+
+    Where only the line is wanted this builds no magnitude, pitch or
+    AxisDecomposition, so a magnitude beyond the largest float is no refusal.
+    """
+    z, _ = _in_range(z)
+    return _axis_in_range(z, _modulus(dot(z, z)).re)
+
+
+def _axis_in_range(z: DualVec3, a: float) -> Line:
+    """The axis line that axis_decompose chooses, of z in range with |z.re| = a."""
+    s = z._re
+    return _line_through(_axis_foot(s, z._du), _over(s, a), _ROUNDINGS * sys.float_info.epsilon)
 
 
 def axis_decompose(z: DualVec3) -> AxisDecomposition:
@@ -194,8 +183,7 @@ def axis_decompose(z: DualVec3) -> AxisDecomposition:
     ss = dot(z, z)
     n = _modulus(ss)
     a = n.re  # |s|, the square root of s o s
-    s = z._re
-    axis = _line_through(_axis_foot(s, z._du), _over(s, a), _ROUNDINGS * sys.float_info.epsilon)
+    axis = _axis_in_range(z, a)
     magnitude = _scaled((a,), -k, "magnitude")[0] if k else a
     return AxisDecomposition(magnitude=magnitude, pitch=n.du / a, axis=axis)
 
@@ -236,7 +224,7 @@ def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
         raise ParallelResultants("resultants are parallel; no unique common normal")
     # The axis of the cross product, built from point + direction, is the
     # same line as normalized(cross(x, y)) but has exactly zero pitch.
-    return axis_decompose(cross(x, y)).axis
+    return _axis(cross(x, y))
 
 
 def axes_intersect(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> bool:

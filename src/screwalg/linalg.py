@@ -23,7 +23,7 @@ import math
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .dual import DEFAULT_TOL, Dual, _dual, sqrt
+from .dual import DEFAULT_TOL, Dual, _dual, _new, _Value, sqrt
 from .errors import (
     DegenerateBasis,
     NotAFrame,
@@ -88,6 +88,20 @@ def _cross(a: tuple, b: tuple) -> tuple:
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _cross_parts(a: tuple, ad: tuple, b: tuple, bd: tuple) -> tuple:
+    """(re, du) of the cross product of a + eps ad and b + eps bd: a x b, and a x bd + ad x b."""
+    a0, a1, a2 = a
+    p0, p1, p2 = ad
+    b0, b1, b2 = b
+    q0, q1, q2 = bd
+    return (
+        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
+        ((a1 * q2 - a2 * q1) + (p1 * b2 - p2 * b1),
+         (a2 * q0 - a0 * q2) + (p2 * b0 - p0 * b2),
+         (a0 * q1 - a1 * q0) + (p0 * b1 - p1 * b0)),
+    )
 
 
 def _triple(a: tuple, b: tuple, c: tuple) -> float:
@@ -287,7 +301,7 @@ def _nested(a: tuple) -> list:
     return list(a) if len(a) == 3 else [list(a[0:3]), list(a[3:6]), list(a[6:9])]
 
 
-class _DualArray:
+class _DualArray(_Value):
     """A pair ``re + eps*du`` of real component tuples of one fixed shape.
 
     By the transference principle a real vector or matrix formula holds over
@@ -303,10 +317,12 @@ class _DualArray:
     ``DualMat3``, ...) goes through ``_raw``, which skips the coercion but
     still tests the components finite, so an overflow raises NotFinite (CLI
     exit 3) at the result it spoils. ``re`` and ``du`` are fresh read-only
-    float64 arrays on every access.
+    float64 arrays on every access. An array equals only itself.
     """
 
-    __slots__ = ("_re", "_du")
+    __slots__ = _fields = ("_re", "_du")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, re, du=None):
         _set_re(self, self._checked(re))
@@ -362,12 +378,6 @@ class _DualArray:
         a.setflags(write=False)
         return a
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -404,11 +414,7 @@ class _DualArray:
         return f"{type(self).__name__}({_nested(self._re)}, {_nested(self._du)})"
 
 
-# A class that refuses attribute assignment; the slots' own descriptors fill
-# them without the lookup that object.__setattr__ pays.
-_new = object.__new__
-_set_re = _DualArray._re.__set__
-_set_du = _DualArray._du.__set__
+_set_re, _set_du = _DualArray._setters
 
 
 class DualVec3(_DualArray):
@@ -446,8 +452,7 @@ def dot(x: DualVec3, y: DualVec3) -> Dual:
 
 def cross(x: DualVec3, y: DualVec3) -> DualVec3:
     """Levi-Civita contraction over the duals; the commutator of the screws."""
-    a, b = x._re, y._re
-    return DualVec3._raw(_cross(a, b), _add(_cross(a, y._du), _cross(x._du, b)))
+    return DualVec3._raw(*_cross_parts(x._re, x._du, y._re, y._du))
 
 
 def mixed(x: DualVec3, y: DualVec3, z: DualVec3) -> Dual:

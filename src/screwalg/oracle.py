@@ -4,7 +4,8 @@ This module reimplements screws as equiprojective vector fields with plain
 real vectors, no dual arithmetic anywhere in the computations. It exists to
 cross-check the dual-module formulation: every identity the library claims
 is verified against these brute-force formulas, so the two sides must not
-share code paths. Only the motor converters at the boundary touch DualVec3.
+share code paths. Only the motor converters at the boundary touch DualVec3,
+and ``LineRelation`` takes from ``dual._Value`` only how a value is held.
 
 ``delassus_fit`` converts its samples once and works on whole arrays, with
 no per-sample numpy call and none of numpy's generic per-call entry points
@@ -16,12 +17,11 @@ written with them, so its results are the same to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dual import DEFAULT_TOL, Dual
+from .dual import DEFAULT_TOL, Dual, _Value
 from .errors import DegenerateSamples, NotEquiprojective, NotFinite
 from .linalg import DualVec3
 
@@ -128,17 +128,20 @@ def oracle_commutator(c1: ClassicalScrew, c2: ClassicalScrew) -> ClassicalScrew:
     return result
 
 
-@dataclass(frozen=True)
-class LineRelation:
+class LineRelation(_Value):
     """Distance and angle between two lines, with closest points when they exist.
 
     ``distance`` is unsigned. For skew lines ``closest_points`` holds (A, B)
     with A on the first line; for parallel lines it is None.
     """
 
-    distance: float
-    angle: float
-    closest_points: "tuple[np.ndarray, np.ndarray] | None"
+    __slots__ = _fields = ("distance", "angle", "closest_points")
+
+    def __init__(
+        self, distance: float, angle: float,
+        closest_points: "tuple[np.ndarray, np.ndarray] | None",
+    ) -> None:
+        self._fill(distance, angle, closest_points)
 
 
 def line_distance_angle(

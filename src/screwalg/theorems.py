@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
-from .dual import DEFAULT_TOL, Dual, _dual
+from .dual import DEFAULT_TOL, Dual, _dual, _Value
 from .errors import (
     DegenerateTriangle,
     NonGeneric,
@@ -26,7 +25,7 @@ from .errors import (
     NotOnSphere,
     NullVector,
 )
-from .geometry import _ROUNDINGS, Line, _foot, _line_through, axis_decompose
+from .geometry import _ROUNDINGS, Line, _axis, _foot, _line_through
 from .linalg import (
     _EYE,
     _NO_MODULUS,
@@ -36,6 +35,7 @@ from .linalg import (
     _axis_foot,
     _coplanar,
     _cross,
+    _cross_parts,
     _dot3,
     _in_range,
     _length,
@@ -119,20 +119,6 @@ def _root(ss: float, ss_du: float) -> tuple:
     return root, du
 
 
-def _cross_parts(a: tuple, ad: tuple, b: tuple, bd: tuple) -> tuple:
-    """(re, du) of linalg.cross of a + eps ad and b + eps bd: a x b, and a x bd + ad x b."""
-    a0, a1, a2 = a
-    p0, p1, p2 = ad
-    b0, b1, b2 = b
-    q0, q1, q2 = bd
-    return (
-        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
-        ((a1 * q2 - a2 * q1) + (p1 * b2 - p2 * b1),
-         (a2 * q0 - a0 * q2) + (p2 * b0 - p0 * b2),
-         (a0 * q1 - a1 * q0) + (p0 * b1 - p1 * b0)),
-    )
-
-
 def _moment_near(s: DualVec3, z: DualVec3) -> float:
     """Length of the moment of s about the point of z's axis nearest to s's axis.
 
@@ -193,10 +179,14 @@ class TripleTag(str, Enum):
     CONCURRENT_COPLANAR = "ConcurrentCoplanar"
 
 
-@dataclass(frozen=True)
-class TripleClassification:
-    tag: TripleTag
-    witness: "Line | None" = None
+class TripleClassification(_Value):
+    __slots__ = _fields = ("tag", "witness")
+
+    def __init__(self, tag: TripleTag, witness: "Line | None" = None) -> None:
+        # For two fields the descriptors cost less than _Value._fill's loop.
+        set_tag, set_witness = self._setters
+        set_tag(self, tag)
+        set_witness(self, witness)
 
 
 def classify_triple(
@@ -228,7 +218,7 @@ def classify_triple(
     pair_parallel = _parallel(r1, r2, tol), _parallel(r2, r3, tol), _parallel(r3, r1, tol)
 
     if all(pair_parallel):
-        p0, p1, p2 = (_foot(axis_decompose(z).axis) for z in zs)
+        p0, p1, p2 = (_foot(_axis(z)) for z in zs)
         e = _over(res[0], rnorm[0])
         off1 = _sub(p1, p0)
         off2 = _sub(p2, p0)
@@ -248,7 +238,7 @@ def classify_triple(
     if none_parallel and abs(mixed(z1, z2, z3).du) <= tol * rnorm[0] * rnorm[1] * rnorm[2]:
         # common_normal(z1, z2), whose checks ran above; it meets z1 and z2 by construction.
         normal = cross(z1, z2)
-        witness = axis_decompose(normal).axis
+        witness = _axis(normal)
         unit = normalized(z3)
         incidence = dot(witness.screw, unit)
         # The witness's rounding grows as 1 / sin(theta_12) of z1 and z2.
@@ -293,8 +283,7 @@ def _concurrent_sliding(zs, tol: float) -> bool:
     return _length(miss) <= max(tol, rounding * terms)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(_Value):
     """Residuals of the triangle laws for three screws summing to zero.
 
     Angles are the interior ones, alpha = pi - Theta. Every residual is a dual number whose
@@ -303,15 +292,18 @@ class EquilibriumReport:
     the sine ratios over 1/m, the 4R^2 identity over m^4 and the angle sum as it is.
     """
 
-    alpha_xy: Dual
-    alpha_yz: Dual
-    alpha_zx: Dual
-    cosine_residuals: tuple
-    sine_ratio_residuals: tuple
-    four_r_squared_residuals: tuple
-    angle_sum_residual: Dual
-    two_r: Dual
-    scale: float
+    __slots__ = _fields = (
+        "alpha_xy", "alpha_yz", "alpha_zx", "cosine_residuals", "sine_ratio_residuals",
+        "four_r_squared_residuals", "angle_sum_residual", "two_r", "scale",
+    )
+
+    def __init__(
+        self, alpha_xy: Dual, alpha_yz: Dual, alpha_zx: Dual, cosine_residuals: tuple,
+        sine_ratio_residuals: tuple, four_r_squared_residuals: tuple, angle_sum_residual: Dual,
+        two_r: Dual, scale: float,
+    ) -> None:
+        self._fill(alpha_xy, alpha_yz, alpha_zx, cosine_residuals, sine_ratio_residuals,
+                   four_r_squared_residuals, angle_sum_residual, two_r, scale)
 
     def max_scaled_residual(self) -> float:
         m = self.scale
@@ -419,8 +411,7 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     )
 
 
-@dataclass(frozen=True)
-class PetersenMorleyReport:
+class PetersenMorleyReport(_Value):
     """Certificate that the three derived normals admit a common normal.
 
     ``incidence_residuals`` (the full dual products of the certifying line with the
@@ -430,13 +421,15 @@ class PetersenMorleyReport:
     which the derived screws lose their resultants and the normal survives only as a direction.
     """
 
-    a: DualVec3
-    b: DualVec3
-    c: DualVec3
-    jacobi_residual: float
-    normal: Line
-    incidence_residuals: tuple
-    parallel_degenerate: bool
+    __slots__ = _fields = (
+        "a", "b", "c", "jacobi_residual", "normal", "incidence_residuals", "parallel_degenerate",
+    )
+
+    def __init__(
+        self, a: DualVec3, b: DualVec3, c: DualVec3, jacobi_residual: float, normal: Line,
+        incidence_residuals: tuple, parallel_degenerate: bool,
+    ) -> None:
+        self._fill(a, b, c, jacobi_residual, normal, incidence_residuals, parallel_degenerate)
 
     def max_residual(self) -> float:
         return _relative(self.incidence_residuals)
@@ -485,7 +478,7 @@ def petersen_morley(
         if _parallel_pair((a._re, b._re, c._re), tol) >= 0:
             raise NonGeneric("derived screws have pairwise parallel resultants")
         # common_normal(a, b), whose checks ran above.
-        normal = axis_decompose(cross(a, b)).axis
+        normal = _axis(cross(a, b))
         residuals = tuple(_incidence(normal.screw, w) for w in derived)
         degenerate = False
     elif not any(proper):

@@ -453,13 +453,74 @@ def test_single_screw_path_builds_no_array(module):
     assert not found, f"{module}.py builds or unpacks an array at {found}"
 
 
+# -- one immutable value class ---------------------------------------------------
+#
+# How a library value refuses assignment, compares, hashes and copies is written
+# once, in dual._Value; no module imports dataclasses as a second way to say it.
+# A class equal only to itself assigns object.__eq__ and object.__hash__.
+
+VALUE_DUNDERS = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__", "__reduce_ex__"}
+
+
+def _value_machinery(tree: ast.AST, module: str) -> list:
+    """(what, line) of each use of dataclasses, and of each definition of a VALUE_DUNDERS
+    method in a class other than dual._Value."""
+    found = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(("dataclasses", node.lineno))
+        if isinstance(node, ast.ClassDef) and (module, node.name) != ("dual", "_Value"):
+            found += [(f"{node.name}.{item.name}", item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and item.name in VALUE_DUNDERS]
+    return found
+
+
+def test_value_machinery_detector_sees_every_spelling():
+    source = (
+        "import dataclasses\n"
+        "import dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "probe = sys.modules['dataclasses']\n"
+        "class A:\n"
+        "    __eq__ = object.__eq__\n"
+        "    def __setattr__(self, name, value): pass\n"
+        "    class B:\n"
+        "        def __reduce__(self): pass\n"
+        "class _Value:\n"
+        "    def __delattr__(self, name): pass\n"
+    )
+    found = [("A.__setattr__", 7), ("B.__reduce__", 9),
+             ("dataclasses", 1), ("dataclasses", 2), ("dataclasses", 3), ("dataclasses", 4)]
+    assert sorted(_value_machinery(ast.parse(source), "dual")) == found
+    assert ("_Value.__delattr__", 11) in _value_machinery(ast.parse(source), "linalg")
+
+
+def test_only_the_value_class_says_how_a_value_is_held():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules, "no modules found; the test is not looking at the package"
+    found = {
+        path.stem: _value_machinery(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        for path in modules
+    }
+    assert not any(found.values()), found
+    dual_tree = ast.parse((SOURCE / "dual.py").read_text(encoding="utf-8"))
+    assert _value_machinery(dual_tree, "linalg"), "dual._Value is not where the test looks"
+
+
 # -- numpy is imported where arrays cross the boundary -------------------------
 #
 # A screw is six Python floats, so importing the package and running a
 # subcommand on the dual path loads no numpy; only the oracle, the checked
 # constructor's fallback for input that is not a plain list of numbers, and
 # the functions that hand out arrays import it. Likewise only `verify` runs
-# the theorems, whose reports are the only dataclasses on that path.
+# the theorems, and no module of the package imports dataclasses.
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
@@ -520,8 +581,8 @@ def test_geometry_subcommands_load_neither_theorems_oracle_dataclasses_nor_numpy
     ]
     seen = _run_golden_in_order([*cases, "verify-cosines:json"])
     assert [loaded for _, _, loaded in seen[:-1]] == [[]] * (len(seen) - 1), seen
-    # verify runs the theorems, and their reports are dataclasses.
-    assert seen[-1][2] == ["dataclasses", "screwalg.theorems"]
+    # verify runs the theorems, and nothing else of the watched modules.
+    assert seen[-1][2] == ["screwalg.theorems"]
 
 
 def _run_golden_in_order(cases: list) -> list:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import screwalg
 from helpers import frame_beyond_the_floats
 from screwalg.cli import main
+from screwalg.dual import parse_dual
 
 EPS = np.finfo(float).eps
 X_AXIS = {"point": [0, 0, 0], "direction": [1, 0, 0]}
@@ -586,6 +587,24 @@ class TestInputFiles:
         assert expected[0] == 0
         c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
         assert run_process("compose", str(path), flags=("-X", "utf8=0"), env=c_locale) == expected
+
+
+class TestOutputEncoding:
+    # The dual unit is printed as "eps", which parse_dual reads too, where the
+    # encoding of standard output has no "ε"; a UTF-8 stream gets the bytes it always got.
+    @pytest.mark.parametrize("env, unit", [
+        ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}, "eps"),
+        ({"PYTHONIOENCODING": "latin-1"}, "eps"),
+        ({"PYTHONIOENCODING": "utf-8"}, "ε"),
+    ], ids=["ascii-locale", "latin-1", "utf-8"])
+    def test_line_angle_text_spells_the_dual_unit_as_stdout_can(self, env, unit, capsys):
+        argv = ("line-angle", "--json", json.dumps(X_AXIS), "--json", json.dumps(Y_AXIS_OFFSET))
+        expected = run(capsys, *argv)
+        assert expected[0] == 0 and "ε" in expected[1]
+        code, out, err = run_process(*argv, flags=("-X", "utf8=0"), env=env)
+        assert (code, out, err) == (0, expected[1].replace("ε", unit), "")
+        theta = out.splitlines()[0].removeprefix("Theta = ")
+        assert parse_dual(theta) == parse_dual(expected[1].splitlines()[0].removeprefix("Theta = "))
 
 
 class TestOverflow:

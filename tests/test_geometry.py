@@ -37,13 +37,16 @@ from screwalg import (
     field_at,
     frame_from_point,
     frame_translation,
+    geometry,
     line_from_point_direction,
     motor_reduce,
     motor_unreduce,
     norm,
     sin,
 )
-from screwalg.errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
+from screwalg.errors import (
+    NotALine, NotFinite, NotUnit, NullVector, ParallelResultants, ScrewAlgError,
+)
 from screwalg.oracle import line_distance_angle
 
 X = np.array([1.0, 0.0, 0.0])
@@ -57,6 +60,10 @@ def x_axis():
 
 def y_axis_offset():
     return line_from_point_direction([0, 0, 1], Y)
+
+
+def _screw_bits(line: Line) -> list:
+    return [repr(c) for c in (*line.screw._re, *line.screw._du)]
 
 
 class TestLines:
@@ -89,6 +96,17 @@ class TestLines:
             del l.screw
         assert_dualvec_close(l.screw, DualVec3(Y, -X))
         assert repr(l).startswith("Line(point=")
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_every_bit(self, round_trip):
+        l = Line(DualVec3([0.2910454843926746, 0.5543240301804152, -0.7797547021847162],
+                          [-4.810616491753616, 2.684286105235969, 0.11267143974344362]))
+        # Built again from its screw, the line moves bits: a copy runs no constructor.
+        assert _screw_bits(Line(l.screw)) != _screw_bits(l)
+        got = round_trip(l)
+        assert type(got) is Line and _screw_bits(got) == _screw_bits(l)
 
     def test_pitched_screw_rejected(self):
         with pytest.raises(NotALine):
@@ -214,6 +232,30 @@ class TestAxis:
         assert_vec_close(dec.axis.direction, X)
         assert_vec_close(field_at(DualVec3([2, 0, 0], [3, 2, 0]), dec.axis.point), [3, 0, 0])
 
+    def test_axis_is_the_decomposition_axis(self):
+        # Bit for bit, or the same refusal, but for a magnitude beyond the floats,
+        # which only axis_decompose builds.
+        rng = np.random.default_rng(11)
+        screws = [rand_proper_screw(rng) for _ in range(300)]
+        screws += [DualVec3(size_re * rng.uniform(-1, 1, 3), size_du * rng.uniform(-1, 1, 3))
+                   for size_re, size_du in ((1e-300, 1.0), (1e300, 1e-300), (1.0, 1e308))
+                   for _ in range(30)]
+        screws += [DualVec3([0, 0, 0], [1, 0, 0]), DualVec3([1, 1, 1], [1e308, 1e308, 0]),
+                   DualVec3([1e-320, 0, 0], [1, 2, 3]), DualVec3([-0.0, 2.0, 0.0], [0.0, -0.0, 1.0])]
+        overflows = DualVec3([1.7e308, 1.7e308, 0], [0, 0, 1e300])
+        seen = set()
+        for z in [*screws, overflows]:
+            expected = _outcome(lambda: axis_decompose(z).axis)
+            got = _outcome(lambda: geometry._axis(z))
+            if z is overflows:
+                assert expected == (NotFinite, "magnitude overflows")
+                # Half the screw is brought into the same range, and its magnitude fits.
+                assert isinstance(got, list) and got == _outcome(lambda: axis_decompose(0.5 * z).axis)
+            else:
+                assert got == expected, z
+            seen.add(expected[0] if isinstance(expected[0], type) else "line")
+        assert seen == {"line", NullVector, NotFinite}
+
     def test_line_decomposes_to_itself(self):
         rng = np.random.default_rng(6)
         l = rand_line(rng)
@@ -259,9 +301,24 @@ class TestAxis:
         copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
     ], ids=["copy", "deepcopy", "pickle"])
     def test_decomposition_copies_are_equal(self, round_trip):
-        # The fields are what the class holds, not a Line, which copies only shallowly.
-        dec = AxisDecomposition(2.0, -0.5, ("axis", Dual(1.0, 2.0)))
-        assert type(round_trip(dec)) is AxisDecomposition and round_trip(dec) == dec
+        # Equal in every float; a deep copy holds a new Line, which equals only itself.
+        dec = axis_decompose(DualVec3([1.3, 0.2, -0.7], [0.5, 1.1, 2.0]))
+        got = round_trip(dec)
+        assert type(got) is AxisDecomposition and type(got.axis) is Line
+        assert _decomposition_bits(got) == _decomposition_bits(dec)
+        assert (got == dec) is (got.axis is dec.axis)
+
+
+def _outcome(fn):
+    """The bits of the line fn returns, or the class and message of its refusal."""
+    try:
+        return _screw_bits(fn())
+    except ScrewAlgError as exc:
+        return type(exc), str(exc)
+
+
+def _decomposition_bits(dec) -> list:
+    return [repr(c) for c in (dec.magnitude, dec.pitch, *dec.axis.screw._re, *dec.axis.screw._du)]
 
 
 class TestDualAngle:

@@ -1,7 +1,8 @@
 """Dependence classification, triangle laws, Petersen-Morley, Thales."""
 
-import dataclasses
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -34,6 +35,7 @@ from screwalg import (
     common_normal,
     cos,
     dot,
+    dual,
     dual_angle,
     equilibrium_laws,
     frame_from_point,
@@ -47,7 +49,7 @@ from screwalg import (
     thales_check,
     theorems,
 )
-from screwalg.dual import DEFAULT_TOL
+from screwalg.dual import DEFAULT_TOL, _Value
 from screwalg.errors import (
     DegenerateBasis,
     DegenerateTriangle,
@@ -512,6 +514,17 @@ class TestPetersenMorley:
         with pytest.raises(NonGeneric):
             petersen_morley(DualVec3(X), DualVec3(Y), DualVec3(Z))
 
+    def test_normal_of_derived_screws_whose_cross_product_length_overflows(self):
+        # |a x b| is beyond the largest float, though each of its components is not;
+        # only the magnitude of a x b overflowed, which the normal never needed.
+        base = ([1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [2.0, 0.0, 1.0])
+        triple = [DualVec3([1.33e51 * c for c in r]) for r in base]
+        report = petersen_morley(*triple)
+        assert math.hypot(*cross(report.a, report.b)._re) == math.inf
+        assert report.ok() and not report.parallel_degenerate
+        unit = petersen_morley(*(DualVec3(r) for r in base))
+        assert_dualvec_close(report.normal.screw, unit.normal.screw, tol=4 * EPS)
+
     WORKED = (
         DualVec3([1.3, 0.2, -0.7], [0.5, 1.1, 2.0]),
         DualVec3([0.1, 1.7, 0.4], [-1.0, 0.3, 0.2]),
@@ -764,17 +777,15 @@ def _floats(value) -> list:
     """Every float in a result, in field order; tags and flags are in its label."""
     if isinstance(value, float):
         return [value]
-    if isinstance(value, Dual):
-        return [value.re, value.du]
-    if isinstance(value, DualVec3):
-        return value.re.tolist() + value.du.tolist()
-    if isinstance(value, Line):
-        return _floats(value.screw)
     if isinstance(value, tuple):
         return [x for v in value for x in _floats(v)]
-    if dataclasses.is_dataclass(value):
-        return [x for f in dataclasses.fields(value) for x in _floats(getattr(value, f.name))]
-    return []
+    if isinstance(value, _Value):
+        return _floats(value._values())
+    if isinstance(value, np.ndarray):
+        return _floats(tuple(value.ravel().tolist()))
+    if value is None or isinstance(value, (bool, TripleTag)):
+        return []
+    raise TypeError(f"no floats known in {type(value).__name__}")
 
 
 def _outcome(fn, args, tol):
@@ -1027,3 +1038,70 @@ def test_equilibrium_laws_builds_only_the_duals_it_hands_out(monkeypatch):
                   report.angle_sum_residual, report.two_r]
     assert sorted(map(id, built)) == sorted(map(id, handed_out))
     assert vectors == checked == calls == []
+
+
+# -- every immutable value class -------------------------------------------------
+
+
+def _one_value_of_each_class() -> dict:
+    """Every class built on dual._Value, by name; reports with and without a Line."""
+    from screwalg import DualMat3, line_distance_angle
+
+    x, y = x_axis(), y_axis_offset()
+    triple = _theorem_case(np.random.default_rng(7), "petersen", False)[0]
+    orthogonal = _theorem_case(np.random.default_rng(7), "petersen:orthogonal", False)[0]
+    common = (x, y, Dual(1, 2) * x + Dual(2, -1) * y)
+    return {
+        "Dual": Dual(-0.25, 1e-300),
+        "DualVec3": DualVec3([0.1, -0.0, 1e300], [3.5, 1e-300, -2.0]),
+        "DualMat3": frame_from_point([1.0, -2.0, 0.5]) @ DualMat3.identity(),
+        "Line": line_from_point_direction([1.0, 2.0, 3.0], [0.6, 0.0, -0.8]),
+        "AxisDecomposition": axis_decompose(DualVec3([1.3, 0.2, -0.7], [0.5, 1.1, 2.0])),
+        "TripleClassification": classify_triple(x, y, DualVec3(Z)),
+        "TripleClassification:witness": classify_triple(*common),
+        "EquilibriumReport": equilibrium_laws(DualVec3([1.0, 0.2, 0.0], [0.0, 0.5, 1.0]),
+                                              DualVec3([0.1, 1.0, 0.3], [1.0, 0.0, -0.5])),
+        "PetersenMorleyReport": petersen_morley(*triple),
+        "PetersenMorleyReport:degenerate": petersen_morley(*orthogonal),
+        "LineRelation": line_distance_angle([0, 0, 0], X, [0, 0, 1], Y),
+        "LineRelation:parallel": line_distance_angle([0, 0, 0], X, [0, 1, 0], X),
+    }
+
+
+_VALUES = _one_value_of_each_class()
+
+
+class TestValueClasses:
+    def test_the_values_cover_every_class(self):
+        from screwalg import oracle
+
+        defined = {
+            obj for module in (dual, linalg, geometry, theorems, oracle)
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, _Value) and obj.__module__ == module.__name__
+        }
+        assert defined - {type(v) for v in _VALUES.values()} == {_Value, linalg._DualArray}
+        assert _VALUES["TripleClassification:witness"].witness is not None
+        assert _VALUES["PetersenMorleyReport:degenerate"].parallel_degenerate
+        assert _VALUES["LineRelation"].closest_points is not None
+
+    @pytest.mark.parametrize("name", _VALUES)
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_every_float(self, round_trip, name):
+        value = _VALUES[name]
+        got = round_trip(value)
+        assert type(got) is type(value)
+        assert list(map(repr, _floats(got))) == list(map(repr, _floats(value)))
+        assert repr(got) == repr(value)
+
+    @pytest.mark.parametrize("name", _VALUES)
+    def test_values_are_immutable(self, name):
+        value = _VALUES[name]
+        message = f"{type(value).__name__} is immutable"
+        for field in (*value._fields, "other"):
+            with pytest.raises(AttributeError, match=message):
+                setattr(value, field, 1.0)
+            with pytest.raises(AttributeError, match=message):
+                delattr(value, field)
