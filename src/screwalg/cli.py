@@ -133,23 +133,31 @@ def _as_dict(value: _Value) -> dict:
     return dict(zip(value._fields, value._values()))
 
 
+@functools.cache
+def _json_key(key) -> str:
+    # The keys are the library's own field and output names, so the cache stays small.
+    return json.dumps(str(key))
+
+
 def _json_text(obj) -> str:
     """The one JSON form of library values, with floats at 17 significant digits."""
+    # The commonest values first: floats (np.float64 is one; a bool is none), then duals.
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    if isinstance(obj, Dual):
+        return f'{{"re": {obj.re:.17g}, "du": {obj.du:.17g}}}'
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_json_text(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{_json_key(k)}: {_json_text(v)}" for k, v in obj.items()]) + "}"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int,)):
+    if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_json_text(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_text(v) for v in obj) + "]"
     # Only the oracle's results are arrays, and numpy is loaded once they exist.
     if "numpy" in sys.modules and isinstance(obj, sys.modules["numpy"].ndarray):
         return _json_text(obj.tolist())
@@ -316,9 +324,9 @@ def _cmd_verify(args, tol: float) -> int:
 
     if theorem in ("cosines", "sines", "anglesum"):
         report = equilibrium_laws(*(_parse_screw(d) for d in _require(doc, "x", "y")), tol=tol)
-        passed = report.ok(tol)
-        out = {**_as_dict(report), "max_scaled_residual": report.max_scaled_residual(),
-               "theorem": theorem}
+        figure = report.max_scaled_residual()
+        passed = figure <= tol  # report.ok(tol), without computing the figure twice
+        out = {**_as_dict(report), "max_scaled_residual": figure, "theorem": theorem}
     elif theorem == "petersen-morley":
         report = petersen_morley(*(_parse_screw(d) for d in _require(doc, "x", "y", "z")), tol=tol)
         passed = report.ok(tol)
@@ -406,15 +414,17 @@ _COMMANDS = (
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser, and each command's own parser by the command's name."""
     parser = argparse.ArgumentParser(
         prog="screwalg",
         description="Line geometry, screw analysis and rigid-motion composition "
         "over the dual numbers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text, func in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if func is _cmd_verify:
             p.add_argument("theorem", choices=_THEOREMS)
@@ -436,12 +446,23 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--check", action="store_true", help="cross-check against the classical oracle"
             )
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            # No command comes first: the top-level parser reports help or the usage error.
+            args = parser.parse_args(argv)
+        else:
+            # What parse_args does, less the top-level pass that hands argv to this parser.
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

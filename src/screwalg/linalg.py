@@ -184,14 +184,21 @@ def _scaled(values: tuple, k: int, what: str) -> tuple:
         raise NotFinite(f"{what} overflows") from exc
 
 
-def _parallel(u: tuple, v: tuple, tol: float) -> bool:
+def _parallel(
+    u: tuple, v: tuple, tol: float, lu: float | None = None, lv: float | None = None
+) -> bool:
     """Whether real 3-vectors are parallel: |u x v| <= tol |u| |v|.
 
     With _coplanar, the one place the library decides that resultants are
     dependent. The cross product's length is taken with math.hypot, which
-    squares no tiny value.
+    squares no tiny value. ``lu`` and ``lv``, where given, are _length(u) and
+    _length(v), taken once by a caller that tests one vector against several.
     """
-    return math.hypot(*_cross(u, v)) <= tol * _length(u) * _length(v)
+    if lu is None:
+        lu = _length(u)
+    if lv is None:
+        lv = _length(v)
+    return math.hypot(*_cross(u, v)) <= tol * lu * lv
 
 
 def _coplanar(u: tuple, v: tuple, w: tuple, tol: float) -> bool:

@@ -132,10 +132,13 @@ class LineRelation(_Value):
     """Distance and angle between two lines, with closest points when they exist.
 
     ``distance`` is unsigned. For skew lines ``closest_points`` holds (A, B)
-    with A on the first line; for parallel lines it is None.
+    with A on the first line; for parallel lines it is None. A relation equals
+    only itself, as numpy arrays neither compare to one truth value nor hash.
     """
 
     __slots__ = _fields = ("distance", "angle", "closest_points")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self, distance: float, angle: float,

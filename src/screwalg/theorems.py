@@ -81,9 +81,11 @@ def _parallel_pair(res, tol: float) -> int:
     """The index of the first of the cyclic pairs (0, 1), (1, 2), (2, 0) of the real 3-vectors
     ``res``, each brought into range, that linalg._parallel finds parallel; -1 for none."""
     u, v, w = _in_range(res[0])[0], _in_range(res[1])[0], _in_range(res[2])[0]
-    if _parallel(u, v, tol):
+    lu, lv = _length(u), _length(v)
+    if _parallel(u, v, tol, lu, lv):
         return 0
-    return 1 if _parallel(v, w, tol) else 2 if _parallel(w, u, tol) else -1
+    lw = _length(w)
+    return 1 if _parallel(v, w, tol, lv, lw) else 2 if _parallel(w, u, tol, lw, lu) else -1
 
 
 # -- one pass over float pairs ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Golden tests for the command-line interface and its exit-code contract."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,8 +17,12 @@ from hypothesis import strategies as st
 
 import screwalg
 from helpers import frame_beyond_the_floats
-from screwalg.cli import main
-from screwalg.dual import parse_dual
+from screwalg import (
+    Dual, DualMat3, DualVec3, Line, TripleTag, axis_decompose, classify_triple,
+    equilibrium_laws, line_distance_angle, line_from_point_direction, petersen_morley,
+)
+from screwalg.cli import _build_parser, _json_text, _parse_screw, main
+from screwalg.dual import _Value, parse_dual
 
 EPS = np.finfo(float).eps
 X_AXIS = {"point": [0, 0, 0], "direction": [1, 0, 0]}
@@ -552,6 +557,180 @@ class TestParserReuse:
         code, out, _ = run(capsys, "screw-axis", "--json", json.dumps({"re": [2, 0, 0], "du": [3, 2, 0]}))
         assert code == 0
         assert out.startswith("axis point = (0, 0, 1)\n")
+
+
+# -- one parse per call ----------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+_HELP = GOLDEN["help:screwalg"]["stdout"]
+_TOP_USAGE = (
+    "usage: screwalg [-h]\n"
+    "                {line-angle,common-normal,screw-axis,compose,verify,fit} ...\n"
+)
+_CHOICES = "(choose from 'line-angle', 'common-normal', 'screw-axis', 'compose', 'verify', 'fit')"
+
+
+def _parses(monkeypatch) -> list:
+    """The results of the ArgumentParser.parse_known_args calls made from now on."""
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        calls[-1] = original(self, *args, **kwargs)
+        return calls[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return calls
+
+
+class TestDispatch:
+    @pytest.fixture(autouse=True)
+    def _fixed_environment(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        monkeypatch.delenv("SCREWALG_TOL", raising=False)
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        ([], 2, "", _TOP_USAGE + "screwalg: error: the following arguments are required: command\n"),
+        (["-h"], 0, _HELP, ""),
+        (["nope"], 2, "",
+         _TOP_USAGE + f"screwalg: error: argument command: invalid choice: 'nope' {_CHOICES}\n"),
+        (["--tol", "1", "verify", "cosines"], 2, "",
+         _TOP_USAGE + f"screwalg: error: argument command: invalid choice: '1' {_CHOICES}\n"),
+        (["screw-axis", "--bogus"], 2, "",
+         _TOP_USAGE + "screwalg: error: unrecognized arguments: --bogus\n"),
+        (["screw-axis", "--format", "xml"], 2, "",
+         "usage: screwalg screw-axis [-h] [--json STRING] [--tol TOL]\n"
+         "                           [--format {text,json}]\n"
+         "                           [files ...]\n"
+         "screwalg screw-axis: error: argument --format: invalid choice: 'xml' "
+         "(choose from 'text', 'json')\n"),
+        (["verify"], 2, "",
+         "usage: screwalg verify [-h] [--json STRING] [--tol TOL] [--format {text,json}]\n"
+         "                       {cosines,sines,anglesum,petersen-morley,thales,delassus}\n"
+         "                       [files ...]\n"
+         "screwalg verify: error: the following arguments are required: theorem, files\n"),
+        (["line-angle", "--help"], 0, GOLDEN["help:line-angle"]["stdout"], ""),
+    ], ids=["none", "-h", "unknown", "option-first", "bogus-option", "bad-format",
+            "verify-bare", "command-help"])
+    def test_help_and_usage_errors_are_pinned(self, capsys, argv, code, out, err):
+        assert run(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("case", sorted(
+        name for name, case in GOLDEN.items() if "--help" not in case["argv"]
+    ))
+    def test_a_command_is_parsed_once_as_the_full_parser_parses_it(self, monkeypatch, case):
+        argv = GOLDEN[case]["argv"]
+        expected = vars(_build_parser()[0].parse_args(argv))
+        del expected["command"]
+        calls = _parses(monkeypatch)
+        _run_quietly(list(argv))
+        assert len(calls) == 1
+        namespace, extra = calls[0]
+        assert (vars(namespace), extra) == (expected, [])
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+def _expected_json(value):
+    """The JSON data _json_text writes for a value, taken through public attributes."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (DualVec3, DualMat3)):
+        return {"re": value.re.tolist(), "du": value.du.tolist()}
+    if isinstance(value, Line):
+        return {"point": value.point.tolist(), "direction": value.direction.tolist()}
+    if isinstance(value, _Value):
+        return {name: _expected_json(getattr(value, name)) for name in value._fields}
+    if isinstance(value, (list, tuple)):
+        return [_expected_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _expected_json(v) for k, v in value.items()}
+    return value
+
+
+def _assert_same_json(got, want):
+    """Equal data, keys in the same order and every float bit for bit (-0.0 is not 0.0)."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_same_json(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_json(g, w)
+    elif isinstance(want, bool) or want is None:
+        assert got is want
+    elif isinstance(want, float):
+        assert float(got).hex() == float(want).hex()
+    else:
+        assert got == want
+
+
+def _assert_written(value):
+    text = _json_text(value)
+    # JSON has one number type. Python reads "-0" as the int 0, so read every number
+    # as a float, as a JSON reader that follows IEEE 754 does.
+    _assert_same_json(json.loads(text, parse_int=float), _expected_json(value))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_vec3s = st.lists(_finite, min_size=3, max_size=3)
+_UNITS = ([1.0, 0.0, 0.0], [0.6, 0.0, -0.8], [0.0, 0.6, 0.8])
+_leaves = st.one_of(
+    _finite,
+    _finite.map(np.float64),
+    st.booleans(),
+    st.integers(-(2**53), 2**53),
+    st.none(),
+    st.sampled_from(TripleTag),
+    st.builds(Dual, _finite, _finite),
+    st.builds(DualVec3, _vec3s, _vec3s),
+    st.builds(DualMat3, st.lists(_vec3s, min_size=3, max_size=3),
+              st.lists(_vec3s, min_size=3, max_size=3)),
+    st.builds(line_from_point_direction, st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+              st.sampled_from(_UNITS)),
+    st.lists(_finite, max_size=4).map(np.array),
+)
+_json_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.tuples(inner, inner),
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["re", "du", "axis", "é", 'quo"te']), inner, max_size=3),
+), max_leaves=8)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1.7976931348623157e308)
+    @example(np.float64(-0.0))
+    @example(((-0.0, (5e-324,)), [Dual(-0.0, 1.7976931348623157e308)]))
+    @example(True)
+    def test_every_float_reads_back_bit_for_bit(self, value):
+        _assert_written(value)
+
+    @pytest.mark.parametrize("name", [
+        "AxisDecomposition", "TripleClassification", "TripleClassification:witness",
+        "EquilibriumReport", "PetersenMorleyReport", "LineRelation", "LineRelation:parallel",
+    ])
+    def test_reports_keep_their_field_order(self, name):
+        x, y, z = (_parse_screw(doc) for doc in (X_AXIS, Y_AXIS_OFFSET, Z_AXIS_OFFSET))
+        value = {
+            "AxisDecomposition": lambda: axis_decompose(DualVec3([1.3, 0.2, -0.7], [0.5, 1.1, 2])),
+            "TripleClassification": lambda: classify_triple(x, y, z),
+            "TripleClassification:witness": lambda: classify_triple(
+                x, y, Dual(1, 2) * x + Dual(2, -1) * y),
+            "EquilibriumReport": lambda: equilibrium_laws(x, y),
+            "PetersenMorleyReport": lambda: petersen_morley(x, y, z),
+            "LineRelation": lambda: line_distance_angle([0, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]),
+            "LineRelation:parallel": lambda: line_distance_angle(
+                [0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]),
+        }[name]()
+        assert type(value).__name__ == name.partition(":")[0]
+        _assert_written(value)
+        assert list(json.loads(_json_text(value))) == list(value._fields)
 
 
 def run_process(*argv, flags=(), env=()):

@@ -101,6 +101,14 @@ class TestLineDistanceAngle:
         assert abs(rel.distance - 1.0) <= 1e-15
         assert rel.angle == 0.0
 
+    @pytest.mark.parametrize("p2, e2", [([0, 0, 1], Y), ([0, 1, 0], X)], ids=["skew", "parallel"])
+    def test_a_relation_equals_only_itself(self, p2, e2):
+        # The closest points of skew lines are numpy arrays, which have no one truth value.
+        rel, again = (line_distance_angle([0, 0, 0], X, p2, e2) for _ in range(2))
+        assert rel == rel
+        assert rel != again
+        assert {rel: 1, again: 2}[rel] == 1
+
     @pytest.mark.parametrize("angle", [2e-9, 4e-9, 6e-9, 8e-9])
     def test_nearly_parallel_lines(self, angle):
         # sin(angle) passes the parallel guard while 1 - cos(angle)**2 rounds to 0.
