@@ -576,8 +576,7 @@ def _parses(monkeypatch) -> list:
     original = argparse.ArgumentParser.parse_known_args
 
     def counted(self, *args, **kwargs):
-        calls.append(None)
-        calls[-1] = original(self, *args, **kwargs)
+        calls.append(original(self, *args, **kwargs))
         return calls[-1]
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
