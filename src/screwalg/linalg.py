@@ -626,10 +626,13 @@ def _rodrigues(q: Dual) -> tuple[Dual, Dual]:
     phi = sqrt(q)
     t = phi.re
     sin_t, cos_t = math.sin(t), math.cos(t)
+    try:
+        d_versin = (t * t * sin_t - 2.0 * t * (1.0 - cos_t)) / (t ** 4)
+    except OverflowError:  # t ** 4 raises above 2**256, where t * t is still finite
+        d_versin = (sin_t - 2.0 * (1.0 - cos_t) / t) / (t * t)
     return (
         _dual(sin_t / t, phi.du * ((t * cos_t - sin_t) / (t * t))),
-        _dual((1.0 - cos_t) / (t * t),
-              phi.du * ((t * t * sin_t - 2.0 * t * (1.0 - cos_t)) / (t ** 4))),
+        _dual((1.0 - cos_t) / (t * t), phi.du * d_versin),
     )
 
 

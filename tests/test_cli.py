@@ -1340,6 +1340,7 @@ def _joints(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.lists(_joints(), max_size=4), _json_scalars), _TOLS)
+@example([{"axis": X_AXIS, "angle": 1.157920892373162e77}], [])  # angle ** 4 overflows
 def test_fuzzed_compose_documents_keep_the_exit_code_contract(chain, tol):
     code, _, err = _run_quietly(["compose", *tol, "--json", json.dumps(chain)])
     # compose has no residual, so exit 1 never applies.
