@@ -48,7 +48,7 @@ def _load_documents(args, expected: int) -> list:
                 docs.append(json.load(f))
         for text in args.json or []:
             docs.append(json.loads(text))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"cannot read input: {exc}") from exc
     if len(docs) != expected:
         raise _InputError(f"expected {expected} input document(s), got {len(docs)}")
@@ -56,13 +56,15 @@ def _load_documents(args, expected: int) -> list:
 
 
 def _numbers(*values):
-    """The values, where each is a JSON number or a (nested) array of them; a boolean or a
-    string raises ValueError, before any constructor reads it."""
-    for v in values:
+    """The values, each a JSON number or a (nested) array of them, walked on a stack of its own:
+    a boolean or a string raises ValueError, before any constructor reads it."""
+    pending = list(reversed(values))
+    while pending:
+        v = pending.pop()
         if isinstance(v, (bool, str)):
             raise ValueError(f"{v!r} is not a JSON number")
         if isinstance(v, list):
-            _numbers(*v)
+            pending.extend(reversed(v))
     return values
 
 

@@ -12,7 +12,7 @@ import math
 import re as _regex
 from typing import Callable, Union
 
-from .errors import DomainError, NotFinite, NotInvertible
+from .errors import DomainError, NotFinite, NotInvertible, NullVector
 
 DEFAULT_TOL = 1e-9
 
@@ -102,7 +102,7 @@ class Dual(_Value):
         except OverflowError as exc:
             raise NotFinite(f"dual component does not fit a float: {exc}") from exc
         if not (math.isfinite(re) and math.isfinite(du)):
-            raise NotFinite(f"dual components must be finite, got {re}, {du}")
+            raise NotFinite(f"{_NOT_FINITE}{re}, {du}")
         _set_re(self, re)
         _set_du(self, du)
 
@@ -162,19 +162,8 @@ class Dual(_Value):
         return _dual(self.re, -self.du)
 
     def inv(self) -> "Dual":
-        """Multiplicative inverse, (re - du*eps)/re**2.
-
-        The real part is tested exactly: a pure dual number has no inverse,
-        and silently treating a tiny resultant as zero would hide bugs. A real
-        part whose square underflows to 0 has an inverse that floats cannot
-        hold, which is refused as an overflow.
-        """
-        if self.re == 0.0:
-            raise NotInvertible(f"pure dual number {self} has no inverse")
-        re2 = self.re * self.re
-        if re2 == 0.0:
-            raise NotFinite(f"inverse of {self} overflows: its real part squared underflows to 0")
-        return _dual(1.0 / self.re, -self.du / re2)
+        """Multiplicative inverse, (re - du*eps)/re**2, with the refusals of ``_dinv``."""
+        return _dual(*_dinv(self.re, self.du))
 
     @property
     def is_pure_dual(self) -> bool:
@@ -208,8 +197,7 @@ def sqrt(x: Dual) -> Dual:
     """Principal square root; requires a positive real part."""
     if x.re <= 0.0:
         raise DomainError(f"sqrt requires a positive real part, got {x.re}")
-    root = math.sqrt(x.re)
-    return _dual(root, x.du / (2.0 * root))
+    return _dual(*_droot(x.re, x.du))
 
 
 def sin(x: Dual) -> Dual:
@@ -229,18 +217,52 @@ def exp(x: Dual) -> Dual:
 
 
 def atan2(s: Dual, c: Dual) -> Dual:
-    """The angle of the point (c, s), extended over the duals.
+    """The angle of the point (c, s), extended over the duals (``_datan2``).
 
-    The real part is atan2(s.re, c.re) and the dual part its derivative,
-    (c.re * s.du - s.re * c.du) / (c.re**2 + s.re**2). Scaling s and c by one
-    dual number with positive real part changes neither part, so callers
-    need not normalize. At the origin, or where its squared length
-    underflows to 0, no angle exists and DomainError is raised.
+    Scaling s and c by one dual number with positive real part changes neither
+    part, so callers need not normalize. At the origin, or where its squared
+    length underflows to 0, no angle exists and DomainError is raised.
     """
-    r2 = c.re * c.re + s.re * s.re
+    return _dual(*_datan2(s.re, s.du, c.re, c.du))
+
+
+# -- kernels on float pairs ----------------------------------------------------
+#
+# Each dual formula but the ring product, written once on the (re, du) parts with
+# its refusals, whose messages quote a pair as the Dual that _restored builds.
+
+def _dinv(re: float, du: float) -> tuple:
+    """The parts of the inverse of re + du*eps, 1/re and -du/re**2. A pure dual, by an exact
+    test, has none; one whose real part squared underflows to 0 has one beyond the floats."""
+    if re == 0.0:
+        raise NotInvertible(f"pure dual number {_restored(Dual, re, du)} has no inverse")
+    re2 = re * re
+    if re2 == 0.0:
+        raise NotFinite(f"inverse of {_restored(Dual, re, du)} overflows: "
+                        "its real part squared underflows to 0")
+    return 1.0 / re, -du / re2
+
+
+def _datan2(s: float, sd: float, c: float, cd: float) -> tuple:
+    """The parts of atan2(s + sd*eps, c + cd*eps), atan2(s, c) and (c sd - s cd) / (c*c + s*s)."""
+    r2 = c * c + s * s
     if r2 == 0.0:
-        raise DomainError(f"atan2({s}, {c}) needs a real point whose squared length is not 0")
-    return _dual(math.atan2(s.re, c.re), (c.re * s.du - s.re * c.du) / r2)
+        raise DomainError(f"atan2({_restored(Dual, s, sd)}, {_restored(Dual, c, cd)}) "
+                          "needs a real point whose squared length is not 0")
+    return math.atan2(s, c), (c * sd - s * cd) / r2
+
+
+def _droot(ss: float, ss_du: float) -> tuple:
+    """|x| and its dual part, sqrt(ss) and ss_du / (2 sqrt(ss)), from the parts of ss = x o x.
+    ss is 0 for a pure dual and where the squared resultant length underflows: NullVector."""
+    if ss == 0.0:
+        raise NullVector("modulus undefined: the squared resultant length is 0 "
+                         "(a pure dual, or an underflow)")
+    root = math.sqrt(ss)
+    du = ss_du / (2.0 * root)
+    if not (math.isfinite(root) and math.isfinite(du)):
+        raise NotFinite(f"{_NOT_FINITE}{root}, {du}")
+    return root, du
 
 
 # -- text form ---------------------------------------------------------------
@@ -276,6 +298,8 @@ def parse_dual(text: str) -> Dual:
 _new = object.__new__
 _set_re, _set_du = Dual._setters
 
+_NOT_FINITE = "dual components must be finite, got "
+
 
 def _dual(re: float, du: float) -> Dual:
     """The constructor for floats the library computed from checked values.
@@ -284,7 +308,7 @@ def _dual(re: float, du: float) -> Dual:
     so an overflow still raises NotFinite at the result it spoils.
     """
     if not (math.isfinite(re) and math.isfinite(du)):
-        raise NotFinite(f"dual components must be finite, got {re}, {du}")
+        raise NotFinite(f"{_NOT_FINITE}{re}, {du}")
     x = _new(Dual)
     _set_re(x, re)
     _set_du(x, du)

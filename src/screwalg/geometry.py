@@ -180,8 +180,7 @@ def axis_decompose(z: DualVec3) -> AxisDecomposition:
     rounding, not against a caller's tolerance.
     """
     z, k = _in_range(z)
-    ss = dot(z, z)
-    n = _modulus(ss)
+    n = _modulus(dot(z, z))
     a = n.re  # |s|, the square root of s o s
     axis = _axis_in_range(z, a)
     magnitude = _scaled((a,), -k, "magnitude")[0] if k else a
@@ -191,9 +190,8 @@ def axis_decompose(z: DualVec3) -> AxisDecomposition:
 def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
     """Angle between resultants plus eps times the signed distance between axes.
 
-    Theta = atan2(|x cross y|, x o y) over the duals: with s + s'eps and
-    c + c'eps those two, theta = atan2(s, c) and d = (c s' - s c') / (c**2 + s**2).
-    Both scale by |x| |y|, so no modulus of x or y is taken, and unlike the
+    Theta = atan2(|x cross y|, x o y) over the duals (dual.atan2); both
+    scale by |x| |y|, so no modulus of x or y is taken, and unlike the
     cosine alone the angle stays accurate near 0 and pi. Exactly parallel
     resultants (a zero real cross product, whose modulus is undefined) give
     exactly 0 or pi with dual part 0: the distance between parallel axes

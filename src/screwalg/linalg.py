@@ -23,13 +23,12 @@ import math
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .dual import DEFAULT_TOL, Dual, _dual, _new, _Value, sqrt
+from .dual import DEFAULT_TOL, Dual, _droot, _dual, _new, _Value, sqrt
 from .errors import (
     DegenerateBasis,
     NotAFrame,
     NotAntisymmetric,
     NotFinite,
-    NullVector,
     ProjectionMismatch,
 )
 
@@ -63,7 +62,7 @@ def _scale(k: float, a: tuple) -> tuple:
 def _over(v: tuple, k: float) -> tuple:
     """The 3-vector v / k. No finite result exists for k = 0, which is refused as an overflow."""
     if k == 0.0:
-        raise NotFinite("3-vector result overflows")
+        raise NotFinite(DualVec3._kind + _OVERFLOWS)
     a, b, c = v
     return (a / k, b / k, c / k)
 
@@ -76,6 +75,16 @@ def _dot3(a: tuple, b: tuple) -> float:
     a0, a1, a2 = a
     b0, b1, b2 = b
     return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def _ddot(a: tuple, ad: tuple, b: tuple, bd: tuple) -> tuple:
+    """(re, du) of the dual dot product of a + eps ad and b + eps bd: a . b, and a . bd + ad . b."""
+    a0, a1, a2 = a
+    p0, p1, p2 = ad
+    b0, b1, b2 = b
+    q0, q1, q2 = bd
+    return (a0 * b0 + a1 * b1 + a2 * b2,
+            (a0 * q0 + a1 * q1 + a2 * q2) + (p0 * b0 + p1 * b1 + p2 * b2))
 
 
 def _length(a: tuple) -> float:
@@ -362,7 +371,7 @@ class _DualArray(_Value):
         # For components the library computed: no coercion, but still tested
         # finite (_finite spelled out, as every result of the library comes here).
         if not (all(map(math.isfinite, re)) and all(map(math.isfinite, du))):
-            raise NotFinite(f"{cls._kind} result overflows")
+            raise NotFinite(cls._kind + _OVERFLOWS)
         self = _new(cls)
         _set_re(self, re)
         _set_du(self, du)
@@ -423,6 +432,8 @@ class _DualArray(_Value):
 
 _set_re, _set_du = _DualArray._setters
 
+_OVERFLOWS = " result overflows"
+
 
 class DualVec3(_DualArray):
     """Element of the dual module: a screw as its motor at the canonical origin."""
@@ -453,8 +464,7 @@ def dot(x: DualVec3, y: DualVec3) -> Dual:
     The real part is the dot product of the resultants; the dual part is the
     screw scalar product (comoment), which no reduction point can change.
     """
-    a, b = x._re, y._re
-    return _dual(_dot3(a, b), _dot3(a, y._du) + _dot3(x._du, b))
+    return _dual(*_ddot(x._re, x._du, y._re, y._du))
 
 
 def cross(x: DualVec3, y: DualVec3) -> DualVec3:
@@ -478,16 +488,9 @@ def norm(x: DualVec3) -> Dual:
     return _dual(*_scaled((n.re, n.du), -k, "modulus")) if k else n
 
 
-# The refusal of a modulus: x o x has real part 0 for a pure dual, and for a
-# proper screw whose squared resultant length underflows.
-_NO_MODULUS = "modulus undefined: the squared resultant length is 0 (a pure dual, or an underflow)"
-
-
 def _modulus(ss: Dual) -> Dual:
     """norm(x) from ``ss = dot(x, x)``, for a caller that already holds the product."""
-    if ss.re == 0.0:
-        raise NullVector(_NO_MODULUS)
-    return sqrt(ss)
+    return _dual(*_droot(ss.re, ss.du))
 
 
 def normalized(x: DualVec3) -> DualVec3:

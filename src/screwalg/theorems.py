@@ -6,7 +6,9 @@ subcommand) can report how far an input set is from satisfying the claim.
 Every verdict on a residual is decided here by one rule, ``_relative``.
 Reports hold library values only; their JSON form belongs to the CLI.
 Everything here, the dependence tests and the pencil solve included, runs on
-linalg's float kernels; no array is built.
+linalg's float kernels; no array is built. The one-pass kernels take each dual
+formula from the pair kernels the operators call (linalg._ddot and _cross_parts,
+dual._droot, _dinv and _datan2) and spell only the ring product inline.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import sys
 from enum import Enum
 
-from .dual import DEFAULT_TOL, Dual, _dual, _Value
+from .dual import _NOT_FINITE, DEFAULT_TOL, Dual, _datan2, _dinv, _droot, _dual, _Value
 from .errors import (
     DegenerateTriangle,
     NonGeneric,
@@ -28,7 +30,7 @@ from .errors import (
 from .geometry import _ROUNDINGS, Line, _axis, _foot, _line_through
 from .linalg import (
     _EYE,
-    _NO_MODULUS,
+    _OVERFLOWS,
     _ZERO3,
     DualVec3,
     _add,
@@ -36,6 +38,7 @@ from .linalg import (
     _coplanar,
     _cross,
     _cross_parts,
+    _ddot,
     _dot3,
     _in_range,
     _length,
@@ -90,35 +93,20 @@ def _parallel_pair(res, tol: float) -> int:
 
 # -- one pass over float pairs ---------------------------------------------------
 #
-# By the transference principle a dual formula is the real one on (re, du) pairs.
 # equilibrium_laws and petersen_morley hold each intermediate dual as two floats
 # (but for petersen_morley's normal and its branches for vanishing derived screws),
-# computed with the products and sums, in the order, that the Dual and DualVec3
-# operators take, so every bit is theirs, down to the sign of a zero. Each
-# refusal of those operators runs before the next branch that reads the value:
-# a non-finite part of a sum or product leaves a non-finite part in every result
-# built from it, so one test of a stage's results stands for its intermediates.
+# through the operators' pair kernels, so every bit is the operators', down to the
+# sign of a zero. Each refusal runs before the next branch that reads the value: a
+# non-finite part of a sum or product leaves one in every result built from it, so
+# one test of a stage's results stands for its intermediates. _droot's stands for the
+# dot product's: x o x has the real part 0 only where every resultant component is
+# below 2**-537, where 2 (re . du) cannot overflow.
 
 def _refuse_non_finite(values: tuple, vector: bool = False) -> None:
     """NotFinite where a value is not finite, with the message of DualVec3._raw or dual._dual."""
     if not all(map(math.isfinite, values)):
-        raise NotFinite("3-vector result overflows" if vector
-                        else f"dual components must be finite, got {', '.join(map(str, values))}")
-
-
-def _root(ss: float, ss_du: float) -> tuple:
-    """linalg._modulus on the parts of x o x, with its refusals: |x| and its dual part.
-
-    One test after the root stands for dot's too: a non-finite part of x o x leaves one
-    in the root, and x o x has the real part 0 only where every resultant component is
-    below 2**-537, where 2 (re . du) cannot overflow.
-    """
-    if ss == 0.0:
-        raise NullVector(_NO_MODULUS)
-    root = math.sqrt(ss)
-    du = ss_du / (2.0 * root)
-    _refuse_non_finite((root, du))
-    return root, du
+        raise NotFinite(DualVec3._kind + _OVERFLOWS if vector
+                        else _NOT_FINITE + ", ".join(map(str, values)))
 
 
 def _moment_near(s: DualVec3, z: DualVec3) -> float:
@@ -337,53 +325,44 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
     z cross x are all equal, so one modulus serves all three.
     """
     _require_proper((x, y))
-    a = a0, a1, a2 = x._re
-    p0, p1, p2 = x._du
-    b = b0, b1, b2 = y._re
-    q0, q1, q2 = y._du
+    a, p, b, q = x._re, x._du, y._re, y._du
+    (a0, a1, a2), (p0, p1, p2), (b0, b1, b2), (q0, q1, q2) = a, p, b, q
     # z = -(x + y), tested finite once rather than once per operator.
-    c = c0, c1, c2 = -1.0 * (a0 + b0), -1.0 * (a1 + b1), -1.0 * (a2 + b2)
-    r0, r1, r2 = -1.0 * (p0 + q0), -1.0 * (p1 + q1), -1.0 * (p2 + q2)
-    _refuse_non_finite(c + (r0, r1, r2), vector=True)
+    c = -1.0 * (a0 + b0), -1.0 * (a1 + b1), -1.0 * (a2 + b2)
+    r = -1.0 * (p0 + q0), -1.0 * (p1 + q1), -1.0 * (p2 + q2)
+    _refuse_non_finite(c + r, vector=True)
     if not any(c):
         raise NullVector("x + y has zero resultant; the triple leaves the module basis")
     if _parallel_pair((a, b, c), tol) >= 0:
         raise DegenerateTriangle("a pair of the triple has proportional resultants")
 
-    # The six dual products, and the moduli; u o u has the dual part 2 (re . du),
-    # as the two equal sums of dot are one float.
-    xx = a0 * a0 + a1 * a1 + a2 * a2, 2.0 * (a0 * p0 + a1 * p1 + a2 * p2)
-    nx = _root(*xx)
-    yy = b0 * b0 + b1 * b1 + b2 * b2, 2.0 * (b0 * q0 + b1 * q1 + b2 * q2)
-    ny = _root(*yy)
-    zz = c0 * c0 + c1 * c1 + c2 * c2, 2.0 * (c0 * r0 + c1 * r1 + c2 * r2)
-    nz = _root(*zz)
-    xy = a0 * b0 + a1 * b1 + a2 * b2, (a0 * q0 + a1 * q1 + a2 * q2) + (p0 * b0 + p1 * b1 + p2 * b2)
-    yz = b0 * c0 + b1 * c1 + b2 * c2, (b0 * r0 + b1 * r1 + b2 * r2) + (q0 * c0 + q1 * c1 + q2 * c2)
-    zx = c0 * a0 + c1 * a1 + c2 * a2, (c0 * p0 + c1 * p1 + c2 * p2) + (r0 * a0 + r1 * a1 + r2 * a2)
+    # The six dual products, and the moduli.
+    xx, yy, zz = _ddot(a, p, a, p), _ddot(b, q, b, q), _ddot(c, r, c, r)
+    nx, ny, nz = _droot(*xx), _droot(*yy), _droot(*zz)
+    xy, yz, zx = _ddot(a, p, b, q), _ddot(b, q, c, r), _ddot(c, r, a, p)
     _refuse_non_finite(xy + yz + zx)
-    (e0, e1, e2), (f0, f1, f2) = _cross_parts(a, x._du, b, y._du)
-    _refuse_non_finite((e0, e1, e2, f0, f1, f2), vector=True)
-    s, sd = _root(e0 * e0 + e1 * e1 + e2 * e2, 2.0 * (e0 * f0 + e1 * f1 + e2 * f2))
+    e, f = _cross_parts(a, p, b, q)
+    _refuse_non_finite(e + f, vector=True)
+    s, sd = _droot(*_ddot(e, f, e, f))
 
     # From here on each refusal is dual._dual's NotFinite, and the Duals handed out,
     # built by _dual, test every value computed from them. No divisor is 0: s and each
     # modulus are roots of a positive x o x, so their squares round to at least it.
-    # For the pair (u, v) and the third screw w: alpha = atan2(|x cross y|, -(u o v)) as
-    # dual.atan2 takes it, ww - uu - vv + nu * Dual(2) * nv * cos(alpha), and the sine
-    # ratio sin(alpha) / nw, sin times Dual.inv of nw.
+    # For the pair (u, v) and the third screw w: alpha = atan2(|x cross y|, -(u o v)),
+    # ww - uu - vv + nu * Dual(2) * nv * cos(alpha), and the sine ratio sin(alpha) / nw,
+    # sin times the inverse of nw.
     alphas, cosine_residuals, ratios = [], [], []
     for (uv, uvd), (ww, wwd), (uu, uud), (vv, vvd), (nu, nud), (nv, nvd), (nw, nwd) in (
         (xy, zz, xx, yy, nx, ny, nz), (yz, xx, yy, zz, ny, nz, nx), (zx, yy, zz, xx, nz, nx, ny),
     ):
-        t, td = math.atan2(s, -uv), (-uv * sd - s * -uvd) / (-uv * -uv + s * s)
+        t, td = _datan2(s, sd, -uv, -uvd)
         cos, sin = math.cos(t), math.sin(t)
         k, kd = nu * 2.0, nu * 0.0 + nud * 2.0
         k, kd = k * nv, k * nvd + kd * nv
         alphas.append(_dual(t, td))
         cosine_residuals.append(
             _dual((ww - uu) - vv + k * cos, ((wwd - uud) - vvd) + (k * (-td * sin) + kd * cos)))
-        i, idu = 1.0 / nw, -nwd / (nw * nw)
+        i, idu = _dinv(nw, nwd)
         ratios.append((sin * i, sin * idu + td * cos * i))
     (g0, g0d), (g1, g1d), (g2, g2d) = ratios
 
@@ -505,23 +484,17 @@ def petersen_morley(
 
 
 def _incidence(line: DualVec3, w: DualVec3) -> Dual:
-    """dot(line, normalized(w)) in one pass, for a proper w, with normalized's refusals.
-
-    In range w o w is at least 2**-300, so _modulus cannot refuse, and a non-finite part
-    of w o w or of |w| leaves the inverse's dual part non-finite: one test stands for three.
-    """
+    """dot(line, normalized(w)) in one pass, for a proper w, with normalized's refusals. In
+    range w o w is at least 2**-300, so no kernel refuses a 0; 1 / |w| can overflow in du."""
     w, _ = _in_range(w)
-    (r0, r1, r2), (d0, d1, d2) = w._re, w._du
-    n = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
-    k = 1.0 / n, -((2.0 * (r0 * d0 + r1 * d1 + r2 * d2)) / (2.0 * n)) / (n * n)
-    _refuse_non_finite(k)
-    k, kd = k
-    u = u0, u1, u2 = k * r0, k * r1, k * r2
-    v = v0, v1, v2 = k * d0 + kd * r0, k * d1 + kd * r1, k * d2 + kd * r2
+    re, du = w._re, w._du
+    k, kd = _dinv(*_droot(*_ddot(re, du, re, du)))
+    _refuse_non_finite((k, kd))
+    (r0, r1, r2), (d0, d1, d2) = re, du
+    u = k * r0, k * r1, k * r2
+    v = k * d0 + kd * r0, k * d1 + kd * r1, k * d2 + kd * r2
     _refuse_non_finite(u + v, vector=True)
-    (e0, e1, e2), (m0, m1, m2) = line._re, line._du
-    return _dual(e0 * u0 + e1 * u1 + e2 * u2,
-                 (e0 * v0 + e1 * v1 + e2 * v2) + (m0 * u0 + m1 * u1 + m2 * u2))
+    return _dual(*_ddot(line._re, line._du, u, v))
 
 
 def _direction_certificate(moments) -> Line:
@@ -555,7 +528,7 @@ def thales_check(
     is at most ``tol``. Both parts of |w| - r, the resultant of s = x + y and the
     moment of s about x's axis (``_moment_near``) are compared with tol * |r.re|.
     """
-    radius = r if isinstance(r, Dual) else Dual(float(r))
+    radius = r if isinstance(r, Dual) else Dual(r)
     bound = tol * abs(radius.re)
     for name, w in (("x", x), ("y", y), ("z", z)):
         n = norm(w)

@@ -152,6 +152,49 @@ def test_numpy_import_detector_sees_every_depth():
     ]
 
 
+# The modulus and the angle of a dual are written once, as dual._droot and
+# dual._datan2; the theorem kernels call those, so a square root or an atan2 of
+# their own would be a second copy of the formula.
+PAIR_KERNEL_CALLS = {"math.sqrt", "math.atan2"}
+
+
+def _pair_kernel_calls(tree: ast.AST) -> list:
+    """Line numbers of each use of math.sqrt or math.atan2, called or not, however imported."""
+    aliases = _aliases(tree)
+    found = set()
+    for node in ast.walk(tree):
+        name = _dotted(node) if isinstance(node, (ast.Attribute, ast.Name)) else None
+        if name is None:
+            continue
+        head, _, rest = name.partition(".")
+        if aliases.get(head, head) + ("." + rest if rest else "") in PAIR_KERNEL_CALLS:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_pair_kernel_call_detector_sees_every_spelling():
+    source = (
+        "import math\n"
+        "import math as m\n"
+        "from math import sqrt as root, atan2\n"
+        "ROOT2 = math.sqrt(2.0)\n"
+        "def f(x, y):\n"
+        "    return m.atan2(y, x) + root(x) + math.hypot(x, y)\n"
+        "g = lambda x: atan2(x, 1.0)\n"
+        "h = math.sqrt\n"
+        "def k(dual, x):\n"
+        "    return dual.sqrt(x) + sqrt(x) + dual.atan2(x, x)\n"
+    )
+    assert _pair_kernel_calls(ast.parse(source)) == [4, 6, 7, 8]
+
+
+def test_theorems_takes_roots_and_angles_from_the_pair_kernels():
+    tree = ast.parse((SOURCE / "theorems.py").read_text(encoding="utf-8"))
+    assert _aliases(tree).get("math") == "math", "the parser is not looking at the module"
+    lines = _pair_kernel_calls(tree)
+    assert not lines, f"theorems.py calls math.sqrt or math.atan2 at lines {lines}"
+
+
 def test_theorems_imports_no_numpy():
     """The theorem layer decides dependence and solves its pencils with the
     float kernels of linalg, so it needs numpy nowhere, not even inside a function."""

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from screwalg import (
     Dual, DualMat3, DualVec3, Line, TripleTag, axis_decompose, classify_triple,
     equilibrium_laws, line_distance_angle, line_from_point_direction, petersen_morley,
 )
-from screwalg.cli import _build_parser, _json_text, _parse_screw, main
+from screwalg.cli import _build_parser, _json_text, _numbers, _parse_screw, main
 from screwalg.dual import _Value, parse_dual
 
 EPS = np.finfo(float).eps
@@ -765,6 +766,102 @@ class TestInputFiles:
         assert expected[0] == 0
         c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
         assert run_process("compose", str(path), flags=("-X", "utf8=0"), env=c_locale) == expected
+
+
+def _nested_documents(depth):
+    """(case, documents) for every subcommand, one number of a document nested ``depth``
+    arrays deep, in each kind of numeric field and as a whole document."""
+    deep = "[" * depth + "1" + "]" * depth
+    screw, line = json.dumps({"re": [1, 0, 0], "du": [0, 0, 0]}), json.dumps(X_AXIS)
+    yield "screw-axis-re", ["screw-axis"], ['{"re": %s}' % deep]
+    yield "screw-axis-document", ["screw-axis"], [deep]
+    yield "common-normal-du", ["common-normal"], ['{"re": [1, 0, 0], "du": %s}' % deep, screw]
+    yield "line-angle-point", ["line-angle"], ['{"point": %s, "direction": [1, 0, 0]}' % deep, line]
+    yield "compose-angle", ["compose"], ['[{"axis": %s, "angle": %s}]' % (line, deep)]
+    yield "compose-angle-re", ["compose"], ['[{"axis": %s, "angle": {"re": %s}}]' % (line, deep)]
+    yield "compose-matrix", ["compose"], ['[{"matrix": {"re": %s}}]' % deep]
+    yield "verify-cosines", ["verify", "cosines"], ['{"x": {"re": %s}, "y": %s}' % (deep, screw)]
+    yield ("verify-thales-radius", ["verify", "thales"],
+           ['{"x": %s, "y": %s, "z": %s, "r": %s}' % (screw, screw, screw, deep)])
+    sample = '{"samples": [{"point": %s, "value": [0, 0, 0]}]}' % deep
+    yield "verify-delassus-point", ["verify", "delassus"], [sample]
+    yield "fit-point", ["fit"], [sample]
+    yield "fit-samples", ["fit"], ['{"samples": %s}' % deep]
+
+
+def _in_a_fresh_thread(fn, *args):
+    """fn(*args) at the bottom of a stack of its own, as cli.main runs in a process of its
+    own, so that json accepts documents as deep as it would there."""
+    result = []
+
+    def target():
+        try:
+            result.append(fn(*args))
+        except BaseException as exc:  # noqa: BLE001  raised again in the calling thread
+            result.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the call did not return"
+    if isinstance(result[0], BaseException):
+        raise result[0]
+    return result[0]
+
+
+class TestNesting:
+    """No nesting of a document ends in a traceback: json's refusal of a deep one and
+    any document it accepts exit 2 with one error line."""
+
+    @pytest.mark.parametrize("via", ["json", "file"])
+    def test_every_subcommand_exits_2_at_any_depth(self, via, tmp_path, capsys):
+        seen = set()
+        for depth in [*range(980, 1001), 100_000]:
+            for case, command, docs in _nested_documents(depth):
+                if via == "file":
+                    paths = [tmp_path / f"{i}.json" for i in range(len(docs))]
+                    for path, doc in zip(paths, docs):
+                        path.write_text(doc, encoding="utf-8")
+                    argv = [*command, *map(str, paths)]
+                else:
+                    argv = [*command, *(a for doc in docs for a in ("--json", doc))]
+                code = _in_a_fresh_thread(main, argv)
+                out, err = capsys.readouterr()
+                assert (code, out, err.count("\n")) == (2, "", 1), (case, depth)
+                assert err.startswith("error: ") and "Traceback" not in err, (case, depth)
+                seen.add((case, "read" if "cannot read input" in err else "parsed"))
+        # Both paths are taken in every case: json's refusal, and a document it accepted.
+        cases = [case for case, *_ in _nested_documents(1)]
+        assert seen == {(case, how) for case in cases for how in ("read", "parsed")}
+
+    def test_numbers_walks_any_array_json_accepts_from_a_deeper_stack(self):
+        def deepest_array_walked_further_down():
+            depth = 1000
+            while True:  # the deepest array json accepts here
+                try:
+                    doc = json.loads("[" * depth + "true" + "]" * depth)
+                    break
+                except RecursionError:
+                    depth -= 1
+
+            def under(frames):
+                return under(frames - 1) if frames else _numbers(doc)
+
+            with pytest.raises(ValueError, match="^True is not a JSON number$"):
+                under(50)
+            return depth
+
+        assert _in_a_fresh_thread(deepest_array_walked_further_down) > 900
+
+    def test_a_process_refuses_a_deep_document(self, tmp_path):
+        deep = "[" * 5000 + "]" * 5000
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        for argv in (["screw-axis", "--json", deep], ["compose", str(path)]):
+            code, out, err = run_process(*argv)
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error: cannot read input: maximum recursion depth")
+            assert err.count("\n") == 1, err
 
 
 class TestOutputEncoding:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import assert_dual_close
 from screwalg import (
-    Dual, DualVec3, atan2, cos, dot, dual_angle, exp, extend, format_dual, parse_dual, sin, sqrt,
+    Dual, DualVec3, atan2, cos, dot, dual_angle, exp, extend, format_dual, norm, normalized,
+    parse_dual, sin, sqrt,
 )
 from screwalg.errors import DomainError, NotFinite, NotInvertible, NullVector
 
@@ -304,6 +305,28 @@ class TestOverflow:
         # warning is silenced and the refusal is what counts.
         with np.errstate(over="ignore"), pytest.raises(NotFinite):
             operation()
+
+    @pytest.mark.parametrize(
+        "operation, error, message",
+        [
+            (lambda: Dual(0.0, 1.0).inv(), NotInvertible, "pure dual number 0 + 1ε has no inverse"),
+            (lambda: Dual(1e-200, 1.0).inv(), NotFinite,
+             "inverse of 9.9999999999999998e-201 + 1ε overflows: its real part squared underflows to 0"),
+            (lambda: atan2(Dual(0.0, 1.0), Dual(0.0, 2.0)), DomainError,
+             "atan2(0 + 1ε, 0 + 2ε) needs a real point whose squared length is not 0"),
+            (lambda: sqrt(Dual(1e-300, 1e300)), NotFinite, "dual components must be finite, got 1e-150, inf"),
+            (lambda: norm(DualVec3([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])), NullVector,
+             "modulus undefined: the squared resultant length is 0 (a pure dual, or an underflow)"),
+            (lambda: normalized(DualVec3([0.0, -0.0, 0.0], [0.0, 2.0, 0.0])), NullVector,
+             "modulus undefined: the squared resultant length is 0 (a pure dual, or an underflow)"),
+        ],
+        ids=["inv-pure-dual", "inv-underflow", "atan2-origin", "sqrt-overflow", "norm-pure-dual",
+             "normalized-pure-dual"],
+    )
+    def test_refusals_keep_their_exact_message(self, operation, error, message):
+        with pytest.raises(error) as info:
+            operation()
+        assert str(info.value) == message
 
     def test_results_next_to_the_edge_are_unchanged(self):
         assert exp(Dual(709.0, 1.0)) == Dual(math.exp(709.0), math.exp(709.0))

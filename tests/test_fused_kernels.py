@@ -8,11 +8,13 @@ compared by repr, so the sign of a zero counts, and every verdict must agree,
 on random, axis-aligned and pure-dual generators and on products of frames
 placed far from the origin.
 
-equilibrium_laws and petersen_morley compute on float pairs in one pass. Their
-former bodies, on Dual and DualVec3 objects and their operators, are kept here
-as the reference: every report field and figure must be the same bytes, and
-every refusal the same class with the same message, but for the values a
-NotFinite message quotes.
+equilibrium_laws and petersen_morley compute on float pairs in one pass,
+calling the pair kernels that the operators call too (linalg._ddot and
+_cross_parts, dual._droot, _dinv and _datan2) and spelling only the ring product
+inline. Their former bodies, on Dual and DualVec3 objects and their operators,
+are kept here as the reference: every report field and figure must be the same
+bytes, and every refusal the same class with the same message, but for the
+values a NotFinite message quotes.
 """
 
 import itertools
@@ -659,17 +661,6 @@ def test_incidence_is_dot_with_the_normalized_screw():
         line = Line(normalized(DualVec3(workload_screw(rng)[0], workload_screw(rng)[1])))
         expected = _part_outcome(lambda: dot(line.screw, normalized(w)))
         assert _part_outcome(_incidence, line.screw, w) == expected, w
-
-
-def test_root_is_the_modulus_of_the_self_product():
-    from screwalg.theorems import _root
-
-    for w in _kernel_screws():
-        # w o w as the kernels take it: its real part and 2 (re . du).
-        (a0, a1, a2), (p0, p1, p2) = w._re, w._du
-        parts = a0 * a0 + a1 * a1 + a2 * a2, 2.0 * (a0 * p0 + a1 * p1 + a2 * p2)
-        expected = _part_outcome(lambda: _modulus(dot(w, w)))
-        assert _part_outcome(lambda: _dual(*_root(*parts))) == expected, w
 
 
 def test_cross_parts_are_cross():

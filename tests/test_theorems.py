@@ -584,6 +584,12 @@ class TestThales:
         with pytest.raises(NotAntipodal):
             thales_check(x_axis(), DualVec3(Y), y_axis_offset(), 1.0)
 
+    def test_radius_beyond_the_floats_is_not_finite(self):
+        # A real radius is read by the Dual constructor, which refuses an int past the floats.
+        x = x_axis()
+        with pytest.raises(NotFinite, match="does not fit a float"):
+            thales_check(x, -1 * x, y_axis_offset(), 10**400)
+
     @pytest.mark.parametrize("distance", [0.0, 1e6])
     def test_antipodal_test_does_not_grow_with_the_moments(self, distance):
         # y misses -x by 1e-6 in its moment: refused wherever the pair sits.
