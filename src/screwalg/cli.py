@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .dual import DEFAULT_TOL, Dual, _Value, format_dual, parse_dual
+from .dual import DEFAULT_TOL, Dual, _quoted, _Value, format_dual, parse_dual
 from .errors import NotEquiprojective, ScrewAlgError
 from .geometry import (
     Line, _foot, axis_decompose, common_normal, dual_angle, line_from_point_direction,
@@ -62,7 +62,7 @@ def _numbers(*values):
     while pending:
         v = pending.pop()
         if isinstance(v, (bool, str)):
-            raise ValueError(f"{v!r} is not a JSON number")
+            raise ValueError(f"{_quoted(v)} is not a JSON number")
         if isinstance(v, list):
             pending.extend(reversed(v))
     return values
@@ -77,8 +77,8 @@ def _parse_dual_value(obj) -> Dual:
         if isinstance(obj, dict) and set(obj) <= {"re", "du"}:
             return Dual(*_numbers(obj.get("re", 0.0), obj.get("du", 0.0)))
     except (ValueError, TypeError) as exc:
-        raise _InputError(f"cannot interpret {obj!r} as a dual number: {exc}") from exc
-    raise _InputError(f"cannot interpret {obj!r} as a dual number")
+        raise _InputError(f"cannot interpret {_quoted(obj)} as a dual number: {exc}") from exc
+    raise _InputError(f"cannot interpret {_quoted(obj)} as a dual number")
 
 
 def _parse_screw(obj) -> DualVec3:
@@ -390,7 +390,8 @@ def _parse_vec3(obj) -> tuple:
     try:
         return _vec(*_numbers(obj))
     except (ValueError, TypeError) as exc:
-        raise _InputError(f"sample point or value is not 3 finite numbers: {obj!r}") from exc
+        raise _InputError(
+            f"sample point or value is not 3 finite numbers: {_quoted(obj)}") from exc
 
 
 # -- driver ------------------------------------------------------------------

@@ -201,11 +201,11 @@ def sqrt(x: Dual) -> Dual:
 
 
 def sin(x: Dual) -> Dual:
-    return _dual(math.sin(x.re), x.du * math.cos(x.re))
+    return _dual(*_dsincos(x.re, x.du)[:2])
 
 
 def cos(x: Dual) -> Dual:
-    return _dual(math.cos(x.re), -x.du * math.sin(x.re))
+    return _dual(*_dsincos(x.re, x.du)[2:])
 
 
 def exp(x: Dual) -> Dual:
@@ -252,6 +252,12 @@ def _datan2(s: float, sd: float, c: float, cd: float) -> tuple:
     return math.atan2(s, c), (c * sd - s * cd) / r2
 
 
+def _dsincos(t: float, td: float) -> tuple:
+    """The parts of sin and cos at t + td*eps: sin t and td cos t, then cos t and -td sin t."""
+    sin_t, cos_t = math.sin(t), math.cos(t)
+    return sin_t, td * cos_t, cos_t, -td * sin_t
+
+
 def _droot(ss: float, ss_du: float) -> tuple:
     """|x| and its dual part, sqrt(ss) and ss_du / (2 sqrt(ss)), from the parts of ss = x o x.
     ss is 0 for a pure dual and where the squared resultant length underflows: NullVector."""
@@ -285,7 +291,7 @@ def parse_dual(text: str) -> Dual:
         return Dual(0.0, float(m.group(1)))
     m = _FULL.match(text)
     if not m:
-        raise ValueError(f"cannot parse dual number from {text!r}")
+        raise ValueError(f"cannot parse dual number from {_quoted(text)}")
     re_part = float(m.group(1))
     if m.group(3) is None:
         return Dual(re_part)
@@ -293,6 +299,15 @@ def parse_dual(text: str) -> Dual:
     if m.group(2) == "-":
         du_part = -du_part
     return Dual(re_part, du_part)
+
+
+_QUOTED = 80
+
+
+def _quoted(value: object) -> str:
+    """repr(value), cut to _QUOTED characters: a refusal quotes a bounded form of its input."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED - 3] + "..."
 
 
 _new = object.__new__

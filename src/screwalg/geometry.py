@@ -15,7 +15,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .dual import DEFAULT_TOL, Dual, _dual, _new, _Value, atan2
+from .dual import DEFAULT_TOL, Dual, _droot, _dual, _new, _Value, atan2
 from .errors import NotALine, NotFinite, NotUnit, NullVector, ParallelResultants
 from .linalg import (
     _EYE,
@@ -25,11 +25,11 @@ from .linalg import (
     _axial_matrix,
     _axis_foot,
     _cross,
+    _ddot,
     _dot3,
     _finite,
     _in_range,
     _length,
-    _modulus,
     _moved,
     _over,
     _parallel,
@@ -159,7 +159,7 @@ def _axis(z: DualVec3) -> Line:
     AxisDecomposition, so a magnitude beyond the largest float is no refusal.
     """
     z, _ = _in_range(z)
-    return _axis_in_range(z, _modulus(dot(z, z)).re)
+    return _axis_in_range(z, _droot(*_ddot(z._re, z._du, z._re, z._du))[0])
 
 
 def _axis_in_range(z: DualVec3, a: float) -> Line:
@@ -180,11 +180,10 @@ def axis_decompose(z: DualVec3) -> AxisDecomposition:
     rounding, not against a caller's tolerance.
     """
     z, k = _in_range(z)
-    n = _modulus(dot(z, z))
-    a = n.re  # |s|, the square root of s o s
+    a, b = _droot(*_ddot(z._re, z._du, z._re, z._du))  # |z|, a the length |s|
     axis = _axis_in_range(z, a)
     magnitude = _scaled((a,), -k, "magnitude")[0] if k else a
-    return AxisDecomposition(magnitude=magnitude, pitch=n.du / a, axis=axis)
+    return AxisDecomposition(magnitude=magnitude, pitch=b / a, axis=axis)
 
 
 def dual_angle(x: DualVec3, y: DualVec3) -> Dual:
@@ -226,11 +225,13 @@ def common_normal(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Line:
 
 
 def axes_intersect(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the axes of two unit screws meet; true iff the comoment vanishes."""
+    """Whether the axes of two unit screws meet; true iff the comoment vanishes, to ``tol``
+    or, where larger, to the rounding of the moments, which grows as the lines move away."""
     for z in (x, y):
         if abs(dot(z, z).re - 1.0) > tol:
             raise NotUnit("axes_intersect expects unit screws")
-    return abs(comoment(x, y)) <= tol
+    rounding = _ROUNDINGS * sys.float_info.epsilon * (_length(x._du) + _length(y._du))
+    return abs(comoment(x, y)) <= max(tol, rounding)
 
 
 def motor_reduce(z: DualVec3, point) -> tuple[np.ndarray, np.ndarray]:

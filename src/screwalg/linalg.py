@@ -23,7 +23,7 @@ import math
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .dual import DEFAULT_TOL, Dual, _droot, _dual, _new, _Value, sqrt
+from .dual import _NOT_FINITE, DEFAULT_TOL, Dual, _dinv, _droot, _dual, _new, _Value
 from .errors import (
     DegenerateBasis,
     NotAFrame,
@@ -111,6 +111,11 @@ def _cross_parts(a: tuple, ad: tuple, b: tuple, bd: tuple) -> tuple:
          (a2 * q0 - a0 * q2) + (p2 * b0 - p0 * b2),
          (a0 * q1 - a1 * q0) + (p0 * b1 - p1 * b0)),
     )
+
+
+def _dscaled(k: float, kd: float, re: tuple, du: tuple) -> tuple:
+    """(re, du) of the product of k + eps kd and re + eps du, component by component."""
+    return tuple([k * c for c in re]), tuple([k * d + kd * c for c, d in zip(re, du)])
 
 
 def _triple(a: tuple, b: tuple, c: tuple) -> float:
@@ -409,10 +414,7 @@ class _DualArray(_Value):
 
     def __mul__(self, k):
         if isinstance(k, Dual):
-            a, b = k.re, k.du
-            re = self._re
-            return self._raw(tuple([a * c for c in re]),
-                             tuple([a * d + b * c for c, d in zip(re, self._du)]))
+            return self._raw(*_dscaled(k.re, k.du, self._re, self._du))
         if isinstance(k, (int, float)):
             k = float(k)
             return self._raw(_scale(k, self._re), _scale(k, self._du))
@@ -433,6 +435,13 @@ class _DualArray(_Value):
 _set_re, _set_du = _DualArray._setters
 
 _OVERFLOWS = " result overflows"
+
+
+def _refuse_non_finite(values: tuple, vector: bool = False) -> None:
+    """NotFinite where a value is not finite, with the message of DualVec3._raw or dual._dual."""
+    if not all(map(math.isfinite, values)):
+        raise NotFinite(DualVec3._kind + _OVERFLOWS if vector
+                        else _NOT_FINITE + ", ".join(map(str, values)))
 
 
 class DualVec3(_DualArray):
@@ -484,19 +493,18 @@ def norm(x: DualVec3) -> Dual:
     0: every downstream use (normalization, pitch, axis) is undefined there.
     """
     x, k = _in_range(x)
-    n = _modulus(dot(x, x))
-    return _dual(*_scaled((n.re, n.du), -k, "modulus")) if k else n
-
-
-def _modulus(ss: Dual) -> Dual:
-    """norm(x) from ``ss = dot(x, x)``, for a caller that already holds the product."""
-    return _dual(*_droot(ss.re, ss.du))
+    n = _droot(*_ddot(x._re, x._du, x._re, x._du))
+    return _dual(*_scaled(n, -k, "modulus") if k else n)
 
 
 def normalized(x: DualVec3) -> DualVec3:
-    """Unit screw x / |x|; for a proper screw this is its axis line."""
+    """Unit screw x / |x|; for a proper screw this is its axis line. The one body for a
+    unit screw: x times the inverse of its modulus, with ``x * norm(x).inv()``'s refusals."""
     x, _ = _in_range(x)
-    return x * _modulus(dot(x, x)).inv()
+    re, du = x._re, x._du
+    k, kd = _dinv(*_droot(*_ddot(re, du, re, du)))
+    _refuse_non_finite((k, kd))  # in range x o x > 0, but 1 / |x| can overflow in du
+    return DualVec3._raw(*_dscaled(k, kd, re, du))
 
 
 def gram_schmidt(b1: DualVec3, b2: DualVec3, b3: DualVec3) -> tuple[DualVec3, DualVec3, DualVec3]:
@@ -608,35 +616,31 @@ _SIN_OVER = _series([math.factorial(2 * k + 1) for k in range(8)])
 _VERSIN_OVER = _series([math.factorial(2 * k + 2) for k in range(8)])
 
 
-def _horner(coefficients: tuple, q: Dual) -> Dual:
-    """The series F at a dual argument: F(q.re) + eps q.du F'(q.re)."""
-    x, dx = q.re, q.du
+def _horner(coefficients: tuple, x: float, dx: float) -> tuple:
+    """The parts of the series F at the dual argument x + eps dx: F(x) and dx F'(x)."""
     a = b = 0.0
     for c in coefficients:
         a, b = a * x + c, b * x + a * dx
-    return _dual(a, b)
+    return a, b
 
 
-def _rodrigues(q: Dual) -> tuple[Dual, Dual]:
-    """sin(phi)/phi and (1 - cos phi)/phi**2 at the dual angle phi with phi o phi = q.
-
-    Below the cut-off both are their series F in phi**2 = q, evaluated over
-    the duals with no square root, so a q.re that underflows to 0 still gives
-    the coefficients of a null turn.
-    """
-    if q.re < _SERIES_BELOW * _SERIES_BELOW:
-        return _horner(_SIN_OVER, q), _horner(_VERSIN_OVER, q)
-    phi = sqrt(q)
-    t = phi.re
+def _rodrigues(q: float, qd: float) -> tuple:
+    """The parts a, da, c, dc of sin(phi)/phi and (1 - cos phi)/phi**2 at the dual angle phi
+    with phi o phi = q + eps qd. Below the cut-off both are their series F in phi**2, with no
+    square root, so a q that underflows to 0 still gives a null turn's; q is finite there, and
+    qd is tested as dot tests it. Above it phi is dual._droot's, whose refusals stand for
+    dot's, and each dual part is td times a derivative below 1 in size."""
+    if q < _SERIES_BELOW * _SERIES_BELOW:
+        _refuse_non_finite((q, qd))
+        return _horner(_SIN_OVER, q, qd) + _horner(_VERSIN_OVER, q, qd)
+    t, td = _droot(q, qd)
     sin_t, cos_t = math.sin(t), math.cos(t)
     try:
         d_versin = (t * t * sin_t - 2.0 * t * (1.0 - cos_t)) / (t ** 4)
     except OverflowError:  # t ** 4 raises above 2**256, where t * t is still finite
         d_versin = (sin_t - 2.0 * (1.0 - cos_t) / t) / (t * t)
-    return (
-        _dual(sin_t / t, phi.du * ((t * cos_t - sin_t) / (t * t))),
-        _dual((1.0 - cos_t) / (t * t), phi.du * d_versin),
-    )
+    return (sin_t / t, td * ((t * cos_t - sin_t) / (t * t)),
+            (1.0 - cos_t) / (t * t), td * d_versin)
 
 
 def exp_so3d(b: DualVec3) -> DualMat3:
@@ -648,28 +652,28 @@ def exp_so3d(b: DualVec3) -> DualMat3:
     avoid cancellation). For a pure-dual generator c1 = 1 and hat(b)**2 = 0,
     so the series truncates after the linear term.
     """
-    c1, c2 = _rodrigues(dot(b, b))
-    return DualMat3._raw(*_rodrigues_matrix(b._re, b._du, c1, c2))
+    r, d = b._re, b._du
+    return DualMat3._raw(*_rodrigues_matrix(r, d, *_rodrigues(*_ddot(r, d, r, d))))
 
 
-def _rodrigues_matrix(r: tuple, d: tuple, c1: Dual, c2: Dual) -> tuple:
-    """(re, du) of I + c1 H + c2 H**2 with H = hat(r + eps d), in one pass.
+def _rodrigues_matrix(r: tuple, d: tuple, a: float, da: float, c: float, dc: float) -> tuple:
+    """(re, du) of I + A H + C H**2 with H = hat(r + eps d), A = a + eps da and
+    C = c + eps dc, in one pass.
 
     H has rows (0, z, -y), (-z, 0, x), (y, -x, 0) over the duals, and H**2 is
     symmetric: r_i r_j off the diagonal and -(r_j**2 + r_k**2) on it, with
     the derivatives of those as its dual part. Every entry is bit for bit the
-    one the generic product I + c1 H + c2 (H @ H) gives, down to the sign of a
+    one the generic product I + A H + C (H @ H) gives, down to the sign of a
     zero: the nonzero terms are summed in the same order, and a zero term of
     the generic sums stays wherever it can fix the sign of a zero result.
     Those are the identity's 0.0 before each off-diagonal real entry, the
     0 * 0 that starts each diagonal sum of H**2 (``0.0 - ...``), H's zero
-    diagonal times c1 on the dual diagonal (``zero``), and off the diagonal
+    diagonal times A on the dual diagonal (``zero``), and off the diagonal
     of H**2 the products of H's zero diagonal with H's entry there: s (sx,
     sy, sz) is 0.0 times the real entry, s' (su, sv, sw) 0.0 times the dual one.
     """
     x, y, z = r
     u, v, w = d
-    a, da, c, dc = c1.re, c1.du, c2.re, c2.du
     xx, yy, zz = x * x, y * y, z * z
     xy, yz, zx = x * y, y * z, z * x
     xu, yv, zw = x * u, y * v, z * w

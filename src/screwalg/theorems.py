@@ -8,7 +8,7 @@ Reports hold library values only; their JSON form belongs to the CLI.
 Everything here, the dependence tests and the pencil solve included, runs on
 linalg's float kernels; no array is built. The one-pass kernels take each dual
 formula from the pair kernels the operators call (linalg._ddot and _cross_parts,
-dual._droot, _dinv and _datan2) and spell only the ring product inline.
+dual._droot, _dinv, _datan2 and _dsincos) and spell only the ring product inline.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import sys
 from enum import Enum
 
-from .dual import _NOT_FINITE, DEFAULT_TOL, Dual, _datan2, _dinv, _droot, _dual, _Value
+from .dual import DEFAULT_TOL, Dual, _datan2, _dinv, _droot, _dsincos, _dual, _Value
 from .errors import (
     DegenerateTriangle,
     NonGeneric,
@@ -30,7 +30,6 @@ from .errors import (
 from .geometry import _ROUNDINGS, Line, _axis, _foot, _line_through
 from .linalg import (
     _EYE,
-    _OVERFLOWS,
     _ZERO3,
     DualVec3,
     _add,
@@ -42,10 +41,10 @@ from .linalg import (
     _dot3,
     _in_range,
     _length,
-    _modulus,
     _moved,
     _over,
     _parallel,
+    _refuse_non_finite,
     _scale,
     _sub,
     _triple,
@@ -93,21 +92,14 @@ def _parallel_pair(res, tol: float) -> int:
 
 # -- one pass over float pairs ---------------------------------------------------
 #
-# equilibrium_laws and petersen_morley hold each intermediate dual as two floats
-# (but for petersen_morley's normal and its branches for vanishing derived screws),
-# through the operators' pair kernels, so every bit is the operators', down to the
+# equilibrium_laws and petersen_morley hold each intermediate dual as two floats (but
+# for petersen_morley's normal, normalized derived screws and branches for vanishing
+# ones), through the operators' pair kernels, so every bit is the operators', down to the
 # sign of a zero. Each refusal runs before the next branch that reads the value: a
 # non-finite part of a sum or product leaves one in every result built from it, so
 # one test of a stage's results stands for its intermediates. _droot's stands for the
 # dot product's: x o x has the real part 0 only where every resultant component is
 # below 2**-537, where 2 (re . du) cannot overflow.
-
-def _refuse_non_finite(values: tuple, vector: bool = False) -> None:
-    """NotFinite where a value is not finite, with the message of DualVec3._raw or dual._dual."""
-    if not all(map(math.isfinite, values)):
-        raise NotFinite(DualVec3._kind + _OVERFLOWS if vector
-                        else _NOT_FINITE + ", ".join(map(str, values)))
-
 
 def _moment_near(s: DualVec3, z: DualVec3) -> float:
     """Length of the moment of s about the point of z's axis nearest to s's axis.
@@ -257,10 +249,10 @@ def _concurrent_sliding(zs, tol: float) -> bool:
     lines = []
     for z in zs:
         z, _ = _in_range(z)
-        n = _modulus(dot(z, z))
-        if abs(n.du / n.re) > max(tol, rounding * _length(z._du) / n.re):
+        a, b = _droot(*_ddot(z._re, z._du, z._re, z._du))
+        if abs(b / a) > max(tol, rounding * _length(z._du) / a):
             return False
-        lines.append(z * n.inv())
+        lines.append(normalized(z))
     l0, l1, l2 = lines
     e0, e1, e2 = l0._re, l1._re, l2._re
     n = _cross(e0, e1)
@@ -356,14 +348,14 @@ def equilibrium_laws(x: DualVec3, y: DualVec3, tol: float = DEFAULT_TOL) -> Equi
         (xy, zz, xx, yy, nx, ny, nz), (yz, xx, yy, zz, ny, nz, nx), (zx, yy, zz, xx, nz, nx, ny),
     ):
         t, td = _datan2(s, sd, -uv, -uvd)
-        cos, sin = math.cos(t), math.sin(t)
+        sin, dsin, cos, dcos = _dsincos(t, td)
         k, kd = nu * 2.0, nu * 0.0 + nud * 2.0
         k, kd = k * nv, k * nvd + kd * nv
         alphas.append(_dual(t, td))
         cosine_residuals.append(
-            _dual((ww - uu) - vv + k * cos, ((wwd - uud) - vvd) + (k * (-td * sin) + kd * cos)))
+            _dual((ww - uu) - vv + k * cos, ((wwd - uud) - vvd) + (k * dcos + kd * cos)))
         i, idu = _dinv(nw, nwd)
-        ratios.append((sin * i, sin * idu + td * cos * i))
+        ratios.append((sin * i, sin * idu + dsin * i))
     (g0, g0d), (g1, g1d), (g2, g2d) = ratios
 
     # 4R^2 |x|^2 |y|^2 |z|^2 = two_r * two_r * (xx * yy * zz), against uu * vv - uv * uv.
@@ -460,7 +452,7 @@ def petersen_morley(
             raise NonGeneric("derived screws have pairwise parallel resultants")
         # common_normal(a, b), whose checks ran above.
         normal = _axis(cross(a, b))
-        residuals = tuple(_incidence(normal.screw, w) for w in derived)
+        residuals = tuple(dot(normal.screw, normalized(w)) for w in derived)
         degenerate = False
     elif not any(proper):
         moments = [_over(w._du, _length(w._du)) for w in derived]
@@ -481,20 +473,6 @@ def petersen_morley(
         incidence_residuals=residuals,
         parallel_degenerate=degenerate,
     )
-
-
-def _incidence(line: DualVec3, w: DualVec3) -> Dual:
-    """dot(line, normalized(w)) in one pass, for a proper w, with normalized's refusals. In
-    range w o w is at least 2**-300, so no kernel refuses a 0; 1 / |w| can overflow in du."""
-    w, _ = _in_range(w)
-    re, du = w._re, w._du
-    k, kd = _dinv(*_droot(*_ddot(re, du, re, du)))
-    _refuse_non_finite((k, kd))
-    (r0, r1, r2), (d0, d1, d2) = re, du
-    u = k * r0, k * r1, k * r2
-    v = k * d0 + kd * r0, k * d1 + kd * r1, k * d2 + kd * r2
-    _refuse_non_finite(u + v, vector=True)
-    return _dual(*_ddot(line._re, line._du, u, v))
 
 
 def _direction_certificate(moments) -> Line:

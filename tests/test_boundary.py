@@ -152,14 +152,14 @@ def test_numpy_import_detector_sees_every_depth():
     ]
 
 
-# The modulus and the angle of a dual are written once, as dual._droot and
-# dual._datan2; the theorem kernels call those, so a square root or an atan2 of
-# their own would be a second copy of the formula.
-PAIR_KERNEL_CALLS = {"math.sqrt", "math.atan2"}
+# The modulus, the angle, the sine and the cosine of a dual are written once, as
+# dual._droot, dual._datan2 and dual._dsincos; the theorem kernels call those, so a
+# square root, an atan2, a sin or a cos of their own would be a second copy of the formula.
+PAIR_KERNEL_CALLS = {"math.sqrt", "math.atan2", "math.sin", "math.cos"}
 
 
 def _pair_kernel_calls(tree: ast.AST) -> list:
-    """Line numbers of each use of math.sqrt or math.atan2, called or not, however imported."""
+    """Line numbers of each use of a PAIR_KERNEL_CALLS function, called or not, however imported."""
     aliases = _aliases(tree)
     found = set()
     for node in ast.walk(tree):
@@ -183,16 +183,90 @@ def test_pair_kernel_call_detector_sees_every_spelling():
         "g = lambda x: atan2(x, 1.0)\n"
         "h = math.sqrt\n"
         "def k(dual, x):\n"
-        "    return dual.sqrt(x) + sqrt(x) + dual.atan2(x, x)\n"
+        "    return dual.sqrt(x) + sqrt(x) + dual.atan2(x, x) + dual.sin(x) + math.tan(x)\n"
+        "from math import cos as c\n"
+        "def s(t):\n"
+        "    return c(t) * m.sin(t)\n"
     )
-    assert _pair_kernel_calls(ast.parse(source)) == [4, 6, 7, 8]
+    assert _pair_kernel_calls(ast.parse(source)) == [4, 6, 7, 8, 13]
 
 
 def test_theorems_takes_roots_and_angles_from_the_pair_kernels():
     tree = ast.parse((SOURCE / "theorems.py").read_text(encoding="utf-8"))
     assert _aliases(tree).get("math") == "math", "the parser is not looking at the module"
     lines = _pair_kernel_calls(tree)
-    assert not lines, f"theorems.py calls math.sqrt or math.atan2 at lines {lines}"
+    assert not lines, f"theorems.py calls math.sqrt, atan2, sin or cos at lines {lines}"
+
+
+# -- kernels take and return floats ----------------------------------------------
+#
+# A Dual, DualVec3 or DualMat3 is built only for a value that a function hands out;
+# what a kernel computes on the way stays a pair of floats. The builders are told
+# apart by their code objects, not by name, so no alias, re-import or rename of
+# one escapes the count.
+
+def _builds(call) -> dict:
+    """How many Duals (dual._dual and Dual.__init__) and arrays (_DualArray._raw)
+    call() builds, counted by the code objects that sys.setprofile sees called."""
+    kinds = {
+        screwalg.dual._dual.__code__: "Dual",
+        screwalg.dual.Dual.__init__.__code__: "Dual",
+        screwalg.linalg._DualArray._raw.__func__.__code__: "array",
+    }
+    counts = {"Dual": 0, "array": 0}
+
+    def count(frame, event, arg):
+        kind = kinds.get(frame.f_code) if event == "call" else None
+        if kind:
+            counts[kind] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def test_construction_counter_sees_every_spelling():
+    from screwalg.dual import Dual
+    from screwalg.dual import _dual as make
+    from screwalg.linalg import DualMat3, DualVec3
+
+    x, y = Dual(1.0, 2.0), Dual(3.0, 4.0)
+    v = DualVec3([1.0, 2.0, 3.0], [0.5, 0.0, -0.5])
+
+    assert _builds(lambda: Dual(1.0, 2.0)) == {"Dual": 1, "array": 0}
+    assert _builds(lambda: make(1.0, 2.0)) == {"Dual": 1, "array": 0}
+    assert _builds(lambda: getattr(screwalg.dual, "_dual")(1.0, 2.0)) == {"Dual": 1, "array": 0}
+    # The operators build through _dual; a number mixed in is coerced by Dual.__init__.
+    assert _builds(lambda: x * y + y.inv() - 1) == {"Dual": 5, "array": 0}
+    assert _builds(lambda: DualMat3.identity()) == {"Dual": 0, "array": 1}
+    assert _builds(lambda: getattr(DualVec3, "_raw")(v._re, v._du)) == {"Dual": 0, "array": 1}
+    assert _builds(lambda: v * x + v) == {"Dual": 0, "array": 2}
+    # The checked constructor is not a library result, and a float kernel builds nothing.
+    assert _builds(lambda: DualVec3([1.0, 2.0, 3.0])) == {"Dual": 0, "array": 0}
+    assert _builds(lambda: screwalg.linalg._ddot(v._re, v._du, v._re, v._du)) == {
+        "Dual": 0, "array": 0}
+
+
+def test_the_motion_and_unit_screw_kernels_build_only_what_they_hand_out():
+    from screwalg import DualVec3, axis_decompose, common_normal, exp_so3d, norm, normalized
+
+    series, closed = DualVec3([0.1, -0.2, 0.3], [1.0, 0.5, -2.0]), DualVec3([0.4, 1.1, -0.7], [2.0, 0.0, -1.0])
+    assert screwalg.linalg._dot3(series._re, series._re) < 0.25 <= screwalg.linalg._dot3(
+        closed._re, closed._re)
+    screw = DualVec3([1.0, 2.0, -0.5], [0.3, -1.0, 2.0])
+    other = DualVec3([-0.5, 1.0, 1.5], [1.0, 0.2, 0.0])
+    assert _builds(lambda: exp_so3d(series)) == {"Dual": 0, "array": 1}
+    assert _builds(lambda: exp_so3d(closed)) == {"Dual": 0, "array": 1}
+    assert _builds(lambda: norm(screw)) == {"Dual": 1, "array": 0}
+    assert _builds(lambda: normalized(screw)) == {"Dual": 0, "array": 1}
+    # The axis line's screw is the one array axis_decompose builds.
+    assert _builds(lambda: axis_decompose(screw)) == {"Dual": 0, "array": 1}
+    # cross(x, y) and the normal line's screw.
+    assert _builds(lambda: common_normal(screw, other)) == {"Dual": 0, "array": 2}
 
 
 def test_theorems_imports_no_numpy():

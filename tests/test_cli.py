@@ -828,6 +828,7 @@ class TestNesting:
                 code = _in_a_fresh_thread(main, argv)
                 out, err = capsys.readouterr()
                 assert (code, out, err.count("\n")) == (2, "", 1), (case, depth)
+                assert len(err) <= _ERROR_LINE_BOUND, (case, depth, err)
                 assert err.startswith("error: ") and "Traceback" not in err, (case, depth)
                 seen.add((case, "read" if "cannot read input" in err else "parsed"))
         # Both paths are taken in every case: json's refusal, and a document it accepted.
@@ -1049,9 +1050,10 @@ def test_integer_too_large_for_a_float_exits_2(capsys, argv):
 
 
 def _not_a_number_cases():
-    """(id, argv, message) with a boolean or a numeric string in each slot where the input
-    forms allow only a JSON number; a dual value may also be "a + beps" text, so "1" is
-    refused there only inside the {"re", "du"} form."""
+    """(id, argv, message) with a boolean or a numeric string, short or 5000 characters long,
+    in each slot where the input forms allow only a JSON number; a dual value may also be
+    "a + beps" text, so "1" is refused there only inside the {"re", "du"} form, and long text
+    that is no number or one beyond the floats as a whole value."""
     def screw(doc, other=X_AXIS):
         return ["common-normal", "--json", json.dumps(doc), "--json", json.dumps(other)]
 
@@ -1074,8 +1076,7 @@ def _not_a_number_cases():
                "r": value}
         return ["verify", "thales", "--json", json.dumps(doc)]
 
-    for bad in (True, "1"):
-        kind = "bool" if bad is True else "string"
+    for kind, bad in (("bool", True), ("string", "1"), ("long-string", "1" * 5000)):
         yield f"screw-re-{kind}", screw({"re": [bad, 0, 0], "du": [0, 1, 0]}), "bad screw document"
         yield f"screw-du-{kind}", screw({"re": [0, 1, 0], "du": [0, 0, bad]}), "bad screw document"
         yield (f"screw-point-{kind}", screw({"point": [0, bad, 0], "direction": [0, 1, 0]}),
@@ -1097,6 +1098,12 @@ def _not_a_number_cases():
         yield f"radius-re-{kind}", radius({"re": bad, "du": 0}), "cannot interpret"
     yield "angle-bool", angle(True), "cannot interpret"
     yield "radius-bool", radius(False), "cannot interpret"
+    yield "angle-long-text", angle("x" * 5000), "cannot interpret"
+    yield "angle-long-number", angle("1" * 5000), "cannot interpret"
+
+
+# An error line quotes at most two values, each cut to 80 characters, in its own words.
+_ERROR_LINE_BOUND = 400
 
 
 _NOT_A_NUMBER = list(_not_a_number_cases())
@@ -1106,8 +1113,9 @@ _NOT_A_NUMBER = list(_not_a_number_cases())
                          ids=[c[0] for c in _NOT_A_NUMBER])
 def test_boolean_or_numeric_string_where_a_number_belongs_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
+    assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith(f"error: {message}"), err
+    assert len(err) <= _ERROR_LINE_BOUND, err
 
 
 def test_dual_value_text_and_numbers_still_parse(capsys):

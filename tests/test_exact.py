@@ -32,7 +32,7 @@ VERSIN_OVER = (1 - sp.cos(T)) / T**2
 
 def _coefficient(i: int, part: str):
     """Part ``re`` or ``du`` of Rodrigues coefficient i at the dual angle t + eps."""
-    return lambda t: getattr(linalg._rodrigues(Dual(t * t, 2.0 * t))[i], part)
+    return lambda t: linalg._rodrigues(t * t, 2.0 * t)[2 * i + (part == "du")]
 
 
 FUNCTIONS = {
@@ -301,7 +301,9 @@ class TestRigidMotionKernelsAreExact:
 
     def _rodrigues(self) -> linalg.DualMat3:
         b = self.b
-        return linalg.DualMat3._raw(*linalg._rodrigues_matrix(b._re, b._du, self.c1, self.c2))
+        c1, c2 = self.c1, self.c2
+        return linalg.DualMat3._raw(
+            *linalg._rodrigues_matrix(b._re, b._du, c1.re, c1.du, c2.re, c2.du))
 
     def test_rodrigues_kernel_is_the_rodrigues_form(self):
         h = linalg.hat(self.b)
@@ -363,7 +365,8 @@ def test_the_coefficients_of_rodrigues_annihilate_the_frame_factor(t):
     # (c2 <= 1/2, c1**2 <= 1, c2**2 q = (1 - cos t)**2 / t**2 <= 1), and its
     # dual part is of the size of the derivatives, at most 1 times 2 |t|.
     q = Dual(t * t, 2.0 * t)
-    c1, c2 = linalg._rodrigues(q)
+    a, da, c, dc = linalg._rodrigues(q.re, q.du)
+    c1, c2 = Dual(a, da), Dual(c, dc)
     factor = 2 * c2 - c1 * c1 - c2 * c2 * q
     assert abs(factor.re) <= 4 * EPS
     assert abs(factor.du) <= 16 * EPS * max(1.0, abs(t))

@@ -8,9 +8,14 @@ compared by repr, so the sign of a zero counts, and every verdict must agree,
 on random, axis-aligned and pure-dual generators and on products of frames
 placed far from the origin.
 
+norm, normalized, the modulus that axis_decompose and its axis take, and the
+Rodrigues coefficients of exp_so3d compute on float pairs too. Their former
+bodies, on Dual objects and their operators, are kept here as the reference,
+compared in the same way.
+
 equilibrium_laws and petersen_morley compute on float pairs in one pass,
 calling the pair kernels that the operators call too (linalg._ddot and
-_cross_parts, dual._droot, _dinv and _datan2) and spelling only the ring product
+_cross_parts, dual._droot, _dinv, _datan2 and _dsincos) and spelling only the ring product
 inline. Their former bodies, on Dual and DualVec3 objects and their operators,
 are kept here as the reference: every report field and figure must be the same
 bytes, and every refusal the same class with the same message, but for the
@@ -27,16 +32,18 @@ import pytest
 
 from screwalg import (
     DualMat3, DualVec3, dot, equilibrium_laws, exp_so3d, frame_from_point, is_frame, linalg,
-    petersen_morley,
+    norm, petersen_morley,
 )
-from screwalg.dual import DEFAULT_TOL, Dual, _dual, _Value
+from screwalg.dual import DEFAULT_TOL, Dual, _droot, _dual, _Value
 from screwalg.dual import atan2 as dual_atan2
 from screwalg.dual import cos as dual_cos
 from screwalg.dual import sin as dual_sin
+from screwalg.dual import sqrt as dual_sqrt
 from screwalg.errors import DegenerateTriangle, NonGeneric, NotFinite, NullVector
-from screwalg.geometry import Line, axis_decompose
+from screwalg.geometry import AxisDecomposition, _axis, _axis_in_range, axis_decompose
 from screwalg.linalg import (
-    _ZERO3, _add, _in_range, _length, _modulus, _over, _parallel, _scale, cross, normalized,
+    _SERIES_BELOW, _SIN_OVER, _VERSIN_OVER, _ZERO3, _add, _in_range, _length, _over, _parallel,
+    _scale, _scaled, cross, normalized,
 )
 from screwalg.theorems import (
     EquilibriumReport, PetersenMorleyReport, _direction_certificate, _moment_near, _require_proper,
@@ -79,6 +86,67 @@ def reference_rodrigues(r, d, c1, c2):
     re = tuple([e + a * h + c * g for e, h, g in zip(_EYE, h_re, h2_re)])
     du = tuple([a * hd + da * h + c * gd + dc * g for hd, h, gd, g in zip(h_du, h_re, h2_du, h2_re)])
     return re, du
+
+
+def reference_horner(coefficients, q):
+    """The series F at a dual argument: F(q.re) + eps q.du F'(q.re)."""
+    x, dx = q.re, q.du
+    a = b = 0.0
+    for c in coefficients:
+        a, b = a * x + c, b * x + a * dx
+    return _dual(a, b)
+
+
+def reference_coefficients(q):
+    """sin(phi)/phi and (1 - cos phi)/phi**2 at the dual angle phi with phi o phi = q."""
+    if q.re < _SERIES_BELOW * _SERIES_BELOW:
+        return reference_horner(_SIN_OVER, q), reference_horner(_VERSIN_OVER, q)
+    phi = dual_sqrt(q)
+    t = phi.re
+    sin_t, cos_t = math.sin(t), math.cos(t)
+    try:
+        d_versin = (t * t * sin_t - 2.0 * t * (1.0 - cos_t)) / (t ** 4)
+    except OverflowError:
+        d_versin = (sin_t - 2.0 * (1.0 - cos_t) / t) / (t * t)
+    return (
+        _dual(sin_t / t, phi.du * ((t * cos_t - sin_t) / (t * t))),
+        _dual((1.0 - cos_t) / (t * t), phi.du * d_versin),
+    )
+
+
+def reference_exp_so3d(b):
+    c1, c2 = reference_coefficients(dot(b, b))
+    return DualMat3._raw(*linalg._rodrigues_matrix(b._re, b._du, c1.re, c1.du, c2.re, c2.du))
+
+
+def _modulus(ss):
+    """norm(x) from ss = dot(x, x), as a Dual."""
+    return _dual(*_droot(ss.re, ss.du))
+
+
+def reference_norm(x):
+    x, k = _in_range(x)
+    n = _modulus(dot(x, x))
+    return _dual(*_scaled((n.re, n.du), -k, "modulus")) if k else n
+
+
+def reference_normalized(x):
+    x, _ = _in_range(x)
+    return x * _modulus(dot(x, x)).inv()
+
+
+def reference_axis(z):
+    z, _ = _in_range(z)
+    return _axis_in_range(z, _modulus(dot(z, z)).re)
+
+
+def reference_axis_decompose(z):
+    z, k = _in_range(z)
+    n = _modulus(dot(z, z))
+    a = n.re
+    axis = _axis_in_range(z, a)
+    magnitude = _scaled((a,), -k, "magnitude")[0] if k else a
+    return AxisDecomposition(magnitude=magnitude, pitch=n.du / a, axis=axis)
 
 
 def reference_is_frame(re, du, tol):
@@ -167,7 +235,7 @@ def far_frames(rng, n):
 def test_exp_so3d_keeps_every_bit():
     for r, d in GENERATORS:
         b = DualVec3(r, d)
-        c1, c2 = linalg._rodrigues(dot(b, b))
+        c1, c2 = reference_coefficients(dot(b, b))
         u = exp_so3d(b)
         assert bits(u._re, u._du) == bits(*reference_rodrigues(r, d, c1, c2)), (r, d)
 
@@ -183,7 +251,7 @@ def test_rodrigues_kernel_keeps_every_bit_for_any_coefficients():
         for _ in range(4):
             c1 = _dual(rng.choice(COEFFICIENTS), rng.choice(COEFFICIENTS))
             c2 = _dual(rng.choice(COEFFICIENTS), rng.choice(COEFFICIENTS))
-            got = linalg._rodrigues_matrix(r, d, c1, c2)
+            got = linalg._rodrigues_matrix(r, d, c1.re, c1.du, c2.re, c2.du)
             assert bits(*got) == bits(*reference_rodrigues(r, d, c1, c2)), (r, d, c1, c2)
 
 
@@ -192,11 +260,50 @@ def test_a_zero_of_the_reference_keeps_its_sign():
     # the -0.0 of c1 (-y). Unrolled as c1 (-y) + c2 z x it would read -0.0.
     r, d = (0.0, 0.0, -0.9066), (-0.638, 0.910, -0.607)
     b = DualVec3(r, d)
-    c1, c2 = linalg._rodrigues(dot(b, b))
+    c1, c2 = reference_coefficients(dot(b, b))
     x, y, z = r
     assert repr(c1.re * -y + c2.re * (z * x)) == "-0.0"
     assert repr(reference_rodrigues(r, d, c1, c2)[0][2]) == "0.0"
     assert repr(exp_so3d(b)._re[2]) == "0.0"
+
+
+def rodrigues_generators():
+    """GENERATORS; resultants whose square q = b.re o b.re lies a few roundings either side of
+    the cut-off 0.25; and dual parts near 1.7e308 on resultants below, above and far above it,
+    so that q's dual part or q itself leaves the floats."""
+    rng = random.Random(20266)
+    out = list(GENERATORS)
+    for k in range(-4, 5):
+        length = _SERIES_BELOW * (1.0 + k * 2.0 ** -52)
+        for _ in range(6):
+            e = _unit(rng)
+            r = tuple(length * c for c in e)
+            out.append((r, tuple(rng.uniform(-3, 3) for _ in range(3))))
+        out.append(((length, 0.0, -0.0), (0.0, -0.0, rng.uniform(-3, 3))))
+    for size in (0.3, 1.2, 3.0, 1e-200, 1e154, 1e155):
+        for _ in range(12):
+            r = tuple(size * c for c in _unit(rng))
+            d = tuple(rng.choice([-1.0, 1.0]) * 1.7e308 * rng.uniform(0.1, 1.0) for _ in range(3))
+            out.append((r, d))
+            out.append((r, tuple(c * 1e-3 for c in d)))
+            out.append((r, tuple(math.copysign(1.7e308 * rng.uniform(0.5, 1.0), c) for c in r)))
+    for k in (1.0, 0.28, -0.28):
+        out.append(((k, k, -k), (1.7e308, 1.7e308, -1.7e308)))
+    return out
+
+
+def test_exp_so3d_and_its_coefficients_keep_every_bit_and_refusal_of_the_dual_bodies():
+    seen = set()
+    for r, d in rodrigues_generators():
+        b = DualVec3(r, d)
+        expected = _part_outcome(lambda: reference_coefficients(dot(b, b)))
+        assert _part_outcome(linalg._rodrigues, *linalg._ddot(r, d, r, d)) == expected, (r, d)
+        expected = _part_outcome(reference_exp_so3d, b)
+        assert _part_outcome(exp_so3d, b) == expected, (r, d)
+        branch = "series" if linalg._dot3(r, r) < 0.25 else "closed"
+        seen.add((branch, expected[0] if isinstance(expected, tuple) else "matrix"))
+    assert seen == {(branch, outcome) for branch in ("series", "closed")
+                    for outcome in ("matrix", NotFinite)}, seen
 
 
 # -- @ and _translation ----------------------------------------------------------
@@ -650,17 +757,29 @@ def _kernel_screws():
     return out
 
 
-def test_incidence_is_dot_with_the_normalized_screw():
-    from screwalg.theorems import _incidence
+def test_normalized_keeps_every_bit_of_x_times_the_inverse_modulus():
+    seen = set()
+    for x in _kernel_screws():
+        expected = _part_outcome(reference_normalized, x)
+        assert _part_outcome(normalized, x) == expected, x
+        seen.add(expected[0] if isinstance(expected, tuple) else "unit")
+    assert seen == {"unit", NullVector, NotFinite}, seen
 
-    screws = _kernel_screws()
-    rng = random.Random(20264)
-    for w in screws:
-        if w.is_pure_dual:
-            continue
-        line = Line(normalized(DualVec3(workload_screw(rng)[0], workload_screw(rng)[1])))
-        expected = _part_outcome(lambda: dot(line.screw, normalized(w)))
-        assert _part_outcome(_incidence, line.screw, w) == expected, w
+
+def test_norm_and_the_axis_keep_every_bit_of_the_modulus_dual():
+    # Moments along the resultant near the largest float, where the modulus's dual part
+    # overflows: in z o z, in the scaling into range, and in the scaling back.
+    extremes = [DualVec3([1.0, 1.0, 1.0], [1.7e308] * 3),
+                DualVec3([1e-200, 2e-200, -1e-200], [1e308, 1.7e308, -1e308]),
+                DualVec3([1e300] * 3, [1.7e308] * 3)]
+    seen = set()
+    for z in _kernel_screws() + extremes:
+        expected = _part_outcome(reference_norm, z)
+        assert _part_outcome(norm, z) == expected, z
+        seen.add(expected[0] if isinstance(expected, tuple) else "modulus")
+        assert _part_outcome(axis_decompose, z) == _part_outcome(reference_axis_decompose, z), z
+        assert _part_outcome(_axis, z) == _part_outcome(reference_axis, z), z
+    assert seen == {"modulus", NullVector, NotFinite}, seen
 
 
 def test_cross_parts_are_cross():

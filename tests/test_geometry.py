@@ -481,6 +481,34 @@ class TestIntersection:
         with pytest.raises(NotUnit):
             axes_intersect(DualVec3(2 * X), DualVec3(Y))
 
+    @pytest.mark.parametrize("offset", [1e3, 1e7, 1e9, 1e12])
+    def test_lines_that_meet_far_from_the_origin_intersect(self, offset):
+        # The moments grow with the offset, and so does their rounding; compared
+        # with an absolute tol, pairs from 1e7 on were found not to meet.
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            p = rng.uniform(-offset, offset, 3)
+            l1 = line_from_point_direction(p, rand_unit(rng))
+            l2 = line_from_point_direction(p, rand_unit(rng))
+            assert axes_intersect(l1.screw, l2.screw), (p, l1, l2)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e7, 1e9, 1e12])
+    def test_skew_lines_beyond_twice_the_rounding_do_not_intersect(self, offset):
+        rng = np.random.default_rng(33)
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            p = rng.uniform(-offset, offset, 3)
+            e, f = rand_unit(rng), rand_unit(rng)
+            n = np.cross(e, f)
+            # The distance times sin(theta) is d: three allowances for moments up to 2|p| + 10.
+            d = 3.0 * max(1e-9, geometry._ROUNDINGS * eps * (2.0 * np.linalg.norm(p) + 10.0))
+            l1 = line_from_point_direction(p, e)
+            l2 = line_from_point_direction(p + d * n / np.dot(n, n), f)
+            moments = np.linalg.norm(l1.moment) + np.linalg.norm(l2.moment)
+            allowance = max(1e-9, geometry._ROUNDINGS * eps * moments)
+            assert abs(comoment(l1.screw, l2.screw)) > 2.0 * allowance, (p, d)
+            assert not axes_intersect(l1.screw, l2.screw), (p, d)
+
 
 class TestMotorReduction:
     def test_reduction_at_origin(self):

@@ -41,6 +41,7 @@ from screwalg import (
     norm,
     vee,
 )
+from screwalg.dual import _droot
 from screwalg.errors import (
     DegenerateBasis,
     NotAFrame,
@@ -50,7 +51,7 @@ from screwalg.errors import (
     ProjectionMismatch,
 )
 from screwalg.linalg import (
-    _coplanar, _cross, _in_range, _length, _mat, _modulus, _parallel, _triple, _vec,
+    _coplanar, _cross, _ddot, _in_range, _length, _mat, _parallel, _triple, _vec,
 )
 
 E1, E2, E3 = basis()
@@ -123,7 +124,7 @@ class TestProducts:
     def test_modulus_refusal_names_the_squared_length(self, x):
         # Both causes leave x o x a real part of 0; the message says so, not "pure dual".
         with pytest.raises(NullVector, match="squared resultant length is 0") as refusal:
-            _modulus(dot(x, x))
+            _droot(*_ddot(x._re, x._du, x._re, x._du))
         assert str(refusal.value) == (
             "modulus undefined: the squared resultant length is 0 (a pure dual, or an underflow)")
 
